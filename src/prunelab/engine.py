@@ -6,6 +6,13 @@ primitive set is deliberately tiny (matmul, add, elementwise multiply, ReLU,
 valid 2-D cross-correlation, flatten, and two batch-mean loss heads), which
 keeps every numeric path inspectable and bit-reproducible.
 
+Convolution is im2col plus GEMM: the forward pass and the kernel gradient
+are one matrix product each against the patch matrix, and the input gradient
+is a col2im loop over the kernel taps.  Both run over fixed blocks of
+CONV_BLOCK samples, so the patch matrix's memory does not grow with the
+batch.  The backward sweep computes only gradients that reach a weight leaf:
+nothing flows into the data or mask leaves.
+
 Masks enter the graph multiplicatively (w * c), so the gradient of the loss
 with respect to a masked-out weight is exactly zero by construction.
 """
@@ -28,21 +35,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from .models import LayeredParams
     from .pruning import Mask
 
+# Bump whenever a change can move a computed value.  Version 2: conv by
+# im2col + GEMM, whose summation order differs from the per-tap einsums.
+NUMERICS_VERSION = 2
+
 SOFTMAX_XENT = "softmax-xent"
 SQUARED_ERROR = "squared-error"
 HEADS = (SOFTMAX_XENT, SQUARED_ERROR)
 
 
 class Node:
-    """One tape entry: a primitive op, its input node ids, and its value."""
+    """One tape entry: a primitive op, its input node ids, and its value.
 
-    __slots__ = ("op", "inputs", "value", "extra")
+    `needs_grad` is fixed when the node is recorded: true for weight leaves
+    and for every node computed from one.  The backward sweep sends no
+    gradient to a node without it, such as the data and mask leaves.
+    """
 
-    def __init__(self, op, inputs, value, extra=None):
+    __slots__ = ("op", "inputs", "value", "extra", "needs_grad")
+
+    def __init__(self, op, inputs, value, extra=None, needs_grad=False):
         self.op = op
         self.inputs = inputs
         self.value = value
         self.extra = extra
+        self.needs_grad = needs_grad
 
 
 class ComputationTape:
@@ -58,14 +75,18 @@ class ComputationTape:
         self.weight_ids = []
         self.consumed = False
 
-    def leaf(self, value):
-        self.nodes.append(Node("leaf", (), np.asarray(value, dtype=np.float64)))
+    def leaf(self, value, *, needs_grad=False):
+        value = np.asarray(value, dtype=np.float64)
+        self.nodes.append(Node("leaf", (), value, needs_grad=needs_grad))
         return len(self.nodes) - 1
 
     def apply(self, op, *input_ids, extra=None):
-        values = [self.nodes[i].value for i in input_ids]
+        values, needs_grad = [], False
+        for i in input_ids:
+            values.append(self.nodes[i].value)
+            needs_grad = needs_grad or self.nodes[i].needs_grad
         out = _evaluate(op, values, extra)
-        self.nodes.append(Node(op, tuple(input_ids), out, extra))
+        self.nodes.append(Node(op, input_ids, out, extra, needs_grad))
         return len(self.nodes) - 1
 
     @property
@@ -87,6 +108,20 @@ class ComputationTape:
         return values
 
 
+CONV_BLOCK = 64  # samples per im2col block; bounds the patch matrix's memory
+
+
+def _conv_blocks(n):
+    return [slice(s, min(s + CONV_BLOCK, n)) for s in range(0, n, CONV_BLOCK)]
+
+
+def _im2col(x, kh, kw):
+    """Patch matrix of x (n, ci, h, w): rows (ci, kh, kw), columns (n, ho, wo)."""
+    ci = x.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    return np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(ci * kh * kw, -1)
+
+
 def _conv2d_forward(x, k):
     n, ci, h, w = x.shape
     co, ci2, kh, kw = k.shape
@@ -95,11 +130,45 @@ def _conv2d_forward(x, k):
     ho, wo = h - kh + 1, w - kw + 1
     if ho < 1 or wo < 1:
         raise AlignmentError(f"kernel {kh}x{kw} does not fit input {h}x{w}")
-    out = np.zeros((n, co, ho, wo))
-    for u in range(kh):
-        for v in range(kw):
-            out += np.einsum("ncij,oc->noij", x[:, :, u : u + ho, v : v + wo], k[:, :, u, v])
+    k2 = k.reshape(co, -1)
+    out = np.empty((n, co, ho, wo))
+    for b in _conv_blocks(n):
+        y = k2 @ _im2col(x[b], kh, kw)
+        out[b] = y.reshape(co, -1, ho, wo).transpose(1, 0, 2, 3)
     return out
+
+
+def _conv2d_backward(x, k, g, need_gx):
+    """Kernel gradient, and the input gradient when `need_gx` (else None).
+
+    The kernel gradient is one GEMM per block against the patch matrix.  The
+    input gradient is col2im over the kh*kw taps: the upstream gradient is
+    zero-padded to the full (h, w) grid, so each tap is one GEMM and one
+    shifted add along the flattened (n, h, w) axis.  Entries the shift
+    carries across a row or sample edge come from the zero padding.
+    """
+    n, ci, h, w = x.shape
+    co, _, kh, kw = k.shape
+    ho, wo = g.shape[2], g.shape[3]
+    gk = None
+    gx = np.zeros((ci, n * h * w + (kh - 1) * w + kw - 1)) if need_gx else None
+    for b in _conv_blocks(n):
+        gb = g[b].transpose(1, 0, 2, 3)
+        part = gb.reshape(co, -1) @ _im2col(x[b], kh, kw).T
+        gk = part if gk is None else gk + part
+        if need_gx:
+            cells = gb.shape[1] * h * w
+            gpad = np.zeros((co, gb.shape[1], h, w))
+            gpad[:, :, :ho, :wo] = gb
+            gpad = gpad.reshape(co, cells)
+            acc = gx[:, b.start * h * w :]
+            for u in range(kh):
+                for v in range(kw):
+                    s = u * w + v
+                    acc[:, s : s + cells] += k[:, :, u, v].T @ gpad
+    if need_gx:
+        gx = gx[:, : n * h * w].reshape(ci, n, h, w).transpose(1, 0, 2, 3)
+    return gx, gk.reshape(k.shape)
 
 
 def _softmax(z):
@@ -151,6 +220,8 @@ def backward(tape):
 
     The returned list mirrors the layer order of the forward pass; each entry
     is a 1-D float64 array with the same length as that layer's flat weights.
+    Only nodes that lead to a weight leaf receive a gradient, and each node's
+    gradient is released as soon as the sweep has passed it on.
     """
     if tape.consumed:
         raise TapeReuseError("tape already consumed by a previous backward pass")
@@ -163,45 +234,42 @@ def backward(tape):
         node, g = nodes[i], grads[i]
         if g is None or node.op == "leaf":
             continue
+        grads[i] = None
         ins = node.inputs
-        vals = [nodes[j].value for j in ins]
+        a = nodes[ins[0]]
+        b = nodes[ins[1]] if len(ins) > 1 else None
         if node.op == "matmul":
-            a, b = vals
-            _accumulate(grads, ins[0], g @ b.T)
-            _accumulate(grads, ins[1], a.T @ g)
+            if a.needs_grad:
+                _accumulate(grads, ins[0], g @ b.value.T)
+            if b.needs_grad:
+                _accumulate(grads, ins[1], a.value.T @ g)
         elif node.op == "add":
-            _accumulate(grads, ins[0], g)
-            _accumulate(grads, ins[1], g)
+            if a.needs_grad:
+                _accumulate(grads, ins[0], g)
+            if b.needs_grad:
+                _accumulate(grads, ins[1], g)
         elif node.op == "mul":
-            a, b = vals
-            _accumulate(grads, ins[0], g * b)
-            _accumulate(grads, ins[1], g * a)
+            if a.needs_grad:
+                _accumulate(grads, ins[0], g * b.value)
+            if b.needs_grad:
+                _accumulate(grads, ins[1], g * a.value)
         elif node.op == "relu":
-            _accumulate(grads, ins[0], g * (vals[0] > 0))
+            _accumulate(grads, ins[0], g * (a.value > 0))
         elif node.op == "flatten":
-            _accumulate(grads, ins[0], g.reshape(vals[0].shape))
+            _accumulate(grads, ins[0], g.reshape(a.value.shape))
         elif node.op == "conv2d":
-            x, k = vals
-            kh, kw = k.shape[2], k.shape[3]
-            ho, wo = g.shape[2], g.shape[3]
-            gx = np.zeros_like(x)
-            gk = np.zeros_like(k)
-            for u in range(kh):
-                for v in range(kw):
-                    patch = x[:, :, u : u + ho, v : v + wo]
-                    gk[:, :, u, v] = np.einsum("noij,ncij->oc", g, patch)
-                    gx[:, :, u : u + ho, v : v + wo] += np.einsum(
-                        "noij,oc->ncij", g, k[:, :, u, v]
-                    )
-            _accumulate(grads, ins[0], gx)
-            _accumulate(grads, ins[1], gk)
+            gx, gk = _conv2d_backward(a.value, b.value, g, a.needs_grad)
+            if a.needs_grad:
+                _accumulate(grads, ins[0], gx)
+            if b.needs_grad:
+                _accumulate(grads, ins[1], gk)
         elif node.op == SOFTMAX_XENT:
-            z = vals[0]
+            z = a.value
             p = _softmax(z)
             p[np.arange(z.shape[0]), node.extra] -= 1.0
             _accumulate(grads, ins[0], (float(g) / z.shape[0]) * p)
         elif node.op == SQUARED_ERROR:
-            z = vals[0]
+            z = a.value
             _accumulate(grads, ins[0], (float(g) / z.shape[0]) * (z - node.extra))
         else:  # pragma: no cover
             raise DomainError(f"unknown primitive {node.op!r}")
@@ -264,7 +332,7 @@ def _record_network(tape, params, mask, samples, sample_shape):
 
     for i, spec in enumerate(specs):
         shape = _layer_shape(spec)
-        wid = tape.leaf(params.weights[i].reshape(shape))
+        wid = tape.leaf(params.weights[i].reshape(shape), needs_grad=True)
         cid = tape.leaf(mask.layers[i].reshape(shape))
         tape.weight_ids.append(wid)
         eff = tape.apply("mul", wid, cid)

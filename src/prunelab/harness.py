@@ -19,6 +19,7 @@ import numpy as np
 
 from .checks import CHECK_NAMES
 from .data import load_dataset
+from .engine import NUMERICS_VERSION
 from .errors import ConfigError, PrunelabError
 from .models import PRESET_NAMES, preset_specs
 from .pipelines import TICKET_KINDS, TrainConfig, run_cell
@@ -108,8 +109,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(cfg) -> str:
-    """Stable content hash: key order never matters."""
-    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    """Stable hash of what determines the rows.
+
+    Key order never matters, and neither does where the rows are written.
+    The engine's NUMERICS_VERSION is part of the hash, so rows computed under
+    different numerics never share a rows file.
+    """
+    content = cfg.to_dict()
+    del content["output_dir"]
+    content["numerics_version"] = NUMERICS_VERSION
+    canon = json.dumps(content, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -198,6 +207,20 @@ def parse_rows(path):
         return [_record_to_row(rec) for rec in reader]
 
 
+def _drop_torn_tail(path):
+    """Cut a last line that has no newline; returns the bytes kept.
+
+    Rows are written whole and flushed one at a time, so such a line is a
+    row an interrupted run did not finish.  Its cell runs again on resume.
+    """
+    with open(path, "rb+") as f:
+        data = f.read()
+        kept = data.rfind(b"\n") + 1
+        if kept < len(data):
+            f.truncate(kept)
+    return kept
+
+
 def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
     """Execute the whole grid, streaming rows; returns every row in grid order."""
     out_dir = os.environ.get("PRUNELAB_OUTPUT_DIR", cfg.output_dir)
@@ -206,7 +229,7 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
     rows_path = os.path.join(out_dir, f"rows-{digest[:12]}.csv")
 
     done = {}
-    if resume and os.path.exists(rows_path):
+    if resume and os.path.exists(rows_path) and _drop_torn_tail(rows_path):
         for row in parse_rows(rows_path):
             done[row.key()] = row
 
@@ -215,7 +238,7 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
     cells = grid_cells(cfg)
 
     rows = []
-    fresh = not (resume and os.path.exists(rows_path))
+    fresh = not done
     with open(rows_path, "w" if fresh else "a", newline="") as f:
         writer = csv.DictWriter(f, CSV_COLUMNS)
         if fresh:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from prunelab.engine import (
+    CONV_BLOCK,
     ComputationTape,
+    _conv2d_backward,
+    _conv2d_forward,
     backward,
     finite_diff_gradient,
     forward_logits,
@@ -99,6 +102,28 @@ def test_backward_matches_finite_differences_conv():
     assert rel_error(grads, oracle) <= 1e-4
 
 
+def test_backward_matches_finite_differences_two_conv_stack():
+    # Non-square kernels on a non-square image.  The upper conv's input
+    # gradient (col2im) is on the path to the lower conv's weights.
+    specs = (
+        LayerSpec("conv", 2, 3, kernel=(2, 3)),
+        LayerSpec("conv", 3, 2, kernel=(3, 2)),
+        LayerSpec("dense", 2 * 2 * 4, 3, is_output=True),
+    )
+    shape = (2, 5, 7)
+    params = build_network(specs, seed=17)
+    mask = full_mask(layer_sizes(specs))
+    x, y = random_batch(specs, 4, seed=18, image_shape=shape)
+    _, tape = forward_loss(params, mask, x, y, sample_shape=shape)
+    grads = backward(tape)
+
+    def loss_fn(ws):
+        return forward_loss(params.with_weights(ws), mask, x, y, sample_shape=shape)[0]
+
+    oracle = finite_diff_gradient(loss_fn, params.weights, 1e-5)
+    assert rel_error(grads, oracle) <= 1e-4
+
+
 def test_backward_matches_finite_differences_squared_error_head():
     specs = (
         LayerSpec("dense", 4, 3),
@@ -142,19 +167,78 @@ def test_conv_forward_matches_explicit_loops():
     assert np.allclose(logits_via_net, expect, atol=1e-12)
 
 
+def conv_by_loops(x, k):
+    """Valid cross-correlation, one output pixel and channel at a time."""
+    n, ci, h, w = x.shape
+    co, _, kh, kw = k.shape
+    out = np.zeros((n, co, h - kh + 1, w - kw + 1))
+    for i in range(out.shape[2]):
+        for j in range(out.shape[3]):
+            for o in range(co):
+                out[:, o, i, j] = np.sum(x[:, :, i : i + kh, j : j + kw] * k[o], axis=(1, 2, 3))
+    return out
+
+
+def conv_grads_by_loops(x, k, g):
+    """Input and kernel gradients of the cross-correlation for upstream `g`."""
+    kh, kw = k.shape[2:]
+    gx, gk = np.zeros_like(x), np.zeros_like(k)
+    for i in range(g.shape[2]):
+        for j in range(g.shape[3]):
+            for o in range(g.shape[1]):
+                gn = g[:, o, i, j][:, None, None, None]
+                gk[o] += np.sum(gn * x[:, :, i : i + kh, j : j + kw], axis=0)
+                gx[:, :, i : i + kh, j : j + kw] += gn * k[o]
+    return gx, gk
+
+
+def test_conv_kernels_match_explicit_loops_across_sample_blocks():
+    n = 2 * CONV_BLOCK + 2  # two full blocks and a remainder
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(n, 2, 5, 7))
+    k = rng.normal(size=(3, 2, 2, 3))
+    want = conv_by_loops(x, k)
+    got = _conv2d_forward(x, k)
+    assert got.shape == want.shape
+    assert rel_error([got], [want]) <= 1e-12
+
+    g = rng.normal(size=want.shape)
+    want_gx, want_gk = conv_grads_by_loops(x, k, g)
+    gx, gk = _conv2d_backward(x, k, g, True)
+    assert rel_error([gx], [want_gx]) <= 1e-12
+    assert rel_error([gk], [want_gk]) <= 1e-12
+    no_gx, same_gk = _conv2d_backward(x, k, g, False)
+    assert no_gx is None
+    assert np.array_equal(same_gk, gk)
+
+
+def assert_masked_weights_get_zero_gradient(specs, seed, image_shape=None):
+    params = build_network(specs, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    mask = Mask(tuple((rng.random(m) < 0.5).astype(float) for m in layer_sizes(specs)))
+    x, y = random_batch(specs, 6, seed=seed + 2, image_shape=image_shape)
+    _, tape = forward_loss(params, mask, x, y, sample_shape=image_shape)
+    grads = backward(tape)
+    for g, c in zip(grads, mask.layers):
+        assert np.any(g[c == 1.0] != 0.0)
+        assert np.all(g[c == 0.0] == 0.0)
+
+
 def test_masked_weights_get_exactly_zero_gradient():
     specs = (
         LayerSpec("dense", 3, 4),
         LayerSpec("dense", 4, 2, is_output=True),
     )
-    params = build_network(specs, seed=11)
-    rng = np.random.default_rng(12)
-    mask = Mask(tuple((rng.random(m) < 0.5).astype(float) for m in layer_sizes(specs)))
-    x, y = random_batch(specs, 6, seed=13)
-    _, tape = forward_loss(params, mask, x, y)
-    grads = backward(tape)
-    for g, c in zip(grads, mask.layers):
-        assert np.all(g[c == 0.0] == 0.0)
+    assert_masked_weights_get_zero_gradient(specs, 11)
+
+
+def test_masked_conv_weights_get_exactly_zero_gradient():
+    specs = (
+        LayerSpec("conv", 1, 3, kernel=(3, 3)),
+        LayerSpec("conv", 3, 2, kernel=(2, 2)),
+        LayerSpec("dense", 2 * 3 * 3, 2, is_output=True),
+    )
+    assert_masked_weights_get_zero_gradient(specs, 20, image_shape=(1, 6, 6))
 
 
 def test_tape_replay_reproduces_recorded_values_bit_for_bit():

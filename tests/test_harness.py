@@ -6,8 +6,11 @@ import json
 
 import pytest
 
+from prunelab import harness
+from prunelab.cli import main
 from prunelab.errors import ConfigError
 from prunelab.harness import (
+    CSV_COLUMNS,
     ExperimentConfig,
     ResultRow,
     config_hash,
@@ -72,6 +75,13 @@ def test_config_hash_ignores_key_order_but_not_content():
     reordered = ExperimentConfig.from_dict(dict(reversed(list(TINY.items()))))
     assert config_hash(reordered) == digest
     assert config_hash(tiny_config(seeds=[0, 2])) != digest
+
+
+def test_config_hash_ignores_output_dir_but_not_the_numerics_version(monkeypatch):
+    digest = config_hash(tiny_config(output_dir="results"))
+    assert config_hash(tiny_config(output_dir="elsewhere/out")) == digest
+    monkeypatch.setattr(harness, "NUMERICS_VERSION", harness.NUMERICS_VERSION + 1)
+    assert config_hash(tiny_config(output_dir="results")) != digest
 
 
 def test_pipeline_labels_and_grid_order():
@@ -188,6 +198,42 @@ def test_run_experiment_resumes_finished_cells(tmp_path, monkeypatch):
     redone = parse_rows(str(rows_path))
     assert len(redone) == 8
     assert redone[:5] == head
+
+
+@pytest.mark.parametrize("column", ["accuracy", "seconds"])
+def test_resume_reruns_the_cell_of_a_torn_last_row(tmp_path, monkeypatch, column):
+    monkeypatch.delenv("PRUNELAB_OUTPUT_DIR", raising=False)
+    cfg, first = run_tiny(tmp_path, "torn")
+    rows_path = tmp_path / "torn" / f"rows-{config_hash(cfg)[:12]}.csv"
+    text = rows_path.read_bytes()
+    assert text.endswith(b"\n")
+    last = text.rstrip(b"\r\n").rfind(b"\n") + 1
+    commas = [i for i in range(last, len(text)) if text[i : i + 1] == b","]
+    # keep the first character of the column, as if the write stopped there
+    rows_path.write_bytes(text[: commas[CSV_COLUMNS.index(column) - 1] + 2])
+
+    second = run_experiment(cfg)
+    assert second[:-1] == first[:-1]  # resumed rows keep their original timing
+    assert [dataclasses.replace(r, seconds=0.0) for r in second] == [
+        dataclasses.replace(r, seconds=0.0) for r in first
+    ]
+    again = rows_path.read_bytes()
+    assert again.startswith(text[:last])
+    assert again.endswith(b"\n")
+    assert parse_rows(str(rows_path)) == second
+
+
+def test_run_out_resumes_rows_written_under_the_env_override(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "shared"
+    monkeypatch.setenv("PRUNELAB_OUTPUT_DIR", str(out))
+    cfg = tiny_config()
+    first = run_experiment(cfg)
+    monkeypatch.delenv("PRUNELAB_OUTPUT_DIR")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    (rows_path,) = out.glob("rows-*.csv")
+    assert parse_rows(str(rows_path)) == first
 
 
 def test_run_experiment_output_dir_env_override(tmp_path, monkeypatch):
