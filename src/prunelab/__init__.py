@@ -13,7 +13,6 @@ from .checks import (
 )
 from .data import DataSplit, Dataset, load_dataset, synthetic_blobs
 from .engine import (
-    ComputationTape,
     backward,
     finite_diff_gradient,
     forward_logits,
@@ -31,7 +30,6 @@ from .errors import (
     InfeasibleSparsityError,
     NumericsError,
     PrunelabError,
-    TapeReuseError,
     TrainingDivergedError,
 )
 from .harness import (

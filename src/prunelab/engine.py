@@ -1,39 +1,30 @@
-"""Dense float64 numerics with taped reverse-mode differentiation.
+"""Dense float64 numerics: a masked layer-stack forward pass and its reverse.
 
-A forward pass records primitive operations onto a ComputationTape; one
-backward sweep over the tape yields per-layer weight gradients.  The
-primitive set is deliberately tiny (matmul, add, elementwise multiply, ReLU,
-valid 2-D cross-correlation, flatten, and two batch-mean loss heads), which
-keeps every numeric path inspectable and bit-reproducible.
+A network is a fixed stack of bias-free dense and conv layers with ReLU
+between them and one batch-mean loss head (softmax cross-entropy or squared
+error).  `forward_loss` runs the stack once and keeps each layer's input,
+masked weights and mask; `backward` walks the same layers in reverse and
+returns per-layer weight gradients.  The stack is the whole graph, so every
+numeric path stays inspectable and bit-reproducible.
 
 Convolution is im2col plus GEMM: the forward pass and the kernel gradient
 are one matrix product each against the patch matrix, and the input gradient
 is a col2im loop over the kernel taps.  Both run over fixed blocks of
 CONV_BLOCK samples, so the patch matrix's memory does not grow with the
-batch.  The backward sweep computes only gradients that reach a weight leaf:
-nothing flows into the data or mask leaves.
+batch.  No gradient is computed for the first layer's input, which is data.
 
-Masks enter the graph multiplicatively (w * c), so the gradient of the loss
-with respect to a masked-out weight is exactly zero by construction.
+Masks enter as masked weights (w * c) and the weight gradient is multiplied
+by c, so the gradient with respect to a masked-out weight is exactly zero.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    DegenerateStepError,
-    DomainError,
-    NumericsError,
-    TapeReuseError,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .models import LayeredParams
-    from .pruning import Mask
+from .errors import AlignmentError, DegenerateStepError, DomainError, NumericsError
 
 # Bump whenever a change can move a computed value.  Version 2: conv by
 # im2col + GEMM, whose summation order differs from the per-tap einsums.
@@ -44,68 +35,20 @@ SQUARED_ERROR = "squared-error"
 HEADS = (SOFTMAX_XENT, SQUARED_ERROR)
 
 
-class Node:
-    """One tape entry: a primitive op, its input node ids, and its value.
+@dataclass(frozen=True)
+class ForwardPass:
+    """What `backward` needs from one `forward_loss` call.
 
-    `needs_grad` is fixed when the node is recorded: true for weight leaves
-    and for every node computed from one.  The backward sweep sends no
-    gradient to a node without it, such as the data and mask leaves.
+    `layers` holds (input, masked weights, mask) per layer, the input as the
+    layer received it (before any flatten) and weights and mask in the
+    layer's natural shape.  `target` is the int labels for softmax-xent or
+    the (n, classes) target matrix for squared error.
     """
 
-    __slots__ = ("op", "inputs", "value", "extra", "needs_grad")
-
-    def __init__(self, op, inputs, value, extra=None, needs_grad=False):
-        self.op = op
-        self.inputs = inputs
-        self.value = value
-        self.extra = extra
-        self.needs_grad = needs_grad
-
-
-class ComputationTape:
-    """Append-only record of a forward pass.
-
-    Nodes are stored in topological order (inputs always precede users), the
-    final node is the scalar loss, and `weight_ids` points at the per-layer
-    weight leaves in layer order.  A tape supports exactly one backward pass.
-    """
-
-    def __init__(self):
-        self.nodes = []
-        self.weight_ids = []
-        self.consumed = False
-
-    def leaf(self, value, *, needs_grad=False):
-        value = np.asarray(value, dtype=np.float64)
-        self.nodes.append(Node("leaf", (), value, needs_grad=needs_grad))
-        return len(self.nodes) - 1
-
-    def apply(self, op, *input_ids, extra=None):
-        values, needs_grad = [], False
-        for i in input_ids:
-            values.append(self.nodes[i].value)
-            needs_grad = needs_grad or self.nodes[i].needs_grad
-        out = _evaluate(op, values, extra)
-        self.nodes.append(Node(op, input_ids, out, extra, needs_grad))
-        return len(self.nodes) - 1
-
-    @property
-    def loss_value(self):
-        return float(self.nodes[-1].value)
-
-    def replay(self):
-        """Recompute every non-leaf value from the leaves.
-
-        Returns the recomputed values in node order; callers compare them
-        against the recorded ones to confirm the record is faithful.
-        """
-        values = []
-        for node in self.nodes:
-            if node.op == "leaf":
-                values.append(node.value)
-            else:
-                values.append(_evaluate(node.op, [values[i] for i in node.inputs], node.extra))
-        return values
+    layers: tuple
+    logits: np.ndarray
+    head: str
+    target: np.ndarray
 
 
 CONV_BLOCK = 64  # samples per im2col block; bounds the patch matrix's memory
@@ -177,119 +120,6 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _evaluate(op, values, extra):
-    if op == "matmul":
-        a, b = values
-        if a.shape[1] != b.shape[0]:
-            raise AlignmentError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
-        return a @ b
-    if op == "add":
-        a, b = values
-        if a.shape != b.shape:
-            raise AlignmentError(f"add shapes differ: {a.shape} vs {b.shape}")
-        return a + b
-    if op == "mul":
-        a, b = values
-        if a.shape != b.shape:
-            raise AlignmentError(f"mul shapes differ: {a.shape} vs {b.shape}")
-        return a * b
-    if op == "relu":
-        return np.maximum(values[0], 0.0)
-    if op == "flatten":
-        x = values[0]
-        return x.reshape(x.shape[0], -1)
-    if op == "conv2d":
-        return _conv2d_forward(*values)
-    if op == SOFTMAX_XENT:
-        z = values[0]
-        labels = extra
-        m = z.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-        per_sample = lse - z[np.arange(z.shape[0]), labels]
-        return np.float64(per_sample.mean())
-    if op == SQUARED_ERROR:
-        z = values[0]
-        targets = extra
-        per_sample = 0.5 * ((z - targets) ** 2).sum(axis=1)
-        return np.float64(per_sample.mean())
-    raise DomainError(f"unknown primitive {op!r}")
-
-
-def backward(tape):
-    """Run the single backward sweep and return per-layer flat gradients.
-
-    The returned list mirrors the layer order of the forward pass; each entry
-    is a 1-D float64 array with the same length as that layer's flat weights.
-    Only nodes that lead to a weight leaf receive a gradient, and each node's
-    gradient is released as soon as the sweep has passed it on.
-    """
-    if tape.consumed:
-        raise TapeReuseError("tape already consumed by a previous backward pass")
-    tape.consumed = True
-    nodes = tape.nodes
-    grads = [None] * len(nodes)
-    grads[-1] = np.float64(1.0)
-
-    for i in range(len(nodes) - 1, -1, -1):
-        node, g = nodes[i], grads[i]
-        if g is None or node.op == "leaf":
-            continue
-        grads[i] = None
-        ins = node.inputs
-        a = nodes[ins[0]]
-        b = nodes[ins[1]] if len(ins) > 1 else None
-        if node.op == "matmul":
-            if a.needs_grad:
-                _accumulate(grads, ins[0], g @ b.value.T)
-            if b.needs_grad:
-                _accumulate(grads, ins[1], a.value.T @ g)
-        elif node.op == "add":
-            if a.needs_grad:
-                _accumulate(grads, ins[0], g)
-            if b.needs_grad:
-                _accumulate(grads, ins[1], g)
-        elif node.op == "mul":
-            if a.needs_grad:
-                _accumulate(grads, ins[0], g * b.value)
-            if b.needs_grad:
-                _accumulate(grads, ins[1], g * a.value)
-        elif node.op == "relu":
-            _accumulate(grads, ins[0], g * (a.value > 0))
-        elif node.op == "flatten":
-            _accumulate(grads, ins[0], g.reshape(a.value.shape))
-        elif node.op == "conv2d":
-            gx, gk = _conv2d_backward(a.value, b.value, g, a.needs_grad)
-            if a.needs_grad:
-                _accumulate(grads, ins[0], gx)
-            if b.needs_grad:
-                _accumulate(grads, ins[1], gk)
-        elif node.op == SOFTMAX_XENT:
-            z = a.value
-            p = _softmax(z)
-            p[np.arange(z.shape[0]), node.extra] -= 1.0
-            _accumulate(grads, ins[0], (float(g) / z.shape[0]) * p)
-        elif node.op == SQUARED_ERROR:
-            z = a.value
-            _accumulate(grads, ins[0], (float(g) / z.shape[0]) * (z - node.extra))
-        else:  # pragma: no cover
-            raise DomainError(f"unknown primitive {node.op!r}")
-
-    out = []
-    for wid in tape.weight_ids:
-        g = grads[wid]
-        if g is None:
-            g = np.zeros_like(nodes[wid].value)
-        out.append(np.asarray(g, dtype=np.float64).reshape(-1).copy())
-    return out
-
-
-def _accumulate(grads, i, g):
-    if grads[i] is None:
-        grads[i] = g
-    else:
-        grads[i] = grads[i] + g
-
-
 def _check_alignment(params, mask):
     if len(mask.layers) != len(params.weights):
         raise AlignmentError(
@@ -307,8 +137,11 @@ def _layer_shape(spec):
     return (spec.fan_in, spec.fan_out)
 
 
-def _record_network(tape, params, mask, samples, sample_shape):
-    """Record the full masked forward pass; returns the logits node id."""
+def _run_layers(params, mask, samples, sample_shape, keep=None):
+    """Masked forward pass through the stack; returns the (n, classes) logits.
+
+    When `keep` is a list, each layer appends (input, masked weights, mask).
+    """
     specs = params.specs
     n = samples.shape[0]
     if specs[0].kind == "conv":
@@ -322,33 +155,34 @@ def _record_network(tape, params, mask, samples, sample_shape):
             raise AlignmentError(
                 f"input has {sample_shape[0]} channels, first conv expects {specs[0].fan_in}"
             )
-        h = tape.leaf(samples.reshape(n, *sample_shape))
+        h = samples.reshape(n, *sample_shape)
     else:
         if samples.shape[1] != specs[0].fan_in:
             raise AlignmentError(
                 f"input has {samples.shape[1]} features, first layer expects {specs[0].fan_in}"
             )
-        h = tape.leaf(samples)
+        h = samples
 
     for i, spec in enumerate(specs):
         shape = _layer_shape(spec)
-        wid = tape.leaf(params.weights[i].reshape(shape), needs_grad=True)
-        cid = tape.leaf(mask.layers[i].reshape(shape))
-        tape.weight_ids.append(wid)
-        eff = tape.apply("mul", wid, cid)
+        c = mask.layers[i].reshape(shape)
+        w = params.weights[i].reshape(shape) * c
+        x = h
         if spec.kind == "dense":
-            if tape.nodes[h].value.ndim == 4:
-                h = tape.apply("flatten", h)
-            if tape.nodes[h].value.shape[1] != spec.fan_in:
+            h = h.reshape(n, -1)
+            if h.shape[1] != spec.fan_in:
                 raise AlignmentError(
-                    f"layer {i}: dense expects {spec.fan_in} inputs, "
-                    f"got {tape.nodes[h].value.shape[1]}"
+                    f"layer {i}: dense expects {spec.fan_in} inputs, got {h.shape[1]}"
                 )
-            h = tape.apply("matmul", h, eff)
+            h = h @ w
         else:
-            h = tape.apply("conv2d", h, eff)
+            if h.ndim != 4:
+                raise AlignmentError(f"layer {i}: conv needs an image-shaped input")
+            h = _conv2d_forward(h, w)
+        if keep is not None:
+            keep.append((x, w, c))
         if not spec.is_output:
-            h = tape.apply("relu", h)
+            h = np.maximum(h, 0.0)
     return h
 
 
@@ -376,40 +210,69 @@ def forward_logits(params, mask, samples, *, sample_shape=None):
     if samples.shape[0] == 0:
         raise DomainError("empty batch")
     _check_alignment(params, mask)
-    tape = ComputationTape()
-    out = _record_network(tape, params, mask, samples, sample_shape)
-    return tape.nodes[out].value
+    return _run_layers(params, mask, samples, sample_shape)
 
 
 def forward_loss(params, mask, samples, labels, *, sample_shape=None, head=SOFTMAX_XENT):
-    """Masked batch-mean loss; returns (loss, tape) with the tape ready for backward."""
+    """Masked batch-mean loss; returns (loss, pass) with the pass ready for backward."""
     if head not in HEADS:
         raise DomainError(f"unknown loss head {head!r}")
     samples, labels = _as_batch(samples, labels)
     _check_alignment(params, mask)
+    n = samples.shape[0]
     classes = params.specs[-1].fan_out
 
-    tape = ComputationTape()
-    logits = _record_network(tape, params, mask, samples, sample_shape)
-    if head == SOFTMAX_XENT:
-        labels = labels.astype(np.int64)
-        if labels.min() < 0 or labels.max() >= classes:
-            raise DomainError(f"labels must lie in [0, {classes})")
-        out = tape.apply(SOFTMAX_XENT, logits, extra=labels)
+    layers = []
+    z = _run_layers(params, mask, samples, sample_shape, layers)
+    if head == SQUARED_ERROR and classes == 1:
+        target = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     else:
-        if classes > 1:
-            targets = np.zeros((samples.shape[0], classes))
-            idx = labels.astype(np.int64)
-            if idx.min() < 0 or idx.max() >= classes:
-                raise DomainError(f"labels must lie in [0, {classes})")
-            targets[np.arange(samples.shape[0]), idx] = 1.0
-        else:
-            targets = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-        out = tape.apply(SQUARED_ERROR, logits, extra=targets)
-    loss = float(tape.nodes[out].value)
+        target = labels.astype(np.int64)
+        if target.min() < 0 or target.max() >= classes:
+            raise DomainError(f"labels must lie in [0, {classes})")
+        if head == SQUARED_ERROR:
+            target = np.eye(classes)[target]
+    if head == SOFTMAX_XENT:
+        m = z.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+        per_sample = lse - z[np.arange(n), target]
+    else:
+        per_sample = 0.5 * ((z - target) ** 2).sum(axis=1)
+    loss = float(per_sample.mean())
     if not np.isfinite(loss):
         raise NumericsError("forward pass produced a non-finite loss")
-    return loss, tape
+    return loss, ForwardPass(tuple(layers), z, head, target)
+
+
+def backward(fp):
+    """Per-layer flat weight gradients of the loss behind `fp`.
+
+    The list mirrors the layer order; each entry is a 1-D float64 array with
+    the same length as that layer's flat weights.  The pass is not changed,
+    so calling this twice gives the same gradients.
+    """
+    z = fp.logits
+    n = z.shape[0]
+    if fp.head == SOFTMAX_XENT:
+        p = _softmax(z)
+        p[np.arange(n), fp.target] -= 1.0
+    else:
+        p = z - fp.target
+    g = (1.0 / n) * p
+
+    grads = [None] * len(fp.layers)
+    for i in range(len(fp.layers) - 1, -1, -1):
+        x, w, c = fp.layers[i]
+        if w.ndim == 2:
+            gw = x.reshape(n, -1).T @ g
+            gx = (g @ w.T).reshape(x.shape) if i else None
+        else:
+            gx, gw = _conv2d_backward(x, w, g, i > 0)
+        grads[i] = (gw * c).reshape(-1)
+        if i:
+            # x is relu(z) of the layer below, and relu(z) > 0 exactly where z > 0.
+            g = gx * (x > 0)
+    return grads
 
 
 def finite_diff_gradient(loss_fn: Callable[[Sequence[np.ndarray]], float], weights, epsilon):
@@ -458,12 +321,12 @@ def hessian_vector_product(
     if all(np.array_equal(p, w) for p, w in zip(plus, params.weights)):
         raise DegenerateStepError("epsilon step underflowed to zero perturbation")
 
-    _, tape_p = forward_loss(
+    _, pass_p = forward_loss(
         params.with_weights(plus), mask, samples, labels, sample_shape=sample_shape, head=head
     )
-    gp = backward(tape_p)
-    _, tape_m = forward_loss(
+    gp = backward(pass_p)
+    _, pass_m = forward_loss(
         params.with_weights(minus), mask, samples, labels, sample_shape=sample_shape, head=head
     )
-    gm = backward(tape_m)
+    gm = backward(pass_m)
     return [(a - b) / (2.0 * epsilon) for a, b in zip(gp, gm)]

@@ -17,10 +17,6 @@ class NumericsError(PrunelabError):
     """A computation produced a non-finite value."""
 
 
-class TapeReuseError(PrunelabError):
-    """A computation tape was consumed twice."""
-
-
 class DegenerateStepError(PrunelabError):
     """A finite-difference probe had zero direction or vanishing step."""
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass, replace
 
@@ -30,6 +29,7 @@ from .errors import (
     DomainError,
     InfeasibleSparsityError,
     NumericsError,
+    PrunelabError,
     TrainingDivergedError,
 )
 from .checks import (
@@ -41,6 +41,7 @@ from .checks import (
 )
 from .models import ArchFamily, LayeredParams, LayerSpec, accuracy, build_network, layer_sizes
 from .pruning import (
+    _select_global,
     Mask,
     ScoreMap,
     full_mask,
@@ -53,7 +54,7 @@ from .pruning import (
     round_half_up,
     snip_scores,
 )
-from .schedules import retained_budget, schedule_by_name, smart_ratio
+from .schedules import _largest_remainder, retained_budget, schedule_by_name, smart_ratio
 
 SCORE_BATCH_SIZE = 128
 
@@ -139,6 +140,11 @@ class Ticket:
     def __post_init__(self):
         if len(self.mask.layers) != len(self.weights.weights):
             raise AlignmentError("ticket mask and weights have different layer counts")
+        for i, (c, w) in enumerate(zip(self.mask.layers, self.weights.weights)):
+            if c.size != w.size:
+                raise AlignmentError(
+                    f"layer {i}: ticket mask has {c.size} entries for {w.size} weights"
+                )
 
 
 def learning_rate_at(cfg, epoch) -> float:
@@ -306,26 +312,10 @@ def _magnitude_mask(params, target_sparsity, preserve_output_layer):
         raise InfeasibleSparsityError(
             f"budget {budget} cannot cover the preserved output layer ({sizes[-1]})"
         )
-    hidden = ScoreMap(scores.layers[:-1])
-    hidden_mask = _global_top_n(hidden, np.concatenate(
-        [np.ones(m, dtype=bool) for m in sizes[:-1]]
-    ), budget - sizes[-1])
-    return Mask(tuple(list(hidden_mask) + [np.ones(sizes[-1])]))
-
-
-def _global_top_n(scores, eligible_flat, n_keep):
-    """Per-layer mask arrays keeping the n best eligible entries globally."""
-    flat = np.concatenate(scores.layers)
-    candidates = np.flatnonzero(eligible_flat)
-    order = candidates[np.argsort(-flat[candidates], kind="stable")]
-    keep = order[:n_keep]
-    out = np.zeros(flat.size)
-    out[keep] = 1.0
-    layers, start = [], 0
-    for s in scores.layers:
-        layers.append(out[start : start + s.size])
-        start += s.size
-    return layers
+    hidden = _select_global(
+        ScoreMap(scores.layers[:-1]), np.ones(sum(sizes[:-1]), dtype=bool), budget - sizes[-1]
+    )
+    return Mask(hidden.layers + (np.ones(sizes[-1]),))
 
 
 def make_lt_ticket(
@@ -528,7 +518,7 @@ def iterative_magnitude_prune(
         if mode == "hybrid":
             t = (total - next_n) / (total - budget)
             reals = [m - t * (m - q) for m, q in zip(sizes, final_schedule.quotas)]
-            quotas = _bounded_largest_remainder(reals, prev_quotas, next_n)
+            quotas = _largest_remainder(reals, prev_quotas, next_n)
             new_layers = []
             for s, c, q in zip(scores.layers, mask.layers, quotas):
                 eligible = c > 0
@@ -541,8 +531,7 @@ def iterative_magnitude_prune(
             prev_quotas = quotas
         else:
             eligible = np.concatenate([c > 0 for c in mask.layers])
-            layers = _global_top_n(scores, eligible, next_n)
-            new_mask = Mask(tuple(layers))
+            new_mask = _select_global(scores, eligible, next_n)
         for old, new in zip(mask.layers, new_mask.layers):
             assert not ((new == 1.0) & (old == 0.0)).any(), "pruning must only remove"
         mask = new_mask
@@ -566,32 +555,6 @@ def iterative_magnitude_prune(
             "arch": _arch_provenance(specs),
         },
     )
-
-
-def _bounded_largest_remainder(reals, caps, total):
-    """Largest-remainder rounding with per-layer upper bounds."""
-    floors = [min(int(math.floor(k)), c) for k, c in zip(reals, caps)]
-    rem = total - sum(floors)
-    by_fraction = sorted(
-        range(len(reals)), key=lambda i: (-(reals[i] - math.floor(reals[i])), i)
-    )
-    for i in by_fraction:
-        if rem <= 0:
-            break
-        if floors[i] < caps[i]:
-            floors[i] += 1
-            rem -= 1
-    i = 0
-    while rem > 0 and i < len(floors):
-        while rem > 0 and floors[i] < caps[i]:
-            floors[i] += 1
-            rem -= 1
-        i += 1
-    while rem < 0:
-        j = max(range(len(floors)), key=lambda i: floors[i])
-        floors[j] -= 1
-        rem += 1
-    return floors
 
 
 def build_ticket(kind, specs, split, target_sparsity, seed, cfg, params=None) -> Ticket:
@@ -697,8 +660,7 @@ class CellResult:
 
 
 def run_cell(
-    kind, pipeline_params, check, split, specs, target_sparsity, seed, train_cfg,
-    *, reuse_ticket_seed=False,
+    kind, pipeline_params, check, split, specs, target_sparsity, seed, train_cfg
 ) -> CellResult:
     """Build one ticket under one check, retrain on clean data, measure."""
     check = check or "none"
@@ -713,8 +675,7 @@ def run_cell(
     if check in STRUCTURAL_CHECKS:
         ticket = apply_structural_check(ticket, check, check_rng)
 
-    retrain_seed = seed if reuse_ticket_seed else seeding.combine(seed, seeding.RETRAIN)
-    rcfg = replace(train_cfg, seed=retrain_seed)
+    rcfg = replace(train_cfg, seed=seeding.combine(seed, seeding.RETRAIN))
     offset = int(ticket.provenance.get("schedule_offset", 0))
     result = train(
         ticket.weights, ticket.mask, split.train, rcfg,
@@ -739,8 +700,7 @@ class SuiteReport:
 
 
 def run_sanity_suite(
-    kind, checks, split, specs, *, sparsities, seeds, train_cfg,
-    pipeline_params=None, reuse_ticket_seed=False,
+    kind, checks, split, specs, *, sparsities, seeds, train_cfg, pipeline_params=None
 ) -> SuiteReport:
     """Baseline plus each check, across sparsities and seeds.
 
@@ -757,8 +717,7 @@ def run_sanity_suite(
             accs = []
             for seed in seeds:
                 cell = run_cell(
-                    kind, pipeline_params, check, split, specs, target, seed, train_cfg,
-                    reuse_ticket_seed=reuse_ticket_seed,
+                    kind, pipeline_params, check, split, specs, target, seed, train_cfg
                 )
                 accs.append(cell.accuracy)
                 details.append(
@@ -795,11 +754,28 @@ def _pack_array(arr):
     return struct.pack("<Q", len(data)) + data
 
 
-def _unpack_array(buf, offset):
-    (nbytes,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    arr = np.frombuffer(buf[offset : offset + nbytes], dtype="<f8").astype(np.float64)
-    return arr, offset + nbytes
+def _take(buf, offset, nbytes, path):
+    end = offset + nbytes
+    if end > len(buf):
+        raise DatasetError(
+            f"{path}: truncated: {nbytes} bytes needed at byte {offset}, file has {len(buf)}"
+        )
+    return buf[offset:end], end
+
+
+def _unpack(fmt, buf, offset, path):
+    raw, offset = _take(buf, offset, struct.calcsize(fmt), path)
+    return struct.unpack(fmt, raw), offset
+
+
+def _unpack_array(buf, offset, count, path):
+    (nbytes,), offset = _unpack("<Q", buf, offset, path)
+    if nbytes != 8 * count:
+        raise DatasetError(
+            f"{path}: array at byte {offset - 8} holds {nbytes} bytes, its layer needs {8 * count}"
+        )
+    raw, offset = _take(buf, offset, nbytes, path)
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64), offset
 
 
 def _pack_json(obj):
@@ -807,10 +783,13 @@ def _pack_json(obj):
     return struct.pack("<Q", len(data)) + data
 
 
-def _unpack_json(buf, offset):
-    (nbytes,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    return json.loads(buf[offset : offset + nbytes].decode("utf-8")), offset + nbytes
+def _unpack_json(buf, offset, path):
+    (nbytes,), offset = _unpack("<Q", buf, offset, path)
+    raw, end = _take(buf, offset, nbytes, path)
+    try:
+        return json.loads(raw.decode("utf-8")), end
+    except ValueError as exc:
+        raise DatasetError(f"{path}: bad JSON at byte {offset}: {exc}") from None
 
 
 def _jsonable_rng_state(state):
@@ -851,35 +830,61 @@ def save_checkpoint(checkpoint, path):
         f.write(buf.getvalue())
 
 
-def _specs_from_provenance(arch):
-    return tuple(
-        LayerSpec(
-            a["kind"], a["fan_in"], a["fan_out"],
-            kernel=tuple(a["kernel"]) if a.get("kernel") else None,
-            is_output=a["is_output"],
+def _read_container(path, magic, what):
+    """The file's bytes and the offset just past its magic and version."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    if buf[:8] != magic:
+        raise DatasetError(f"{path}: bad {what} magic at byte 0")
+    (version,), offset = _unpack("<I", buf, 8, path)
+    if version != CONTAINER_VERSION:
+        raise DatasetError(f"{path}: unsupported {what} version {version}")
+    return buf, offset
+
+
+def _read_layers(buf, offset, arch, arrays_per_layer, path):
+    """Specs from an arch record, then each layer's arrays sized by its spec."""
+    try:
+        specs = tuple(
+            LayerSpec(
+                a["kind"], a["fan_in"], a["fan_out"],
+                kernel=tuple(a["kernel"]) if a.get("kernel") else None,
+                is_output=a["is_output"],
+            )
+            for a in arch
         )
-        for a in arch
-    )
+    except (KeyError, TypeError, ValueError, PrunelabError) as exc:
+        raise DatasetError(f"{path}: bad architecture record: {exc}") from None
+    (n_layers,), offset = _unpack("<I", buf, offset, path)
+    if n_layers != len(specs):
+        raise DatasetError(f"{path}: {n_layers} layers stored for {len(specs)} specs")
+    layers = []
+    for spec in specs:
+        arrays = []
+        for _ in range(arrays_per_layer):
+            arr, offset = _unpack_array(buf, offset, spec.weight_count, path)
+            arrays.append(arr)
+        layers.append(arrays)
+    return specs, layers, offset
+
+
+def _check_end(buf, offset, path):
+    if offset != len(buf):
+        raise DatasetError(f"{path}: {len(buf) - offset} trailing bytes after byte {offset}")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        buf = f.read()
-    if buf[:8] != CHECKPOINT_MAGIC:
-        raise DatasetError(f"{path}: bad checkpoint magic at byte 0")
-    version, epoch = struct.unpack_from("<II", buf, 8)
-    if version != CONTAINER_VERSION:
-        raise DatasetError(f"{path}: unsupported checkpoint version {version}")
-    arch, offset = _unpack_json(buf, 16)
-    (n_layers,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    weights = []
-    for _ in range(n_layers):
-        w, offset = _unpack_array(buf, offset)
-        weights.append(w)
-    state, offset = _unpack_json(buf, offset)
-    specs = _specs_from_provenance(arch)
-    return Checkpoint(epoch, LayeredParams(specs, tuple(weights)), _restore_rng_state(state))
+    buf, offset = _read_container(path, CHECKPOINT_MAGIC, "checkpoint")
+    (epoch,), offset = _unpack("<I", buf, offset, path)
+    arch, offset = _unpack_json(buf, offset, path)
+    specs, layers, offset = _read_layers(buf, offset, arch, 1, path)
+    state, offset = _unpack_json(buf, offset, path)
+    _check_end(buf, offset, path)
+    try:
+        weights = LayeredParams(specs, tuple(w for (w,) in layers))
+        return Checkpoint(epoch, weights, _restore_rng_state(state))
+    except (KeyError, TypeError, ValueError, PrunelabError) as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def _jsonable_provenance(prov):
@@ -907,22 +912,15 @@ def save_ticket(ticket, path):
 
 
 def load_ticket(path) -> Ticket:
-    with open(path, "rb") as f:
-        buf = f.read()
-    if buf[:8] != TICKET_MAGIC:
-        raise DatasetError(f"{path}: bad ticket magic at byte 0")
-    (version,) = struct.unpack_from("<I", buf, 8)
-    if version != CONTAINER_VERSION:
-        raise DatasetError(f"{path}: unsupported ticket version {version}")
-    arch, offset = _unpack_json(buf, 12)
-    prov, offset = _unpack_json(buf, offset)
-    (n_layers,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    weights, masks = [], []
-    for _ in range(n_layers):
-        w, offset = _unpack_array(buf, offset)
-        c, offset = _unpack_array(buf, offset)
-        weights.append(w)
-        masks.append(c)
-    specs = _specs_from_provenance(arch)
-    return Ticket(Mask(tuple(masks)), LayeredParams(specs, tuple(weights)), prov)
+    buf, offset = _read_container(path, TICKET_MAGIC, "ticket")
+    arch, offset = _unpack_json(buf, offset, path)
+    prov, offset = _unpack_json(buf, offset, path)
+    if not isinstance(prov, dict):
+        raise DatasetError(f"{path}: provenance is not a JSON object")
+    specs, layers, offset = _read_layers(buf, offset, arch, 2, path)
+    _check_end(buf, offset, path)
+    try:
+        weights = LayeredParams(specs, tuple(w for w, _ in layers))
+        return Ticket(Mask(tuple(c for _, c in layers)), weights, prov)
+    except PrunelabError as exc:
+        raise DatasetError(f"{path}: {exc}") from None

@@ -86,44 +86,30 @@ def keep_ratios(mask) -> list[float]:
     return [int(c.sum()) / c.size for c in mask.layers]
 
 
-def _flatten_scores(scores):
-    sizes = [s.size for s in scores.layers]
-    return np.concatenate(scores.layers), sizes
+def _select_global(scores, eligible, k) -> Mask:
+    """Keep the k best eligible weights across all layers; ties by flat position.
 
-
-def _split_flat(flat, sizes):
-    out = []
-    start = 0
-    for m in sizes:
-        out.append(flat[start : start + m])
-        start += m
-    return out
-
-
-def _select_global(flat_scores, eligible, k):
-    """Indices of the k best eligible entries; ties by flat position ascending.
-
-    The flat concatenation is layer-major, so flat position order is exactly
-    (layer index, position index) order.
+    `eligible` is a boolean vector over the layer-major concatenation of the
+    scores, so flat position order is exactly (layer index, position index)
+    order.
     """
+    flat = np.concatenate(scores.layers)
     candidates = np.flatnonzero(eligible)
-    order = candidates[np.argsort(-flat_scores[candidates], kind="stable")]
-    return order[:k]
+    order = candidates[np.argsort(-flat[candidates], kind="stable")]
+    out = np.zeros(flat.size)
+    out[order[:k]] = 1.0
+    return Mask(tuple(np.split(out, np.cumsum([s.size for s in scores.layers])[:-1])))
 
 
 def mask_from_scores_global(scores, target_sparsity) -> Mask:
     """Keep the round((1 - p) * total) best-scoring weights across all layers."""
     if not (0.0 <= target_sparsity < 1.0):
         raise DomainError("target sparsity must lie in [0, 1)")
-    flat, sizes = _flatten_scores(scores)
-    total = flat.size
+    total = sum(s.size for s in scores.layers)
     k = round_half_up((1.0 - target_sparsity) * total)
     if k == 0:
         raise EmptyNetworkError("target sparsity would empty the whole network")
-    keep = _select_global(flat, np.ones(total, dtype=bool), k)
-    out = np.zeros(total)
-    out[keep] = 1.0
-    return Mask(tuple(_split_flat(out, sizes)))
+    return _select_global(scores, np.ones(total, dtype=bool), k)
 
 
 def mask_from_scores_layerwise(scores, schedule) -> Mask:
@@ -155,8 +141,10 @@ def magnitude_scores(params) -> ScoreMap:
 
 def snip_scores(params, mask, samples, labels, *, sample_shape=None, head=engine.SOFTMAX_XENT):
     """Keep-priority |g * w| from one batch-mean loss gradient."""
-    _, tape = forward_loss_for_scores(params, mask, samples, labels, sample_shape, head)
-    grads = engine.backward(tape)
+    _, fp = engine.forward_loss(
+        params, mask, samples, labels, sample_shape=sample_shape, head=head
+    )
+    grads = engine.backward(fp)
     return ScoreMap(tuple(np.abs(g * w) for g, w in zip(grads, params.weights)))
 
 
@@ -170,8 +158,10 @@ def grasp_scores(
     negation.  H g comes from central differences along the unit gradient
     direction, scaled back by the gradient norm.
     """
-    _, tape = forward_loss_for_scores(params, mask, samples, labels, sample_shape, head)
-    grads = engine.backward(tape)
+    _, fp = engine.forward_loss(
+        params, mask, samples, labels, sample_shape=sample_shape, head=head
+    )
+    grads = engine.backward(fp)
     gnorm = math.sqrt(sum(float(g @ g) for g in grads))
     if gnorm == 0.0:
         raise DegenerateGradientError("loss gradient is zero on the scoring batch")
@@ -180,12 +170,6 @@ def grasp_scores(
         params, mask, samples, labels, unit, epsilon, sample_shape=sample_shape, head=head
     )
     return ScoreMap(tuple(w * (gnorm * h) for w, h in zip(params.weights, hu)))
-
-
-def forward_loss_for_scores(params, mask, samples, labels, sample_shape, head):
-    return engine.forward_loss(
-        params, mask, samples, labels, sample_shape=sample_shape, head=head
-    )
 
 
 def random_mask_from_schedule(schedule, sizes, rng) -> Mask:

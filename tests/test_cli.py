@@ -4,9 +4,9 @@ import json
 
 from prunelab.cli import main
 from prunelab.harness import ResultRow, emit_rows
-from prunelab.models import layer_sizes, preset_specs
-from prunelab.pipelines import load_ticket
-from prunelab.pruning import round_half_up
+from prunelab.models import LayerSpec, build_network, layer_sizes, preset_specs
+from prunelab.pipelines import Ticket, load_ticket, save_ticket
+from prunelab.pruning import full_mask, round_half_up
 
 TINY = {
     "arch": "mlp-4",
@@ -97,6 +97,21 @@ def test_check_rewrites_a_ticket(tmp_path, capsys):
 def test_check_missing_ticket_exits_one(tmp_path, capsys):
     assert main(["check", str(tmp_path / "ghost.plab"), "rearrange"]) == 1
     assert capsys.readouterr().err.startswith("error: FileNotFound:")
+
+
+def test_check_torn_ticket_exits_one_with_one_line(tmp_path, capsys):
+    specs = (LayerSpec("dense", 2, 3), LayerSpec("dense", 3, 2, is_output=True))
+    ticket = Ticket(full_mask([6, 6]), build_network(specs, seed=1), {"kind": "dense", "seed": 1})
+    whole = tmp_path / "t.plab"
+    save_ticket(ticket, str(whole))
+    raw = whole.read_bytes()
+    torn, out = tmp_path / "torn.plab", tmp_path / "out.plab"
+    for cut in range(len(raw)):
+        torn.write_bytes(raw[:cut])
+        assert main(["check", str(torn), "rearrange", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: DatasetError:")
+    assert not out.exists()
 
 
 def test_ratios_prints_the_schedule_table(capsys):

@@ -1,11 +1,10 @@
-"""Differentiation engine: forward values, backward against oracles, tape rules."""
+"""Differentiation engine: forward values, backward against oracles, shape rules."""
 
 import numpy as np
 import pytest
 
 from prunelab.engine import (
     CONV_BLOCK,
-    ComputationTape,
     _conv2d_backward,
     _conv2d_forward,
     backward,
@@ -19,7 +18,6 @@ from prunelab.errors import (
     DegenerateStepError,
     DomainError,
     NumericsError,
-    TapeReuseError,
 )
 from prunelab.models import LayerSpec, LayeredParams, build_network, layer_sizes
 from prunelab.pruning import Mask, full_mask
@@ -241,26 +239,13 @@ def test_masked_conv_weights_get_exactly_zero_gradient():
     assert_masked_weights_get_zero_gradient(specs, 20, image_shape=(1, 6, 6))
 
 
-def test_tape_replay_reproduces_recorded_values_bit_for_bit():
-    specs = (
-        LayerSpec("dense", 3, 4),
-        LayerSpec("dense", 4, 2, is_output=True),
-    )
-    params = build_network(specs, seed=14)
-    mask = full_mask(layer_sizes(specs))
-    x, y = random_batch(specs, 5, seed=15)
-    _, tape = forward_loss(params, mask, x, y)
-    for node, value in zip(tape.nodes, tape.replay()):
-        assert np.array_equal(np.asarray(node.value), np.asarray(value))
-
-
-def test_tape_allows_exactly_one_backward_pass(tiny_net):
+def test_backward_leaves_the_pass_reusable(tiny_net):
     params, mask = tiny_net
     x, y = random_batch(params.specs, 4, seed=16)
-    _, tape = forward_loss(params, mask, x, y)
-    backward(tape)
-    with pytest.raises(TapeReuseError):
-        backward(tape)
+    _, fp = forward_loss(params, mask, x, y)
+    first = backward(fp)
+    second = backward(fp)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def test_forward_rejects_misaligned_mask(tiny_net):
@@ -377,9 +362,24 @@ def test_hvp_is_linear_in_the_direction():
     assert np.allclose(hv1[0] + hv2[0], hv12[0], atol=1e-6)
 
 
-def test_tape_apply_validates_shapes():
-    tape = ComputationTape()
-    a = tape.leaf(np.ones((2, 3)))
-    b = tape.leaf(np.ones((2, 3)))
+def test_forward_rejects_shape_mismatches(tiny_net):
+    params, mask = tiny_net
     with pytest.raises(AlignmentError):
-        tape.apply("matmul", a, b)
+        forward_loss(params, mask, np.ones((2, 4)), [0, 1])
+    conv_specs = (
+        LayerSpec("conv", 1, 2, kernel=(2, 2)),
+        LayerSpec("dense", 5, 2, is_output=True),
+    )
+    conv = build_network(conv_specs, seed=3)
+    conv_mask = full_mask(layer_sizes(conv_specs))
+    with pytest.raises(AlignmentError):
+        forward_loss(conv, conv_mask, np.ones((2, 9)), [0, 1])
+    with pytest.raises(AlignmentError):
+        forward_loss(conv, conv_mask, np.ones((2, 9)), [0, 1], sample_shape=(1, 3, 3))
+    late_specs = (
+        LayerSpec("dense", 4, 4),
+        LayerSpec("conv", 1, 2, kernel=(2, 2), is_output=True),
+    )
+    late = build_network(late_specs, seed=3)
+    with pytest.raises(AlignmentError):
+        forward_logits(late, full_mask(layer_sizes(late_specs)), np.ones((2, 4)))

@@ -17,6 +17,7 @@ from prunelab.pipelines import (
     IMP_MODES,
     TICKET_KINDS,
     Checkpoint,
+    Ticket,
     TrainConfig,
     apply_structural_check,
     best_accuracy,
@@ -484,3 +485,36 @@ def test_ticket_container_round_trips_bit_for_bit(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(DatasetError, match="magic"):
         load_ticket(str(bad))
+
+
+def tiny_ticket():
+    specs = (LayerSpec("dense", 2, 3), LayerSpec("dense", 3, 2, is_output=True))
+    mask = Mask((np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0]), np.ones(6)))
+    return Ticket(mask, build_network(specs, seed=1), {"kind": "dense", "seed": 1})
+
+
+def test_containers_reject_every_truncation_and_trailing_bytes(tmp_path):
+    ticket = tiny_ticket()
+    ckpt = Checkpoint(0, ticket.weights, np.random.default_rng(0).bit_generator.state)
+    for save, load, obj in (
+        (save_ticket, load_ticket, ticket),
+        (save_checkpoint, load_checkpoint, ckpt),
+    ):
+        path = tmp_path / "whole"
+        save(obj, str(path))
+        raw = path.read_bytes()
+        load(str(path))
+        torn = tmp_path / "torn"
+        for cut in range(len(raw)):
+            torn.write_bytes(raw[:cut])
+            with pytest.raises(DatasetError):
+                load(str(torn))
+        torn.write_bytes(raw + b"\0")
+        with pytest.raises(DatasetError, match="trailing"):
+            load(str(torn))
+
+
+def test_ticket_rejects_per_layer_size_mismatch():
+    ticket = tiny_ticket()
+    with pytest.raises(AlignmentError):
+        Ticket(Mask((np.ones(5), np.ones(6))), ticket.weights, {})
