@@ -55,7 +55,6 @@ from .models import (
 from .pipelines import (
     CellResult,
     Checkpoint,
-    SuiteReport,
     Ticket,
     TrainConfig,
     TrainResult,
@@ -75,7 +74,6 @@ from .pipelines import (
     replay_ticket,
     rewind_weights,
     run_cell,
-    run_sanity_suite,
     save_checkpoint,
     save_ticket,
     score_batch,

@@ -20,9 +20,12 @@ CHECK_NAMES = ("none",) + DATA_CHECKS + STRUCTURAL_CHECKS
 
 
 def corrupt_labels(data, rng) -> Dataset:
-    """Replace every label with a uniform draw from the label set."""
+    """Replace every label with a uniform draw from the label set.
+
+    The samples are unchanged, so the new Dataset shares its input's array.
+    """
     labels = rng.integers(0, data.class_count, data.n)
-    return Dataset(data.samples.copy(), labels, data.class_count, data.sample_shape)
+    return Dataset(data.samples, labels, data.class_count, data.sample_shape)
 
 
 def corrupt_pixels(data, rng) -> Dataset:

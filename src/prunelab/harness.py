@@ -238,6 +238,7 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
     cells = grid_cells(cfg)
 
     rows = []
+    memo = {}  # pretraining runs shared by cells that prune on the same data
     fresh = not done
     with open(rows_path, "w" if fresh else "a", newline="") as f:
         writer = csv.DictWriter(f, CSV_COLUMNS)
@@ -252,7 +253,7 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
             started = time.perf_counter()
             try:
                 cell = run_cell(
-                    p["kind"], params, check, split, specs, target, seed, cfg.train
+                    p["kind"], params, check, split, specs, target, seed, cfg.train, memo=memo
                 )
                 flags = "collapse-warning" if cell.collapsed else ""
                 row = ResultRow(

@@ -69,6 +69,7 @@ TICKET_KINDS = (
     "hybrid",
     "imp",
 )
+DATA_FREE_KINDS = ("dense", "random")
 
 
 @dataclass(frozen=True)
@@ -294,12 +295,28 @@ def make_initial_ticket(kind, specs, data, target_sparsity, seed) -> Ticket:
     )
 
 
-def _pretrain(specs, data, cfg, seed, checkpoint_epochs):
-    init = build_network(specs, seed)
+def _pretrain(specs, data, cfg, seed, checkpoint_epochs, *, memo=None):
+    """Dense pretraining; returns (run config, TrainResult).
+
+    `memo` is a dict of earlier runs on the same pruning data.  Pretraining
+    is deterministic in the key below, so a stored run is returned as is.
+    Stored weights are read-only, because every ticket built from them
+    shares the arrays.
+    """
+    key = (tuple(specs), cfg, seed, frozenset(checkpoint_epochs))
+    if memo is not None and key in memo:
+        return memo[key]
     run_cfg = replace(cfg, seed=seeding.combine(seed, seeding.PRETRAIN))
     ones = full_mask(layer_sizes(specs))
-    result = train(init, ones, data, run_cfg, checkpoint_epochs=checkpoint_epochs)
-    return init, run_cfg, result
+    result = train(
+        build_network(specs, seed), ones, data, run_cfg, checkpoint_epochs=checkpoint_epochs
+    )
+    if memo is not None:
+        for p in [result.params] + [c.weights for c in result.checkpoints.values()]:
+            for w in p.weights:
+                w.setflags(write=False)
+        memo[key] = (run_cfg, result)
+    return run_cfg, result
 
 
 def _magnitude_mask(params, target_sparsity, preserve_output_layer):
@@ -319,11 +336,11 @@ def _magnitude_mask(params, target_sparsity, preserve_output_layer):
 
 
 def make_lt_ticket(
-    specs, data, target_sparsity, pretrain_cfg, seed, *, preserve_output_layer=False
+    specs, data, target_sparsity, pretrain_cfg, seed, *, preserve_output_layer=False, memo=None
 ) -> Ticket:
     """Pretrain, prune by final magnitude, reset weights to initialization."""
-    _, run_cfg, result = _pretrain(
-        specs, data, pretrain_cfg, seed, checkpoint_epochs=(0, pretrain_cfg.epochs)
+    run_cfg, result = _pretrain(
+        specs, data, pretrain_cfg, seed, checkpoint_epochs=(0, pretrain_cfg.epochs), memo=memo
     )
     mask = _magnitude_mask(result.params, target_sparsity, preserve_output_layer)
     return Ticket(
@@ -344,7 +361,8 @@ def make_lt_ticket(
 
 
 def make_weight_rewind_ticket(
-    specs, data, target_sparsity, pretrain_cfg, rewind_epoch, seed, *, preserve_output_layer=False
+    specs, data, target_sparsity, pretrain_cfg, rewind_epoch, seed, *,
+    preserve_output_layer=False, memo=None,
 ) -> Ticket:
     """Final-magnitude mask with weights rewound to an earlier checkpoint.
 
@@ -354,9 +372,9 @@ def make_weight_rewind_ticket(
     rewind_epoch = int(rewind_epoch)
     if rewind_epoch < 0 or rewind_epoch > pretrain_cfg.epochs:
         raise DomainError(f"rewind epoch {rewind_epoch} outside [0, {pretrain_cfg.epochs}]")
-    _, run_cfg, result = _pretrain(
+    run_cfg, result = _pretrain(
         specs, data, pretrain_cfg, seed,
-        checkpoint_epochs={0, rewind_epoch, pretrain_cfg.epochs},
+        checkpoint_epochs={0, rewind_epoch, pretrain_cfg.epochs}, memo=memo,
     )
     mask = _magnitude_mask(result.params, target_sparsity, preserve_output_layer)
     ticket = Ticket(
@@ -388,11 +406,11 @@ def rewind_weights(ticket, checkpoint) -> Ticket:
 
 
 def make_lr_rewind_ticket(
-    specs, data, target_sparsity, pretrain_cfg, seed, *, preserve_output_layer=False
+    specs, data, target_sparsity, pretrain_cfg, seed, *, preserve_output_layer=False, memo=None
 ) -> Ticket:
     """Final-magnitude mask, trained weights kept, schedule restarted fresh."""
-    _, run_cfg, result = _pretrain(
-        specs, data, pretrain_cfg, seed, checkpoint_epochs=(0, pretrain_cfg.epochs)
+    run_cfg, result = _pretrain(
+        specs, data, pretrain_cfg, seed, checkpoint_epochs=(0, pretrain_cfg.epochs), memo=memo
     )
     mask = _magnitude_mask(result.params, target_sparsity, preserve_output_layer)
     return Ticket(
@@ -413,11 +431,11 @@ def make_lr_rewind_ticket(
 
 
 def make_hybrid_ticket(
-    specs, data, target_sparsity, pretrain_cfg, seed, family=ArchFamily.PLAIN
+    specs, data, target_sparsity, pretrain_cfg, seed, family=ArchFamily.PLAIN, *, memo=None
 ) -> Ticket:
     """Layerwise magnitude pruning of a trained network under schedule quotas."""
-    _, run_cfg, result = _pretrain(
-        specs, data, pretrain_cfg, seed, checkpoint_epochs=(0, pretrain_cfg.epochs)
+    run_cfg, result = _pretrain(
+        specs, data, pretrain_cfg, seed, checkpoint_epochs=(0, pretrain_cfg.epochs), memo=memo
     )
     schedule = smart_ratio(layer_sizes(specs), specs, target_sparsity, family)
     mask = mask_from_scores_layerwise(magnitude_scores(result.params), schedule)
@@ -513,7 +531,8 @@ def iterative_magnitude_prune(
         )
         result = train(weights, mask, data, run_cfg)
         trained = result.params
-        next_n = max(round_half_up((1.0 - round_fraction) * survivors), budget)
+        # Each round removes at least one weight, even where rounding would keep all.
+        next_n = max(min(round_half_up((1.0 - round_fraction) * survivors), survivors - 1), budget)
         scores = magnitude_scores(trained)
         if mode == "hybrid":
             t = (total - next_n) / (total - budget)
@@ -557,16 +576,21 @@ def iterative_magnitude_prune(
     )
 
 
-def build_ticket(kind, specs, split, target_sparsity, seed, cfg, params=None) -> Ticket:
+def build_ticket(
+    kind, specs, split, target_sparsity, seed, cfg, params=None, *, memo=None
+) -> Ticket:
     """Construct a ticket by pipeline kind; `params` carries kind options.
 
     `split` may be a DataSplit or a train Dataset; data-free kinds accept
     None.  Recognized params: family, schedule, preserve_output_layer,
-    rewind_epoch, round_fraction, mode.
+    rewind_epoch, round_fraction, mode.  `memo` shares pretraining runs
+    among tickets built from the same data (see `_pretrain`).
     """
     params = dict(params or {})
     family = ArchFamily(params.get("family", "plain"))
     data = split.train if isinstance(split, DataSplit) else split
+    if kind not in DATA_FREE_KINDS and data is None:
+        raise DomainError(f"pipeline {kind!r} needs data")
     if kind == "dense":
         return Ticket(
             full_mask(layer_sizes(specs)),
@@ -578,28 +602,29 @@ def build_ticket(kind, specs, split, target_sparsity, seed, cfg, params=None) ->
         return make_random_ticket(
             specs, target_sparsity, family, seed, schedule_kind=params.get("schedule", "smart")
         )
-    if data is None:
-        raise DomainError(f"pipeline {kind!r} needs data")
     if kind in ("snip", "grasp"):
         return make_initial_ticket(kind, specs, data, target_sparsity, seed)
     if kind == "lt":
         return make_lt_ticket(
             specs, data, target_sparsity, cfg, seed,
             preserve_output_layer=bool(params.get("preserve_output_layer", False)),
+            memo=memo,
         )
     if kind == "weight-rewind":
         return make_weight_rewind_ticket(
             specs, data, target_sparsity, cfg,
             params.get("rewind_epoch", max(cfg.epochs // 10, 1)), seed,
             preserve_output_layer=bool(params.get("preserve_output_layer", False)),
+            memo=memo,
         )
     if kind == "lr-rewind":
         return make_lr_rewind_ticket(
             specs, data, target_sparsity, cfg, seed,
             preserve_output_layer=bool(params.get("preserve_output_layer", False)),
+            memo=memo,
         )
     if kind == "hybrid":
-        return make_hybrid_ticket(specs, data, target_sparsity, cfg, seed, family)
+        return make_hybrid_ticket(specs, data, target_sparsity, cfg, seed, family, memo=memo)
     if kind == "imp":
         return iterative_magnitude_prune(
             specs, data, target_sparsity, float(params.get("round_fraction", 0.2)),
@@ -660,17 +685,25 @@ class CellResult:
 
 
 def run_cell(
-    kind, pipeline_params, check, split, specs, target_sparsity, seed, train_cfg
+    kind, pipeline_params, check, split, specs, target_sparsity, seed, train_cfg, *, memo=None
 ) -> CellResult:
-    """Build one ticket under one check, retrain on clean data, measure."""
+    """Build one ticket under one check, retrain on clean data, measure.
+
+    `memo` is a dict that grid cells on the same `split` share: the cells
+    that prune on the same data reuse one pretraining run.  It holds only
+    weights; the pruning data is named by the (check, seed) it derives from.
+    """
     check = check or "none"
     check_rng = seeding.stream(seed, seeding.CHECK, _check_tag(check))
     prune_data = split.train
-    if check in DATA_CHECKS:
+    data_check = check in DATA_CHECKS and kind not in DATA_FREE_KINDS
+    if data_check:
         prune_data = apply_data_check(check, split.train, check_rng)
+    if memo is not None:
+        memo = memo.setdefault((check if data_check else "none", seed), {})
     ticket = build_ticket(
         kind, specs, DataSplit(prune_data, split.test), target_sparsity, seed, train_cfg,
-        params=pipeline_params,
+        params=pipeline_params, memo=memo,
     )
     if check in STRUCTURAL_CHECKS:
         ticket = apply_structural_check(ticket, check, check_rng)
@@ -691,57 +724,6 @@ def _check_tag(check):
     if check not in names:
         raise DomainError(f"unknown check {check!r}; choose from {names}")
     return names.index(check)
-
-
-@dataclass(frozen=True)
-class SuiteReport:
-    details: tuple[dict, ...]
-    summary: tuple[dict, ...]
-
-
-def run_sanity_suite(
-    kind, checks, split, specs, *, sparsities, seeds, train_cfg, pipeline_params=None
-) -> SuiteReport:
-    """Baseline plus each check, across sparsities and seeds.
-
-    Returns per-run detail rows and per-(check, sparsity) mean and sample
-    standard deviation of the best test accuracy.
-    """
-    checks = list(checks)
-    for c in checks:
-        _check_tag(c)
-    details = []
-    summary = []
-    for target in sparsities:
-        for check in ["none"] + checks:
-            accs = []
-            for seed in seeds:
-                cell = run_cell(
-                    kind, pipeline_params, check, split, specs, target, seed, train_cfg
-                )
-                accs.append(cell.accuracy)
-                details.append(
-                    {
-                        "pipeline": kind,
-                        "check": check,
-                        "sparsity": float(target),
-                        "seed": int(seed),
-                        "accuracy": cell.accuracy,
-                        "keep": list(cell.keep),
-                        "collapsed": cell.collapsed,
-                    }
-                )
-            summary.append(
-                {
-                    "pipeline": kind,
-                    "check": check,
-                    "sparsity": float(target),
-                    "mean": float(np.mean(accs)),
-                    "std": float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,
-                    "n": len(accs),
-                }
-            )
-    return SuiteReport(tuple(details), tuple(summary))
 
 
 CHECKPOINT_MAGIC = b"PLCKPT01"

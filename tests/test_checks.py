@@ -42,6 +42,17 @@ def test_corrupt_labels_draws_from_the_label_set():
     assert np.array_equal(out.labels, again.labels)
 
 
+@pytest.mark.parametrize("name", DATA_CHECKS)
+def test_data_checks_leave_their_input_unchanged(name):
+    data = toy_data(n=40)
+    samples, labels = data.samples.copy(), data.labels.copy()
+    out = apply_data_check(name, data, np.random.default_rng(5))
+    if name == "random-labels":
+        assert out.samples is data.samples  # shared, not copied
+    assert np.array_equal(data.samples, samples)
+    assert np.array_equal(data.labels, labels)
+
+
 def test_corrupt_pixels_permutes_each_sample_independently():
     data = toy_data(n=30, d=16)
     out = corrupt_pixels(data, np.random.default_rng(2))

@@ -1,9 +1,11 @@
-"""Training loop, ticket constructors, IMP, suite runner, binary containers."""
+"""Training loop, ticket constructors, IMP, grid cells, binary containers."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from prunelab import seeding
+from prunelab import pipelines, seeding
 from prunelab.engine import backward, forward_loss
 from prunelab.errors import (
     AlignmentError,
@@ -33,7 +35,6 @@ from prunelab.pipelines import (
     replay_ticket,
     rewind_weights,
     run_cell,
-    run_sanity_suite,
     save_checkpoint,
     save_ticket,
     score_batch,
@@ -47,7 +48,7 @@ from prunelab.pruning import (
     sparsity,
 )
 from prunelab.schedules import smart_ratio
-from prunelab.data import synthetic_blobs
+from prunelab.data import Dataset, synthetic_blobs
 
 SPECS = (
     LayerSpec("dense", 4, 6),
@@ -339,6 +340,39 @@ def test_imp_validates_arguments():
         iterative_magnitude_prune(SPECS, SPLIT.train, 0.7, 0.2, cfg, "anneal", 0)
 
 
+def record_train_masks(monkeypatch, limit=50):
+    """Masks handed to pipelines.train, in call order; fails a run that never ends."""
+    masks = []
+    real_train = pipelines.train
+
+    def recording(params, mask, *args, **kwargs):
+        masks.append(mask)
+        assert len(masks) <= limit, "training never stops"
+        return real_train(params, mask, *args, **kwargs)
+
+    monkeypatch.setattr(pipelines, "train", recording)
+    return masks
+
+
+@pytest.mark.parametrize("mode,target", [("reset", 0.9), ("hybrid", 0.8)])
+def test_imp_removes_a_weight_every_round_where_rounding_keeps_all(monkeypatch, mode, target):
+    # 8 weights at round fraction 0.1: 8 -> 7 -> 6 -> 5, where 0.9 * 5 = 4.5 rounds back
+    # up to 5.  (hybrid's schedule cannot pin the output layer at 0.9, so it runs at 0.8.)
+    specs = (LayerSpec("dense", 2, 2), LayerSpec("dense", 2, 2, is_output=True))
+    split = synthetic_blobs(2, 2, 40, seed=1)
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+    budget = round_half_up((1.0 - target) * 8)
+    masks = record_train_masks(monkeypatch)
+    ticket = iterative_magnitude_prune(specs, split.train, target, 0.1, cfg, mode, seed=3)
+    assert ticket.mask.total_kept == budget
+    masks.append(ticket.mask)
+    kept = [m.total_kept for m in masks]
+    assert kept == sorted(set(kept), reverse=True) and kept[3] == 5 and kept[4] < 5
+    for outer, inner in zip(masks, masks[1:]):
+        for a, b in zip(outer.layers, inner.layers):
+            assert (b <= a).all()
+
+
 def test_build_ticket_covers_every_kind():
     for kind in TICKET_KINDS:
         ticket = build_ticket(kind, SPECS, SPLIT, 0.5, 1, FAST)
@@ -411,19 +445,72 @@ def test_run_cell_flags_a_collapsed_layer():
     assert cell.collapsed == any(r == 0.0 for r in keep_ratios(cell.ticket.mask))
 
 
-def test_run_sanity_suite_covers_the_grid():
-    report = run_sanity_suite(
-        "random", ["rearrange"], SPLIT, SPECS,
-        sparsities=[0.5], seeds=[0, 1], train_cfg=FAST,
+def test_run_cell_skips_the_data_check_for_data_free_kinds(monkeypatch):
+    calls = []
+    real_check = pipelines.apply_data_check
+    monkeypatch.setattr(
+        pipelines, "apply_data_check", lambda *a: calls.append(a[0]) or real_check(*a)
     )
-    assert len(report.details) == 4  # (none + rearrange) x 1 sparsity x 2 seeds
-    assert len(report.summary) == 2
-    for s in report.summary:
-        rows = [d for d in report.details if d["check"] == s["check"]]
-        accs = [d["accuracy"] for d in rows]
-        assert s["mean"] == pytest.approx(np.mean(accs))
-        assert s["std"] == pytest.approx(np.std(accs, ddof=1))
-        assert s["n"] == 2
+    for kind in ("dense", "random"):
+        plain = run_cell(kind, {}, "none", SPLIT, SPECS, 0.5, 8, FAST)
+        checked = run_cell(kind, {}, "corrupt-both", SPLIT, SPECS, 0.5, 8, FAST)
+        assert (checked.accuracy, checked.keep) == (plain.accuracy, plain.keep)
+    assert calls == []
+    run_cell("snip", {}, "corrupt-both", SPLIT, SPECS, 0.5, 8, FAST)
+    assert calls == ["corrupt-both"]
+
+
+PRETRAINED_KINDS = ("lt", "weight-rewind", "lr-rewind", "hybrid")
+MEMO_CHECKS = ("none", "corrupt-both", "rearrange")
+
+
+def walk(obj):
+    """obj and everything reachable through containers and dataclass fields."""
+    yield obj
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from walk(k)
+            yield from walk(v)
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        for v in obj:
+            yield from walk(v)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from walk(getattr(obj, f.name))
+
+
+def test_a_shared_memo_gives_standalone_cells_with_one_pretraining_per_data(monkeypatch):
+    seed = 17
+    alone = {
+        (kind, check): run_cell(kind, {}, check, SPLIT, SPECS, 0.5, seed, FAST)
+        for kind in PRETRAINED_KINDS for check in MEMO_CHECKS
+    }
+    pretrain_seed = seeding.combine(seed, seeding.PRETRAIN)
+    cfgs = []
+    real_train = pipelines.train
+    monkeypatch.setattr(
+        pipelines, "train", lambda *a, **k: cfgs.append(a[3]) or real_train(*a, **k)
+    )
+    memo = {}
+    for kind in PRETRAINED_KINDS:
+        for check in MEMO_CHECKS:
+            cell = run_cell(kind, {}, check, SPLIT, SPECS, 0.5, seed, FAST, memo=memo)
+            want = alone[kind, check]
+            assert (cell.accuracy, cell.keep) == (want.accuracy, want.keep)
+            for a, b in zip(cell.ticket.mask.layers, want.ticket.mask.layers):
+                assert np.array_equal(a, b)
+    # (none, corrupt-both) pruning data x ({0, E}, {0, 1, E}) checkpoint sets
+    assert sum(c.seed == pretrain_seed for c in cfgs) == 4
+    assert len(cfgs) == 4 + len(PRETRAINED_KINDS) * len(MEMO_CHECKS)
+    assert sorted(memo) == [("corrupt-both", seed), ("none", seed)]
+
+    reached = list(walk(memo))
+    assert not any(isinstance(x, Dataset) for x in reached)
+    arrays = [x for x in reached if isinstance(x, np.ndarray)]
+    assert len(arrays) == 2 * len(SIZES) * (3 + 4)  # params plus 3 or 4 checkpoints each
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_checkpoint_container_round_trips_bit_for_bit(tmp_path):
