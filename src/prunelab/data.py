@@ -191,11 +191,26 @@ def _looks_like_header(row):
     return False
 
 
+# Each dataset kind and the keys its source reads besides "kind".
+DATASET_KEYS = {
+    "synthetic-blobs": ("classes", "dim", "n", "seed", "noise", "shape"),
+    "idx-files": ("train_images", "train_labels", "test_images", "test_labels"),
+    "csv": ("path",),
+}
+
+
 def load_dataset(source: dict) -> DataSplit:
     """Dispatch on source["kind"]: synthetic-blobs | idx-files | csv."""
     if not isinstance(source, dict) or "kind" not in source:
         raise DatasetError("dataset source must be a mapping with a 'kind'")
     kind = source["kind"]
+    if not isinstance(kind, str) or kind not in DATASET_KEYS:
+        raise DatasetError(f"unknown dataset kind {kind!r}; choose from {tuple(DATASET_KEYS)}")
+    unknown = sorted(set(source) - {"kind", *DATASET_KEYS[kind]})
+    if unknown:
+        raise DatasetError(
+            f"{kind} dataset takes no key {unknown}; allowed: {DATASET_KEYS[kind]}"
+        )
     if kind == "synthetic-blobs":
         return synthetic_blobs(
             int(source.get("classes", 3)),
@@ -206,7 +221,7 @@ def load_dataset(source: dict) -> DataSplit:
             sample_shape=source.get("shape"),
         )
     if kind == "idx-files":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
+        for key in DATASET_KEYS[kind]:
             if key not in source:
                 raise DatasetError(f"idx-files source needs {key!r}")
         return load_idx_split(
@@ -215,8 +230,6 @@ def load_dataset(source: dict) -> DataSplit:
             source["test_images"],
             source["test_labels"],
         )
-    if kind == "csv":
-        if "path" not in source:
-            raise DatasetError("csv source needs a 'path'")
-        return load_csv(source["path"])
-    raise DatasetError(f"unknown dataset kind {kind!r}")
+    if "path" not in source:
+        raise DatasetError("csv source needs a 'path'")
+    return load_csv(source["path"])

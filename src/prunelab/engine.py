@@ -3,9 +3,10 @@
 A network is a fixed stack of bias-free dense and conv layers with ReLU
 between them and one batch-mean loss head (softmax cross-entropy or squared
 error).  `forward_loss` runs the stack once and keeps each layer's input,
-masked weights and mask; `backward` walks the same layers in reverse and
-returns per-layer weight gradients.  The stack is the whole graph, so every
-numeric path stays inspectable and bit-reproducible.
+masked weights and mask, and the softmax its loss computed; `backward` walks
+the same layers in reverse and returns per-layer weight gradients.  The
+stack is the whole graph, so every numeric path stays inspectable and
+bit-reproducible.
 
 Convolution is im2col plus GEMM: the forward pass and the kernel gradient
 are one matrix product each against the patch matrix, and the input gradient
@@ -19,6 +20,7 @@ by c, so the gradient with respect to a masked-out weight is exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,13 +44,15 @@ class ForwardPass:
     `layers` holds (input, masked weights, mask) per layer, the input as the
     layer received it (before any flatten) and weights and mask in the
     layer's natural shape.  `target` is the int labels for softmax-xent or
-    the (n, classes) target matrix for squared error.
+    the (n, classes) target matrix for squared error.  `probs` is the
+    softmax of the logits that the loss computed, or None for squared error.
     """
 
     layers: tuple
     logits: np.ndarray
     head: str
     target: np.ndarray
+    probs: np.ndarray | None
 
 
 CONV_BLOCK = 64  # samples per im2col block; bounds the patch matrix's memory
@@ -114,12 +118,6 @@ def _conv2d_backward(x, k, g, need_gx):
     return gx, gk.reshape(k.shape)
 
 
-def _softmax(z):
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _check_alignment(params, mask):
     if len(mask.layers) != len(params.weights):
         raise AlignmentError(
@@ -147,7 +145,7 @@ def _run_layers(params, mask, samples, sample_shape, keep=None):
     if specs[0].kind == "conv":
         if sample_shape is None or len(sample_shape) != 3:
             raise AlignmentError("a conv-first network needs a (channels, h, w) sample_shape")
-        if int(np.prod(sample_shape)) != samples.shape[1]:
+        if math.prod(sample_shape) != samples.shape[1]:
             raise AlignmentError(
                 f"sample_shape {sample_shape} does not cover {samples.shape[1]} features"
             )
@@ -182,7 +180,7 @@ def _run_layers(params, mask, samples, sample_shape, keep=None):
         if keep is not None:
             keep.append((x, w, c))
         if not spec.is_output:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h
 
 
@@ -232,35 +230,39 @@ def forward_loss(params, mask, samples, labels, *, sample_shape=None, head=SOFTM
             raise DomainError(f"labels must lie in [0, {classes})")
         if head == SQUARED_ERROR:
             target = np.eye(classes)[target]
+    probs = None
     if head == SOFTMAX_XENT:
         m = z.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-        per_sample = lse - z[np.arange(n), target]
+        e = np.exp(z - m)
+        total = e.sum(axis=1)
+        per_sample = m[:, 0] + np.log(total) - z[np.arange(n), target]
+        probs = e / total[:, None]
     else:
         per_sample = 0.5 * ((z - target) ** 2).sum(axis=1)
-    loss = float(per_sample.mean())
-    if not np.isfinite(loss):
+    loss = float(per_sample.sum()) / n  # the mean, without np.mean's per-call overhead
+    if not math.isfinite(loss):
         raise NumericsError("forward pass produced a non-finite loss")
-    return loss, ForwardPass(tuple(layers), z, head, target)
+    return loss, ForwardPass(tuple(layers), z, head, target, probs)
 
 
-def backward(fp):
+def backward(fp, out=None):
     """Per-layer flat weight gradients of the loss behind `fp`.
 
     The list mirrors the layer order; each entry is a 1-D float64 array with
-    the same length as that layer's flat weights.  The pass is not changed,
-    so calling this twice gives the same gradients.
+    the same length as that layer's flat weights.  With `out`, a list of such
+    arrays, the gradients are written into them and `out` is returned.  The
+    pass is not changed, so calling this twice gives the same gradients.
     """
     z = fp.logits
     n = z.shape[0]
     if fp.head == SOFTMAX_XENT:
-        p = _softmax(z)
-        p[np.arange(n), fp.target] -= 1.0
+        g = fp.probs.copy()
+        g[np.arange(n), fp.target] -= 1.0
+        g *= 1.0 / n
     else:
-        p = z - fp.target
-    g = (1.0 / n) * p
+        g = (1.0 / n) * (z - fp.target)
 
-    grads = [None] * len(fp.layers)
+    grads = [None] * len(fp.layers) if out is None else out
     for i in range(len(fp.layers) - 1, -1, -1):
         x, w, c = fp.layers[i]
         if w.ndim == 2:
@@ -268,10 +270,11 @@ def backward(fp):
             gx = (g @ w.T).reshape(x.shape) if i else None
         else:
             gx, gw = _conv2d_backward(x, w, g, i > 0)
-        grads[i] = (gw * c).reshape(-1)
+        grads[i] = np.multiply(gw.reshape(-1), c.reshape(-1), out=None if out is None else out[i])
         if i:
             # x is relu(z) of the layer below, and relu(z) > 0 exactly where z > 0.
-            g = gx * (x > 0)
+            gx *= x > 0
+            g = gx
     return grads
 
 

@@ -22,7 +22,7 @@ from .data import load_dataset
 from .engine import NUMERICS_VERSION
 from .errors import ConfigError, PrunelabError
 from .models import PRESET_NAMES, preset_specs
-from .pipelines import TICKET_KINDS, TrainConfig, run_cell
+from .pipelines import PIPELINE_OPTIONS, TICKET_KINDS, TrainConfig, run_cell
 from .schedules import SCHEDULE_KINDS
 
 
@@ -49,6 +49,12 @@ class ExperimentConfig:
         for p in self.pipelines:
             if p.get("kind") not in TICKET_KINDS:
                 raise ConfigError(f"pipeline entry needs a kind from {TICKET_KINDS}: {p}")
+            allowed = ("kind", "name") + PIPELINE_OPTIONS[p["kind"]]
+            unknown = sorted(set(p) - set(allowed))
+            if unknown:
+                raise ConfigError(
+                    f"pipeline {p['kind']!r} takes no option {unknown}; allowed: {allowed}"
+                )
             if "schedule" in p and p["schedule"] not in SCHEDULE_KINDS:
                 raise ConfigError(f"unknown schedule {p['schedule']!r} in {p}")
         for c in self.checks:

@@ -6,9 +6,10 @@ magnitude tickets from a pretrained network (reset to init, weight rewinding,
 fresh-schedule retraining of trained weights, layerwise schedule-constrained
 pruning), schedule-driven random tickets, and iterative magnitude pruning.
 
-Training is plain SGD with momentum and weight decay.  Gradients and the
-decay term are zeroed at masked positions every step, so masked weights are
-bit-exactly inert.
+Training is plain SGD with momentum and weight decay, stepped in place on
+one flat buffer each for the weights, velocity, mask and gradient of a run.
+Gradients and the decay term are zeroed at masked positions every step, so
+masked weights are bit-exactly inert.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import io
 import json
 import struct
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -58,17 +60,19 @@ from .schedules import _largest_remainder, retained_budget, schedule_by_name, sm
 
 SCORE_BATCH_SIZE = 128
 
-TICKET_KINDS = (
-    "dense",
-    "snip",
-    "grasp",
-    "random",
-    "lt",
-    "weight-rewind",
-    "lr-rewind",
-    "hybrid",
-    "imp",
-)
+# Each pipeline kind and the options `build_ticket` reads for it.
+PIPELINE_OPTIONS = {
+    "dense": (),
+    "snip": (),
+    "grasp": (),
+    "random": ("family", "schedule"),
+    "lt": ("preserve_output_layer",),
+    "weight-rewind": ("rewind_epoch", "preserve_output_layer"),
+    "lr-rewind": ("preserve_output_layer",),
+    "hybrid": ("family",),
+    "imp": ("round_fraction", "mode", "family"),
+}
+TICKET_KINDS = tuple(PIPELINE_OPTIONS)
 DATA_FREE_KINDS = ("dense", "random")
 
 
@@ -184,15 +188,22 @@ def train(
             raise DomainError(f"checkpoint epoch {e} outside [0, {cfg.epochs}]")
 
     rng = seeding.stream(cfg.seed, seeding.BATCH_SHUFFLE)
-    w = [x.copy() for x in params.weights]
-    vel = [np.zeros_like(x) for x in w]
+    # The run's weights, velocity, mask and gradient each live in one flat
+    # buffer; `cur` and `grads` view the weight and gradient buffers per layer.
+    weights = np.concatenate(params.weights)
+    vel = np.zeros_like(weights)
+    keep = np.concatenate(mask.layers)
+    grad = np.empty_like(weights)
+    step = np.empty_like(weights)
+    cur = params.with_weights(_layer_views(weights, params.weights))
+    grads = _layer_views(grad, params.weights)
     n = data.n
     shape = data.sample_shape_for_net()
     checkpoints = {}
 
     def snapshot(epoch):
         checkpoints[epoch] = Checkpoint(
-            epoch, params.with_weights([x.copy() for x in w]), rng.bit_generator.state
+            epoch, params.with_weights([x.copy() for x in cur.weights]), rng.bit_generator.state
         )
 
     if 0 in checkpoint_epochs:
@@ -205,33 +216,44 @@ def train(
         losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            cur = params.with_weights(w)
             try:
                 loss, tape = forward_loss(
                     cur, mask, data.samples[idx], data.labels[idx], sample_shape=shape
                 )
             except NumericsError as exc:
                 raise TrainingDivergedError(str(exc), epoch) from None
-            grads = backward(tape)
+            backward(tape, grads)
             losses.append(loss)
-            for l, (g, c) in enumerate(zip(grads, mask.layers)):
-                step = (g + cfg.weight_decay * w[l]) * c
-                vel[l] = cfg.momentum * vel[l] + step
-                w[l] = w[l] - lr * vel[l]
+            # step = (g + wd * w) * c;  vel = m * vel + step;  w = w - lr * vel
+            np.multiply(weights, cfg.weight_decay, out=step)
+            step += grad
+            step *= keep
+            vel *= cfg.momentum
+            vel += step
+            np.multiply(vel, lr, out=step)
+            weights -= step
         acc = None
         if eval_data is not None:
-            acc = accuracy(params.with_weights(w), mask, eval_data)
+            acc = accuracy(cur, mask, eval_data)
         history.append(EpochStats(epoch, lr, float(np.mean(losses)), acc))
         if epoch + 1 in checkpoint_epochs:
             snapshot(epoch + 1)
 
-    final = params.with_weights(w)
-    for l, x in enumerate(final.weights):
-        if not np.isfinite(x).all():
-            raise TrainingDivergedError(
-                f"layer {l} weights became non-finite", max(cfg.epochs - 1, 0)
-            )
-    return TrainResult(final, tuple(history), checkpoints)
+    if not np.isfinite(weights).all():
+        l = next(l for l, x in enumerate(cur.weights) if not np.isfinite(x).all())
+        raise TrainingDivergedError(
+            f"layer {l} weights became non-finite", max(cfg.epochs - 1, 0)
+        )
+    return TrainResult(cur, tuple(history), checkpoints)
+
+
+def _layer_views(flat, layers):
+    """Consecutive views of `flat`, one per array in `layers` and of its size."""
+    views, start = [], 0
+    for x in layers:
+        views.append(flat[start : start + x.size])
+        start += x.size
+    return views
 
 
 def best_accuracy(result, params_if_empty=None, mask=None, eval_data=None) -> float:
@@ -295,13 +317,19 @@ def make_initial_ticket(kind, specs, data, target_sparsity, seed) -> Ticket:
     )
 
 
+def _resolve(data):
+    """`data`, or the Dataset that `data` derives when it is a zero-argument function."""
+    return data() if callable(data) else data
+
+
 def _pretrain(specs, data, cfg, seed, checkpoint_epochs, *, memo=None):
     """Dense pretraining; returns (run config, TrainResult).
 
     `memo` is a dict of earlier runs on the same pruning data.  Pretraining
     is deterministic in the key below, so a stored run is returned as is.
     Stored weights are read-only, because every ticket built from them
-    shares the arrays.
+    shares the arrays.  `data` may be a function that derives the Dataset;
+    it is called only when the run is not in the memo.
     """
     key = (tuple(specs), cfg, seed, frozenset(checkpoint_epochs))
     if memo is not None and key in memo:
@@ -309,7 +337,8 @@ def _pretrain(specs, data, cfg, seed, checkpoint_epochs, *, memo=None):
     run_cfg = replace(cfg, seed=seeding.combine(seed, seeding.PRETRAIN))
     ones = full_mask(layer_sizes(specs))
     result = train(
-        build_network(specs, seed), ones, data, run_cfg, checkpoint_epochs=checkpoint_epochs
+        build_network(specs, seed), ones, _resolve(data), run_cfg,
+        checkpoint_epochs=checkpoint_epochs,
     )
     if memo is not None:
         for p in [result.params] + [c.weights for c in result.checkpoints.values()]:
@@ -581,10 +610,11 @@ def build_ticket(
 ) -> Ticket:
     """Construct a ticket by pipeline kind; `params` carries kind options.
 
-    `split` may be a DataSplit or a train Dataset; data-free kinds accept
-    None.  Recognized params: family, schedule, preserve_output_layer,
-    rewind_epoch, round_fraction, mode.  `memo` shares pretraining runs
-    among tickets built from the same data (see `_pretrain`).
+    `split` may be a DataSplit, a train Dataset, or a zero-argument function
+    that derives the train Dataset when a ticket first needs it; data-free
+    kinds accept None.  PIPELINE_OPTIONS lists the params each kind reads;
+    others are ignored.  `memo` shares pretraining runs among tickets built
+    from the same data (see `_pretrain`).
     """
     params = dict(params or {})
     family = ArchFamily(params.get("family", "plain"))
@@ -603,7 +633,7 @@ def build_ticket(
             specs, target_sparsity, family, seed, schedule_kind=params.get("schedule", "smart")
         )
     if kind in ("snip", "grasp"):
-        return make_initial_ticket(kind, specs, data, target_sparsity, seed)
+        return make_initial_ticket(kind, specs, _resolve(data), target_sparsity, seed)
     if kind == "lt":
         return make_lt_ticket(
             specs, data, target_sparsity, cfg, seed,
@@ -627,7 +657,7 @@ def build_ticket(
         return make_hybrid_ticket(specs, data, target_sparsity, cfg, seed, family, memo=memo)
     if kind == "imp":
         return iterative_magnitude_prune(
-            specs, data, target_sparsity, float(params.get("round_fraction", 0.2)),
+            specs, _resolve(data), target_sparsity, float(params.get("round_fraction", 0.2)),
             cfg, params.get("mode", "reset"), seed, family,
         )
     raise DomainError(f"unknown pipeline kind {kind!r}; choose from {TICKET_KINDS}")
@@ -645,18 +675,13 @@ def replay_ticket(provenance, specs, split) -> Ticket:
         # build_ticket re-derives the pretraining seed from the ticket seed.
         cfg = replace(cfg, seed=0)
     return build_ticket(
-        kind if kind != "imp" else "imp",
+        kind,
         specs,
         split,
         provenance.get("sparsity", 0.0),
         provenance["seed"],
         cfg,
-        params={
-            k: provenance[k]
-            for k in ("family", "schedule", "preserve_output_layer", "rewind_epoch",
-                      "round_fraction", "mode")
-            if k in provenance
-        },
+        params={k: provenance[k] for k in PIPELINE_OPTIONS.get(kind, ()) if k in provenance},
     )
 
 
@@ -691,18 +716,19 @@ def run_cell(
 
     `memo` is a dict that grid cells on the same `split` share: the cells
     that prune on the same data reuse one pretraining run.  It holds only
-    weights; the pruning data is named by the (check, seed) it derives from.
+    weights; the pruning data is named by the (check, seed) it derives from,
+    and a data check runs only when the ticket reads its data.
     """
     check = check or "none"
     check_rng = seeding.stream(seed, seeding.CHECK, _check_tag(check))
     prune_data = split.train
     data_check = check in DATA_CHECKS and kind not in DATA_FREE_KINDS
     if data_check:
-        prune_data = apply_data_check(check, split.train, check_rng)
+        prune_data = partial(apply_data_check, check, split.train, check_rng)
     if memo is not None:
         memo = memo.setdefault((check if data_check else "none", seed), {})
     ticket = build_ticket(
-        kind, specs, DataSplit(prune_data, split.test), target_sparsity, seed, train_cfg,
+        kind, specs, prune_data, target_sparsity, seed, train_cfg,
         params=pipeline_params, memo=memo,
     )
     if check in STRUCTURAL_CHECKS:

@@ -85,7 +85,8 @@ def _real_retained(raws, sizes, target_sparsity):
             f"retained budget {budget} is below the pinned output quota {out_real:.1f}"
         )
     denom = sum(r * m for r, m in zip(raws, sizes[:-1]))
-    alpha = hidden_budget / denom
+    # With no hidden budget the ascending profile's raws are all zero, and so is denom.
+    alpha = hidden_budget / denom if hidden_budget else 0.0
     reals = [alpha * r * m for r, m in zip(raws, sizes[:-1])] + [out_real]
 
     # Cap cascade: surplus retained count moves to the next deeper layer.

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from prunelab.cli import main
 from prunelab.harness import ResultRow, emit_rows
 from prunelab.models import LayerSpec, build_network, layer_sizes, preset_specs
@@ -39,6 +41,20 @@ def test_run_executes_a_config(tmp_path, capsys, monkeypatch):
     assert "done: 2/2 cells succeeded" in capsys.readouterr().out
     assert list(out_dir.glob("rows-*.csv"))
     assert list(out_dir.glob("report-*.md"))
+
+
+@pytest.mark.parametrize("typo", [
+    {"pipelines": [{"kind": "lt", "schedul": "smart"}]},
+    {"dataset": {**TINY["dataset"], "clases": 4}},
+])
+def test_run_config_typo_exits_one_with_one_line(tmp_path, capsys, typo):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**TINY, **typo}))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "results"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ConfigError:", "error: DatasetError:"))
+    assert err.count("\n") == 1
+    assert not list((tmp_path / "results").glob("rows-*.csv"))
 
 
 def test_run_missing_config_reports_one_line(tmp_path, capsys):

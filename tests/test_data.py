@@ -216,3 +216,14 @@ def test_load_dataset_dispatch(tmp_path):
         load_dataset({})
     with pytest.raises(DatasetError):
         load_dataset({"kind": "idx-files", "train_images": "x"})
+
+
+def test_load_dataset_rejects_keys_its_kind_does_not_read(tmp_path):
+    blobs = {"kind": "synthetic-blobs", "classes": 4, "dim": 4, "n": 40, "seed": 3}
+    assert load_dataset(blobs).train.class_count == 4
+    with pytest.raises(DatasetError, match="takes no key"):
+        load_dataset({**{k: v for k, v in blobs.items() if k != "classes"}, "clases": 4})
+    with pytest.raises(DatasetError, match="takes no key"):
+        load_dataset({"kind": "csv", "path": str(tmp_path / "d.csv"), "dim": 4})
+    with pytest.raises(DatasetError, match="takes no key"):
+        load_dataset({"kind": "idx-files", "path": "x"})

@@ -248,6 +248,36 @@ def test_backward_leaves_the_pass_reusable(tiny_net):
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
+OUT_STACKS = {
+    "dense": ((LayerSpec("dense", 3, 4), LayerSpec("dense", 4, 2, is_output=True)), None),
+    "conv": (
+        (
+            LayerSpec("conv", 1, 3, kernel=(3, 3)),
+            LayerSpec("conv", 3, 2, kernel=(2, 2)),
+            LayerSpec("dense", 2 * 3 * 3, 2, is_output=True),
+        ),
+        (1, 6, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("head", ["softmax-xent", "squared-error"])
+@pytest.mark.parametrize("stack", sorted(OUT_STACKS))
+def test_backward_into_given_arrays_matches_a_fresh_call(stack, head):
+    specs, image_shape = OUT_STACKS[stack]
+    params = build_network(specs, seed=16)
+    rng = np.random.default_rng(17)
+    mask = Mask(tuple((rng.random(m) < 0.6).astype(float) for m in layer_sizes(specs)))
+    x, y = random_batch(specs, 5, seed=18, image_shape=image_shape)
+    _, fp = forward_loss(params, mask, x, y, sample_shape=image_shape, head=head)
+    first = backward(fp)
+    out = [np.full(g.size, np.nan) for g in first]
+    assert backward(fp, out) is out
+    second = backward(fp)
+    assert all(np.array_equal(a, b) for a, b in zip(first, out))
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
 def test_forward_rejects_misaligned_mask(tiny_net):
     params, _ = tiny_net
     bad = Mask((np.ones(12), np.ones(7)))

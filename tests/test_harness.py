@@ -68,6 +68,32 @@ def test_config_rejects_bad_shapes():
         tiny_config(seeds=[])
 
 
+@pytest.mark.parametrize("entry", [
+    {"kind": "lt", "schedul": "smart", "rewind_epoch": 3},  # a typo, and an option lt never reads
+    {"kind": "lt", "rewind_epoch": 3},
+    {"kind": "snip", "family": "plain"},
+    {"kind": "hybrid", "schedule": "smart"},
+    {"kind": "random", "mode": "reset"},
+    {"kind": "imp", "preserve_output_layer": True},
+])
+def test_config_rejects_options_a_pipeline_kind_does_not_read(entry):
+    with pytest.raises(ConfigError, match="takes no option"):
+        tiny_config(pipelines=[entry])
+
+
+def test_config_accepts_every_option_a_pipeline_kind_reads():
+    cfg = tiny_config(pipelines=[
+        {"kind": "dense", "name": "d"},
+        {"kind": "random", "family": "fast-decay", "schedule": "balanced"},
+        {"kind": "lt", "preserve_output_layer": True},
+        {"kind": "weight-rewind", "rewind_epoch": 1, "preserve_output_layer": False},
+        {"kind": "lr-rewind", "preserve_output_layer": True},
+        {"kind": "hybrid", "family": "plain"},
+        {"kind": "imp", "round_fraction": 0.5, "mode": "hybrid", "family": "plain"},
+    ])
+    assert len(cfg.pipelines) == 7
+
+
 def test_config_hash_ignores_key_order_but_not_content():
     cfg = tiny_config()
     digest = config_hash(cfg)

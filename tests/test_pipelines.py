@@ -14,7 +14,7 @@ from prunelab.errors import (
     InfeasibleSparsityError,
     TrainingDivergedError,
 )
-from prunelab.models import LayerSpec, build_network, layer_sizes
+from prunelab.models import LayerSpec, accuracy, build_network, layer_sizes, preset_specs
 from prunelab.pipelines import (
     IMP_MODES,
     TICKET_KINDS,
@@ -86,34 +86,68 @@ def test_train_config_validation_and_round_trip():
         TrainConfig(momentum=-0.1)
 
 
-def test_train_matches_manual_sgd_loop_bit_for_bit():
-    params = build_network(SPECS, seed=3)
+def assert_train_matches_manual_sgd_loop(specs, split):
+    """train() against the per-layer reference loop, with `array_equal` throughout.
+
+    Three epochs of 48 samples at batch 20 (a short last batch), a schedule
+    offset that crosses a rate drop, checkpoints and per-epoch evaluation.
+    """
+    params = build_network(specs, seed=3)
     rng = np.random.default_rng(4)
-    mask = Mask(tuple((rng.random(m) < 0.7).astype(float) for m in SIZES))
-    cfg = TrainConfig(epochs=2, batch_size=16, seed=11)
-    result = train(params, mask, SPLIT.train, cfg)
+    mask = Mask(tuple((rng.random(m) < 0.7).astype(float) for m in layer_sizes(specs)))
+    cfg = TrainConfig(epochs=3, batch_size=20, seed=11)
+    offset = 1
+    kept = (0, 2, 3)
+    result = train(
+        params, mask, split.train, cfg, checkpoint_epochs=kept,
+        eval_data=split.test, schedule_offset=offset,
+    )
 
     shuffle = seeding.stream(cfg.seed, seeding.BATCH_SHUFFLE)
     w = [x.copy() for x in params.weights]
     vel = [np.zeros_like(x) for x in w]
-    n = SPLIT.train.n
+    n = split.train.n
+    shape = split.train.sample_shape_for_net()
+    checkpoints = {0: [x.copy() for x in w]}
+    history = []
     for epoch in range(cfg.epochs):
-        lr = learning_rate_at(cfg, epoch)
+        lr = learning_rate_at(cfg, min(offset + epoch, cfg.epochs - 1))
         order = shuffle.permutation(n)
+        losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, tape = forward_loss(
+            loss, tape = forward_loss(
                 params.with_weights(w), mask,
-                SPLIT.train.samples[idx], SPLIT.train.labels[idx],
+                split.train.samples[idx], split.train.labels[idx], sample_shape=shape,
             )
+            losses.append(loss)
             grads = backward(tape)
             for l, (g, c) in enumerate(zip(grads, mask.layers)):
                 step = (g + cfg.weight_decay * w[l]) * c
                 vel[l] = cfg.momentum * vel[l] + step
                 w[l] = w[l] - lr * vel[l]
+        acc = accuracy(params.with_weights(w), mask, split.test)
+        history.append((epoch, lr, float(np.mean(losses)), acc))
+        if epoch + 1 in kept:
+            checkpoints[epoch + 1] = [x.copy() for x in w]
 
+    assert [(h.epoch, h.lr, h.loss, h.accuracy) for h in result.history] == history
+    assert len({h.lr for h in result.history}) == 2
+    assert sorted(result.checkpoints) == sorted(checkpoints)
+    for epoch, want in checkpoints.items():
+        got = result.checkpoints[epoch].weights.weights
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
     for got, want in zip(result.params.weights, w):
         assert np.array_equal(got, want)
+
+
+def test_train_matches_manual_sgd_loop_bit_for_bit():
+    assert_train_matches_manual_sgd_loop(SPECS, SPLIT)
+
+
+def test_train_matches_manual_sgd_loop_bit_for_bit_conv_first():
+    split = synthetic_blobs(3, 81, 60, seed=9, sample_shape=(1, 9, 9))
+    assert_train_matches_manual_sgd_loop(preset_specs("conv-5", (1, 9, 9), 3), split)
 
 
 def test_train_never_moves_masked_weights():
@@ -491,6 +525,11 @@ def test_a_shared_memo_gives_standalone_cells_with_one_pretraining_per_data(monk
     monkeypatch.setattr(
         pipelines, "train", lambda *a, **k: cfgs.append(a[3]) or real_train(*a, **k)
     )
+    checked = []
+    real_check = pipelines.apply_data_check
+    monkeypatch.setattr(
+        pipelines, "apply_data_check", lambda *a: checked.append(a[0]) or real_check(*a)
+    )
     memo = {}
     for kind in PRETRAINED_KINDS:
         for check in MEMO_CHECKS:
@@ -503,6 +542,8 @@ def test_a_shared_memo_gives_standalone_cells_with_one_pretraining_per_data(monk
     assert sum(c.seed == pretrain_seed for c in cfgs) == 4
     assert len(cfgs) == 4 + len(PRETRAINED_KINDS) * len(MEMO_CHECKS)
     assert sorted(memo) == [("corrupt-both", seed), ("none", seed)]
+    # Cells whose pretraining is a memo hit never read their pruning data.
+    assert checked == ["corrupt-both"] * 2
 
     reached = list(walk(memo))
     assert not any(isinstance(x, Dataset) for x in reached)

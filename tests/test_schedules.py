@@ -136,6 +136,13 @@ def test_keep_ratio_schedule_validates_lengths():
         KeepRatioSchedule((0.5, 0.5), (1,), 0.5)
 
 
+@pytest.mark.parametrize("kind", ["smart", "balanced", "ascending", "linear", "cubic"])
+def test_every_schedule_kind_gives_an_output_only_budget_to_the_output(kind):
+    # 20 weights at sparsity 0.875 keep 3, exactly the pinned output quota.
+    sched = schedule_by_name(kind, [10, 10], None, 0.875)
+    assert sched.quotas == (0, 3)
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.data())
 def test_every_schedule_kind_hits_the_budget_exactly(data):
