@@ -54,7 +54,6 @@ from .models import (
 )
 from .pipelines import (
     CellResult,
-    Checkpoint,
     Ticket,
     TrainConfig,
     TrainResult,
@@ -63,18 +62,11 @@ from .pipelines import (
     build_ticket,
     iterative_magnitude_prune,
     learning_rate_at,
-    load_checkpoint,
     load_ticket,
-    make_hybrid_ticket,
     make_initial_ticket,
-    make_lr_rewind_ticket,
-    make_lt_ticket,
     make_random_ticket,
-    make_weight_rewind_ticket,
     replay_ticket,
-    rewind_weights,
     run_cell,
-    save_checkpoint,
     save_ticket,
     score_batch,
     train,
@@ -95,7 +87,6 @@ from .pruning import (
 from .schedules import (
     KeepRatioSchedule,
     ablation_schedule,
-    extract_schedule,
     schedule_by_name,
     smart_ratio,
     smart_raw_weights,

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .data import load_dataset
-from .errors import DomainError, PrunelabError
+from .errors import DatasetError, DomainError, PrunelabError
 from .harness import emit_report, load_config, parse_rows, run_experiment
 from .models import ArchFamily, PRESET_NAMES, preset_specs
 from .pipelines import (
@@ -22,12 +22,12 @@ from .pipelines import (
     TrainConfig,
     apply_structural_check,
     build_ticket,
+    check_stream,
     load_ticket,
     save_ticket,
 )
 from .pruning import keep_ratios, sparsity
 from .schedules import SCHEDULE_KINDS, schedule_by_name
-from . import seeding
 
 
 def _parse_dataset_arg(text):
@@ -98,8 +98,17 @@ def _cmd_ticket(args):
 
 def _cmd_check(args):
     ticket = load_ticket(args.ticket)
-    rng = seeding.stream(args.seed, seeding.CHECK)
-    attacked = apply_structural_check(ticket, args.check, rng)
+    prov = ticket.provenance
+    # A grid cell draws its checks from its own seed's stream; so does the default.
+    default = prov.get("check_seed", prov.get("seed", 0))
+    if not isinstance(default, int):
+        raise DatasetError(f"{args.ticket}: provenance seed {default!r} is not an integer")
+    seed = default if args.seed is None else args.seed
+    if prov.get("checks") and seed != default:
+        raise DomainError(f"{args.ticket} was checked under seed {default}, not {seed}; "
+                          "replay needs one check seed per ticket")
+    attacked = apply_structural_check(ticket, args.check, check_stream(seed, args.check))
+    attacked.provenance["check_seed"] = seed
     save_ticket(attacked, args.out)
     print(f"wrote {args.out}: applied {args.check} to {args.ticket}")
     return 0
@@ -155,8 +164,7 @@ def build_parser():
     p_ticket.add_argument("--input-shape", default="16", help="AxBxC input shape for data-free kinds")
     p_ticket.add_argument("--classes", type=int, default=3)
     p_ticket.add_argument("--family", default="plain", choices=[f.value for f in ArchFamily])
-    p_ticket.add_argument("--schedule", default="smart",
-                          choices=[k for k in SCHEDULE_KINDS if k != "extracted"])
+    p_ticket.add_argument("--schedule", default="smart", choices=SCHEDULE_KINDS)
     p_ticket.add_argument("--mode", default="reset", choices=("reset", "lr-rewind", "hybrid"))
     p_ticket.add_argument("--round-fraction", type=float, default=0.2)
     p_ticket.add_argument("--rewind-epoch", type=int, default=None)
@@ -167,7 +175,9 @@ def build_parser():
     p_check = sub.add_parser("check", help="apply a structural sanity check to a ticket")
     p_check.add_argument("ticket", help="path to a saved ticket")
     p_check.add_argument("check", choices=("rearrange", "shuffle-weights"))
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=int, default=None,
+                         help="seed of the grid cell whose check stream to draw from "
+                              "(default: the ticket's seed)")
     p_check.add_argument("--out", default="ticket-checked.plab")
     p_check.set_defaults(fn=_cmd_check)
 
@@ -175,8 +185,7 @@ def build_parser():
     p_ratios.add_argument("preset", choices=PRESET_NAMES)
     p_ratios.add_argument("sparsity", type=float)
     p_ratios.add_argument("family", choices=[f.value for f in ArchFamily])
-    p_ratios.add_argument("--kind", default="smart",
-                          choices=[k for k in SCHEDULE_KINDS if k != "extracted"])
+    p_ratios.add_argument("--kind", default="smart", choices=SCHEDULE_KINDS)
     p_ratios.add_argument("--input-shape", default=None,
                           help="AxBxC input shape (defaults per preset)")
     p_ratios.add_argument("--classes", type=int, default=3)

@@ -229,6 +229,11 @@ def _drop_torn_tail(path):
 
 def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
     """Execute the whole grid, streaming rows; returns every row in grid order."""
+    # Validate everything first, so a bad config leaves no output directory.
+    split = load_dataset(cfg.dataset)
+    specs = preset_specs(cfg.arch, split.train.sample_shape, split.train.class_count)
+    cells = grid_cells(cfg)
+
     out_dir = os.environ.get("PRUNELAB_OUTPUT_DIR", cfg.output_dir)
     os.makedirs(out_dir, exist_ok=True)
     digest = config_hash(cfg)
@@ -238,10 +243,6 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
     if resume and os.path.exists(rows_path) and _drop_torn_tail(rows_path):
         for row in parse_rows(rows_path):
             done[row.key()] = row
-
-    split = load_dataset(cfg.dataset)
-    specs = preset_specs(cfg.arch, split.train.sample_shape, split.train.class_count)
-    cells = grid_cells(cfg)
 
     rows = []
     memo = {}  # pretraining runs shared by cells that prune on the same data

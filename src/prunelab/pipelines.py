@@ -1,10 +1,11 @@
-"""Ticket pipelines: masked SGD training, ticket constructors, checkpoints.
+"""Ticket pipelines: masked SGD training, ticket constructors, the ticket file.
 
 A ticket is (mask, weights, provenance): everything needed to retrain a
 pruned network.  Constructors cover score-at-init tickets (snip, grasp),
-magnitude tickets from a pretrained network (reset to init, weight rewinding,
-fresh-schedule retraining of trained weights, layerwise schedule-constrained
-pruning), schedule-driven random tickets, and iterative magnitude pruning.
+magnitude tickets from a pretrained network (one constructor, with a table
+row per kind: reset to init, weight rewinding, fresh-schedule retraining of
+trained weights, layerwise schedule-constrained pruning), schedule-driven
+random tickets, and iterative magnitude pruning.
 
 Training is plain SGD with momentum and weight decay, stepped in place on
 one flat buffer each for the weights, velocity, mask and gradient of a run.
@@ -35,6 +36,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .checks import (
+    CHECK_NAMES,
     DATA_CHECKS,
     STRUCTURAL_CHECKS,
     apply_data_check,
@@ -113,15 +115,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class Checkpoint:
-    """Weights captured after `epoch` full epochs (0 means initialization)."""
-
-    epoch: int
-    weights: LayeredParams
-    rng_state: dict
-
-
-@dataclass(frozen=True)
 class EpochStats:
     epoch: int
     lr: float
@@ -133,7 +126,7 @@ class EpochStats:
 class TrainResult:
     params: LayeredParams
     history: tuple[EpochStats, ...]
-    checkpoints: dict
+    checkpoints: dict  # epoch -> LayeredParams after that many epochs (0: the init)
 
 
 @dataclass(frozen=True)
@@ -202,9 +195,7 @@ def train(
     checkpoints = {}
 
     def snapshot(epoch):
-        checkpoints[epoch] = Checkpoint(
-            epoch, params.with_weights([x.copy() for x in cur.weights]), rng.bit_generator.state
-        )
+        checkpoints[epoch] = params.with_weights([x.copy() for x in cur.weights])
 
     if 0 in checkpoint_epochs:
         snapshot(0)
@@ -341,14 +332,62 @@ def _pretrain(specs, data, cfg, seed, checkpoint_epochs, *, memo=None):
         checkpoint_epochs=checkpoint_epochs,
     )
     if memo is not None:
-        for p in [result.params] + [c.weights for c in result.checkpoints.values()]:
+        for p in [result.params, *result.checkpoints.values()]:
             for w in p.weights:
                 w.setflags(write=False)
         memo[key] = (run_cfg, result)
     return run_cfg, result
 
 
-def _magnitude_mask(params, target_sparsity, preserve_output_layer):
+# Trained-magnitude tickets all pretrain densely and prune by trained
+# magnitude.  Each kind's row says how it masks, which weights it keeps and
+# where retraining picks up the learning-rate schedule:
+#   mask: "global" top-k over the whole network (the output layer kept whole
+#     under preserve_output_layer), or "smart" quotas filled layer by layer;
+#   weights: a pretraining epoch, "rewind" (the rewind epoch) or "trained"
+#     (the final weights);
+#   offset: the schedule offset recorded for retraining; "rewind" is the
+#     rewind epoch and None records none, which retraining reads as 0.
+TRAINED_TICKETS = {
+    "lt": ("global", 0, None),
+    "weight-rewind": ("global", "rewind", "rewind"),
+    "lr-rewind": ("global", "trained", 0),
+    "hybrid": ("smart", "trained", 0),
+}
+
+
+def _trained_ticket(
+    kind, specs, data, target_sparsity, cfg, seed, *,
+    rewind_epoch, preserve_output_layer, family, memo=None,
+) -> Ticket:
+    """Pretrain densely, prune by trained magnitude as `kind`'s row says."""
+    rule, kept, offset = TRAINED_TICKETS[kind]
+    epochs = {0, cfg.epochs}
+    prov = {"kind": kind, "criterion": "magnitude", "sparsity": float(target_sparsity),
+            "seed": int(seed)}
+    if kept == "rewind":
+        kept = offset = int(rewind_epoch)
+        if kept < 0 or kept > cfg.epochs:
+            raise DomainError(f"rewind epoch {kept} outside [0, {cfg.epochs}]")
+        epochs.add(kept)
+        prov.update(rewind_epoch=kept, rewound_to_epoch=kept)
+    run_cfg, result = _pretrain(specs, data, cfg, seed, epochs, memo=memo)
+    if rule == "smart":
+        schedule = smart_ratio(layer_sizes(specs), specs, target_sparsity, family)
+        mask = mask_from_scores_layerwise(magnitude_scores(result.params), schedule)
+        prov.update(schedule="smart", family=ArchFamily(family).value)
+    else:
+        mask = _global_magnitude_mask(result.params, target_sparsity, preserve_output_layer)
+        prov.update(preserve_output_layer=bool(preserve_output_layer),
+                    source_checkpoints=dict(result.checkpoints))
+    if offset is not None:
+        prov["schedule_offset"] = offset
+    prov.update(pretrain=run_cfg.to_dict(), arch=_arch_provenance(specs))
+    weights = result.params if kept == "trained" else result.checkpoints[kept]
+    return Ticket(mask, weights, prov)
+
+
+def _global_magnitude_mask(params, target_sparsity, preserve_output_layer):
     scores = magnitude_scores(params)
     if not preserve_output_layer:
         return mask_from_scores_global(scores, target_sparsity)
@@ -362,127 +401,6 @@ def _magnitude_mask(params, target_sparsity, preserve_output_layer):
         ScoreMap(scores.layers[:-1]), np.ones(sum(sizes[:-1]), dtype=bool), budget - sizes[-1]
     )
     return Mask(hidden.layers + (np.ones(sizes[-1]),))
-
-
-def make_lt_ticket(
-    specs, data, target_sparsity, pretrain_cfg, seed, *, preserve_output_layer=False, memo=None
-) -> Ticket:
-    """Pretrain, prune by final magnitude, reset weights to initialization."""
-    run_cfg, result = _pretrain(
-        specs, data, pretrain_cfg, seed, checkpoint_epochs=(0, pretrain_cfg.epochs), memo=memo
-    )
-    mask = _magnitude_mask(result.params, target_sparsity, preserve_output_layer)
-    return Ticket(
-        mask,
-        result.checkpoints[0].weights,
-        {
-            "kind": "lt",
-            "criterion": "magnitude",
-            "sparsity": float(target_sparsity),
-            "seed": int(seed),
-            "preserve_output_layer": bool(preserve_output_layer),
-            "pretrain": run_cfg.to_dict(),
-            "source_checkpoints": {0: result.checkpoints[0],
-                                   pretrain_cfg.epochs: result.checkpoints[pretrain_cfg.epochs]},
-            "arch": _arch_provenance(specs),
-        },
-    )
-
-
-def make_weight_rewind_ticket(
-    specs, data, target_sparsity, pretrain_cfg, rewind_epoch, seed, *,
-    preserve_output_layer=False, memo=None,
-) -> Ticket:
-    """Final-magnitude mask with weights rewound to an earlier checkpoint.
-
-    Retraining should resume the learning-rate schedule at the rewind epoch;
-    the offset is recorded in provenance for the retraining caller.
-    """
-    rewind_epoch = int(rewind_epoch)
-    if rewind_epoch < 0 or rewind_epoch > pretrain_cfg.epochs:
-        raise DomainError(f"rewind epoch {rewind_epoch} outside [0, {pretrain_cfg.epochs}]")
-    run_cfg, result = _pretrain(
-        specs, data, pretrain_cfg, seed,
-        checkpoint_epochs={0, rewind_epoch, pretrain_cfg.epochs}, memo=memo,
-    )
-    mask = _magnitude_mask(result.params, target_sparsity, preserve_output_layer)
-    ticket = Ticket(
-        mask,
-        result.params,
-        {
-            "kind": "weight-rewind",
-            "criterion": "magnitude",
-            "sparsity": float(target_sparsity),
-            "seed": int(seed),
-            "rewind_epoch": rewind_epoch,
-            "preserve_output_layer": bool(preserve_output_layer),
-            "pretrain": run_cfg.to_dict(),
-            "source_checkpoints": dict(result.checkpoints),
-            "arch": _arch_provenance(specs),
-        },
-    )
-    return rewind_weights(ticket, result.checkpoints[rewind_epoch])
-
-
-def rewind_weights(ticket, checkpoint) -> Ticket:
-    """Swap a ticket's weights for an earlier checkpoint's, keeping its mask."""
-    if len(checkpoint.weights.weights) != len(ticket.mask.layers):
-        raise AlignmentError("checkpoint does not align with the ticket mask")
-    prov = dict(ticket.provenance)
-    prov["rewound_to_epoch"] = int(checkpoint.epoch)
-    prov["schedule_offset"] = int(checkpoint.epoch)
-    return Ticket(ticket.mask, checkpoint.weights, prov)
-
-
-def make_lr_rewind_ticket(
-    specs, data, target_sparsity, pretrain_cfg, seed, *, preserve_output_layer=False, memo=None
-) -> Ticket:
-    """Final-magnitude mask, trained weights kept, schedule restarted fresh."""
-    run_cfg, result = _pretrain(
-        specs, data, pretrain_cfg, seed, checkpoint_epochs=(0, pretrain_cfg.epochs), memo=memo
-    )
-    mask = _magnitude_mask(result.params, target_sparsity, preserve_output_layer)
-    return Ticket(
-        mask,
-        result.params,
-        {
-            "kind": "lr-rewind",
-            "criterion": "magnitude",
-            "sparsity": float(target_sparsity),
-            "seed": int(seed),
-            "preserve_output_layer": bool(preserve_output_layer),
-            "pretrain": run_cfg.to_dict(),
-            "source_checkpoints": dict(result.checkpoints),
-            "schedule_offset": 0,
-            "arch": _arch_provenance(specs),
-        },
-    )
-
-
-def make_hybrid_ticket(
-    specs, data, target_sparsity, pretrain_cfg, seed, family=ArchFamily.PLAIN, *, memo=None
-) -> Ticket:
-    """Layerwise magnitude pruning of a trained network under schedule quotas."""
-    run_cfg, result = _pretrain(
-        specs, data, pretrain_cfg, seed, checkpoint_epochs=(0, pretrain_cfg.epochs), memo=memo
-    )
-    schedule = smart_ratio(layer_sizes(specs), specs, target_sparsity, family)
-    mask = mask_from_scores_layerwise(magnitude_scores(result.params), schedule)
-    return Ticket(
-        mask,
-        result.params,
-        {
-            "kind": "hybrid",
-            "criterion": "magnitude",
-            "schedule": "smart",
-            "family": ArchFamily(family).value,
-            "sparsity": float(target_sparsity),
-            "seed": int(seed),
-            "pretrain": run_cfg.to_dict(),
-            "schedule_offset": 0,
-            "arch": _arch_provenance(specs),
-        },
-    )
 
 
 def make_random_ticket(
@@ -634,27 +552,13 @@ def build_ticket(
         )
     if kind in ("snip", "grasp"):
         return make_initial_ticket(kind, specs, _resolve(data), target_sparsity, seed)
-    if kind == "lt":
-        return make_lt_ticket(
-            specs, data, target_sparsity, cfg, seed,
+    if kind in TRAINED_TICKETS:
+        return _trained_ticket(
+            kind, specs, data, target_sparsity, cfg, seed,
+            rewind_epoch=params.get("rewind_epoch", max(cfg.epochs // 10, 1)),
             preserve_output_layer=bool(params.get("preserve_output_layer", False)),
-            memo=memo,
+            family=family, memo=memo,
         )
-    if kind == "weight-rewind":
-        return make_weight_rewind_ticket(
-            specs, data, target_sparsity, cfg,
-            params.get("rewind_epoch", max(cfg.epochs // 10, 1)), seed,
-            preserve_output_layer=bool(params.get("preserve_output_layer", False)),
-            memo=memo,
-        )
-    if kind == "lr-rewind":
-        return make_lr_rewind_ticket(
-            specs, data, target_sparsity, cfg, seed,
-            preserve_output_layer=bool(params.get("preserve_output_layer", False)),
-            memo=memo,
-        )
-    if kind == "hybrid":
-        return make_hybrid_ticket(specs, data, target_sparsity, cfg, seed, family, memo=memo)
     if kind == "imp":
         return iterative_magnitude_prune(
             specs, _resolve(data), target_sparsity, float(params.get("round_fraction", 0.2)),
@@ -663,25 +567,54 @@ def build_ticket(
     raise DomainError(f"unknown pipeline kind {kind!r}; choose from {TICKET_KINDS}")
 
 
-def replay_ticket(provenance, specs, split) -> Ticket:
-    """Rebuild a ticket from its provenance record."""
-    kind = provenance["kind"]
-    cfg = (
-        TrainConfig.from_dict(provenance["pretrain"])
-        if "pretrain" in provenance
-        else TrainConfig()
+def checked_ticket(
+    kind, specs, data, target_sparsity, seed, cfg, params, checks, *, check_seed=None, memo=None
+) -> Ticket:
+    """`build_ticket` under sanity checks, each drawn from `check_stream(check_seed, check)`.
+
+    A data check corrupts the pruning data, and runs only when the ticket
+    reads its data; structural checks then attack the built ticket in order.
+    Provenance lists the checks applied under "checks".  `check_seed`
+    defaults to the ticket seed, as in a grid cell.  `memo` is a dict of
+    pretraining runs shared as in `run_cell`: it holds only weights, and the
+    pruning data is named by the (check, seed) it derives from.
+    """
+    check_seed = seed if check_seed is None else check_seed
+    rngs = [check_stream(check_seed, c) for c in checks]
+    applied = [
+        (c, rng) for c, rng in zip(checks, rngs) if c in DATA_CHECKS and kind not in DATA_FREE_KINDS
+    ]
+    if len(applied) > 1:
+        raise DomainError("a ticket takes at most one data check")
+    data_check = "none"
+    if applied:
+        data_check, rng = applied[0]
+        data = partial(apply_data_check, data_check, data, rng)
+    if memo is not None:
+        memo = memo.setdefault((data_check, check_seed), {})
+    ticket = build_ticket(
+        kind, specs, data, target_sparsity, seed, cfg, params=params, memo=memo
     )
+    if applied:
+        ticket = Ticket(ticket.mask, ticket.weights, {**ticket.provenance, "checks": [data_check]})
+    for c, rng in zip(checks, rngs):
+        if c in STRUCTURAL_CHECKS:
+            ticket = apply_structural_check(ticket, c, rng)
+    return ticket
+
+
+def replay_ticket(provenance, specs, split) -> Ticket:
+    """Rebuild a ticket, sanity checks included, from its provenance record."""
+    kind = provenance["kind"]
+    cfg = TrainConfig()
     if "pretrain" in provenance:
         # build_ticket re-derives the pretraining seed from the ticket seed.
-        cfg = replace(cfg, seed=0)
-    return build_ticket(
-        kind,
-        specs,
-        split,
-        provenance.get("sparsity", 0.0),
-        provenance["seed"],
-        cfg,
-        params={k: provenance[k] for k in PIPELINE_OPTIONS.get(kind, ()) if k in provenance},
+        cfg = replace(TrainConfig.from_dict(provenance["pretrain"]), seed=0)
+    return checked_ticket(
+        kind, specs, split.train if isinstance(split, DataSplit) else split,
+        provenance.get("sparsity", 0.0), provenance["seed"], cfg,
+        {k: provenance[k] for k in PIPELINE_OPTIONS.get(kind, ()) if k in provenance},
+        provenance.get("checks", ()), check_seed=provenance.get("check_seed"),
     )
 
 
@@ -697,6 +630,13 @@ def apply_structural_check(ticket, check, rng) -> Ticket:
             ticket.mask, shuffle_unmasked_weights(ticket.weights, ticket.mask, rng), prov
         )
     raise DomainError(f"unknown structural check {check!r}; choose from {STRUCTURAL_CHECKS}")
+
+
+def check_stream(seed, check):
+    """The stream `check` draws from in the grid cell of `seed`."""
+    if check not in CHECK_NAMES:
+        raise DomainError(f"unknown check {check!r}; choose from {CHECK_NAMES}")
+    return seeding.stream(seed, seeding.CHECK, CHECK_NAMES.index(check))
 
 
 @dataclass(frozen=True)
@@ -715,25 +655,12 @@ def run_cell(
     """Build one ticket under one check, retrain on clean data, measure.
 
     `memo` is a dict that grid cells on the same `split` share: the cells
-    that prune on the same data reuse one pretraining run.  It holds only
-    weights; the pruning data is named by the (check, seed) it derives from,
-    and a data check runs only when the ticket reads its data.
+    that prune on the same data reuse one pretraining run.
     """
-    check = check or "none"
-    check_rng = seeding.stream(seed, seeding.CHECK, _check_tag(check))
-    prune_data = split.train
-    data_check = check in DATA_CHECKS and kind not in DATA_FREE_KINDS
-    if data_check:
-        prune_data = partial(apply_data_check, check, split.train, check_rng)
-    if memo is not None:
-        memo = memo.setdefault((check if data_check else "none", seed), {})
-    ticket = build_ticket(
-        kind, specs, prune_data, target_sparsity, seed, train_cfg,
-        params=pipeline_params, memo=memo,
+    ticket = checked_ticket(
+        kind, specs, split.train, target_sparsity, seed, train_cfg, pipeline_params,
+        [check or "none"], memo=memo,
     )
-    if check in STRUCTURAL_CHECKS:
-        ticket = apply_structural_check(ticket, check, check_rng)
-
     rcfg = replace(train_cfg, seed=seeding.combine(seed, seeding.RETRAIN))
     offset = int(ticket.provenance.get("schedule_offset", 0))
     result = train(
@@ -745,14 +672,6 @@ def run_cell(
     return CellResult(100.0 * best, tuple(ratios), any(r == 0.0 for r in ratios), ticket)
 
 
-def _check_tag(check):
-    names = ("none",) + DATA_CHECKS + STRUCTURAL_CHECKS
-    if check not in names:
-        raise DomainError(f"unknown check {check!r}; choose from {names}")
-    return names.index(check)
-
-
-CHECKPOINT_MAGIC = b"PLCKPT01"
 TICKET_MAGIC = b"PLTCKT01"
 CONTAINER_VERSION = 1
 
@@ -800,101 +719,6 @@ def _unpack_json(buf, offset, path):
         raise DatasetError(f"{path}: bad JSON at byte {offset}: {exc}") from None
 
 
-def _jsonable_rng_state(state):
-    def conv(v):
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, np.ndarray):
-            return {"__ndarray__": v.tolist(), "dtype": str(v.dtype)}
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        return v
-
-    return conv(state)
-
-
-def _restore_rng_state(state):
-    def conv(v):
-        if isinstance(v, dict):
-            if "__ndarray__" in v:
-                return np.asarray(v["__ndarray__"], dtype=v["dtype"])
-            return {k: conv(x) for k, x in v.items()}
-        return v
-
-    return conv(state)
-
-
-def save_checkpoint(checkpoint, path):
-    """Versioned binary container; round-trips bit-exactly."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<II", CONTAINER_VERSION, checkpoint.epoch))
-    buf.write(_pack_json(_arch_provenance(checkpoint.weights.specs)))
-    buf.write(struct.pack("<I", len(checkpoint.weights.weights)))
-    for w in checkpoint.weights.weights:
-        buf.write(_pack_array(w))
-    buf.write(_pack_json(_jsonable_rng_state(checkpoint.rng_state)))
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
-
-
-def _read_container(path, magic, what):
-    """The file's bytes and the offset just past its magic and version."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    if buf[:8] != magic:
-        raise DatasetError(f"{path}: bad {what} magic at byte 0")
-    (version,), offset = _unpack("<I", buf, 8, path)
-    if version != CONTAINER_VERSION:
-        raise DatasetError(f"{path}: unsupported {what} version {version}")
-    return buf, offset
-
-
-def _read_layers(buf, offset, arch, arrays_per_layer, path):
-    """Specs from an arch record, then each layer's arrays sized by its spec."""
-    try:
-        specs = tuple(
-            LayerSpec(
-                a["kind"], a["fan_in"], a["fan_out"],
-                kernel=tuple(a["kernel"]) if a.get("kernel") else None,
-                is_output=a["is_output"],
-            )
-            for a in arch
-        )
-    except (KeyError, TypeError, ValueError, PrunelabError) as exc:
-        raise DatasetError(f"{path}: bad architecture record: {exc}") from None
-    (n_layers,), offset = _unpack("<I", buf, offset, path)
-    if n_layers != len(specs):
-        raise DatasetError(f"{path}: {n_layers} layers stored for {len(specs)} specs")
-    layers = []
-    for spec in specs:
-        arrays = []
-        for _ in range(arrays_per_layer):
-            arr, offset = _unpack_array(buf, offset, spec.weight_count, path)
-            arrays.append(arr)
-        layers.append(arrays)
-    return specs, layers, offset
-
-
-def _check_end(buf, offset, path):
-    if offset != len(buf):
-        raise DatasetError(f"{path}: {len(buf) - offset} trailing bytes after byte {offset}")
-
-
-def load_checkpoint(path) -> Checkpoint:
-    buf, offset = _read_container(path, CHECKPOINT_MAGIC, "checkpoint")
-    (epoch,), offset = _unpack("<I", buf, offset, path)
-    arch, offset = _unpack_json(buf, offset, path)
-    specs, layers, offset = _read_layers(buf, offset, arch, 1, path)
-    state, offset = _unpack_json(buf, offset, path)
-    _check_end(buf, offset, path)
-    try:
-        weights = LayeredParams(specs, tuple(w for (w,) in layers))
-        return Checkpoint(epoch, weights, _restore_rng_state(state))
-    except (KeyError, TypeError, ValueError, PrunelabError) as exc:
-        raise DatasetError(f"{path}: {exc}") from None
-
-
 def _jsonable_provenance(prov):
     out = {}
     for k, v in prov.items():
@@ -920,15 +744,40 @@ def save_ticket(ticket, path):
 
 
 def load_ticket(path) -> Ticket:
-    buf, offset = _read_container(path, TICKET_MAGIC, "ticket")
+    with open(path, "rb") as f:
+        buf = f.read()
+    if buf[:8] != TICKET_MAGIC:
+        raise DatasetError(f"{path}: bad ticket magic at byte 0")
+    (version,), offset = _unpack("<I", buf, 8, path)
+    if version != CONTAINER_VERSION:
+        raise DatasetError(f"{path}: unsupported ticket version {version}")
     arch, offset = _unpack_json(buf, offset, path)
     prov, offset = _unpack_json(buf, offset, path)
     if not isinstance(prov, dict):
         raise DatasetError(f"{path}: provenance is not a JSON object")
-    specs, layers, offset = _read_layers(buf, offset, arch, 2, path)
-    _check_end(buf, offset, path)
     try:
-        weights = LayeredParams(specs, tuple(w for w, _ in layers))
-        return Ticket(Mask(tuple(c for _, c in layers)), weights, prov)
+        specs = tuple(
+            LayerSpec(
+                a["kind"], a["fan_in"], a["fan_out"],
+                kernel=tuple(a["kernel"]) if a.get("kernel") else None,
+                is_output=a["is_output"],
+            )
+            for a in arch
+        )
+    except (KeyError, TypeError, ValueError, PrunelabError) as exc:
+        raise DatasetError(f"{path}: bad architecture record: {exc}") from None
+    (n_layers,), offset = _unpack("<I", buf, offset, path)
+    if n_layers != len(specs):
+        raise DatasetError(f"{path}: {n_layers} layers stored for {len(specs)} specs")
+    weights, layers = [], []
+    for spec in specs:
+        w, offset = _unpack_array(buf, offset, spec.weight_count, path)
+        c, offset = _unpack_array(buf, offset, spec.weight_count, path)
+        weights.append(w)
+        layers.append(c)
+    if offset != len(buf):
+        raise DatasetError(f"{path}: {len(buf) - offset} trailing bytes after byte {offset}")
+    try:
+        return Ticket(Mask(tuple(layers)), LayeredParams(specs, tuple(weights)), prov)
     except PrunelabError as exc:
         raise DatasetError(f"{path}: {exc}") from None

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 from .errors import AlignmentError, DomainError, InfeasibleSparsityError
 from .models import ArchFamily
-from .pruning import keep_ratios, round_half_up, sparsity
+from .pruning import round_half_up
 
 OUTPUT_KEEP_RATIO = 0.3
 
-SCHEDULE_KINDS = ("smart", "balanced", "ascending", "linear", "cubic", "extracted")
+SCHEDULE_KINDS = ("smart", "balanced", "ascending", "linear", "cubic")
 
 
 @dataclass(frozen=True)
@@ -195,16 +195,9 @@ def ablation_schedule(
 
 def schedule_by_name(kind, sizes, specs, target_sparsity, family=ArchFamily.PLAIN):
     """Dispatch on the public schedule-kind names."""
-    if kind == "extracted":
-        raise DomainError("an extracted schedule needs a source mask, not a name")
     if kind not in SCHEDULE_KINDS:
         raise DomainError(f"unknown schedule kind {kind!r}; choose from {SCHEDULE_KINDS}")
     if kind == "smart":
         return smart_ratio(sizes, specs, target_sparsity, family)
     return ablation_schedule(kind, sizes, specs, target_sparsity, family)
 
-
-def extract_schedule(mask) -> KeepRatioSchedule:
-    """Read a schedule back off an existing mask."""
-    quotas = tuple(mask.counts())
-    return KeepRatioSchedule(tuple(keep_ratios(mask)), quotas, sparsity(mask))

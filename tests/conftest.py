@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from prunelab.models import LayerSpec, build_network, layer_sizes
 from prunelab.pruning import full_mask
+
+# Tier-1 draws the same examples on every run and keeps no example database.
+# The exploring profile draws fresh ones and prints a blob that reproduces a
+# failure: pytest --hypothesis-profile=explore.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -2,12 +2,20 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from prunelab.cli import main
 from prunelab.harness import ResultRow, emit_rows
 from prunelab.models import LayerSpec, build_network, layer_sizes, preset_specs
-from prunelab.pipelines import Ticket, load_ticket, save_ticket
+from prunelab.pipelines import (
+    Ticket,
+    TrainConfig,
+    checked_ticket,
+    load_ticket,
+    replay_ticket,
+    save_ticket,
+)
 from prunelab.pruning import full_mask, round_half_up
 
 TINY = {
@@ -108,6 +116,30 @@ def test_check_rewrites_a_ticket(tmp_path, capsys):
     after = load_ticket(str(attacked_path))
     assert after.mask.counts() == before.mask.counts()
     assert after.provenance["checks"] == ["rearrange"]
+    # the check drew from the stream of a grid cell with the ticket's seed
+    specs = preset_specs("mlp-4", (16,), 3)
+    cell = checked_ticket("random", specs, None, 0.8, 0, TrainConfig(), {}, ["rearrange"])
+    for a, b in zip(after.mask.layers, cell.mask.layers):
+        assert np.array_equal(a, b)
+
+
+def test_check_under_another_seed_replays_from_its_file(tmp_path, capsys):
+    original, checked = tmp_path / "t.plab", tmp_path / "t-re.plab"
+    main([
+        "ticket", "random", "--sparsity", "0.8", "--seed", "4",
+        "--input-shape", "16", "--classes", "3", "--out", str(original),
+    ])
+    assert main(["check", str(original), "rearrange", "--seed", "9", "--out", str(checked)]) == 0
+    after = load_ticket(str(checked))
+    assert after.provenance["check_seed"] == 9
+    again = replay_ticket(after.provenance, preset_specs("mlp-4", (16,), 3), None)
+    for a, b in zip(after.mask.layers, again.mask.layers):
+        assert np.array_equal(a, b)
+    # a second check under a third seed could not be replayed
+    capsys.readouterr()
+    assert main(["check", str(checked), "shuffle-weights", "--seed", "5",
+                 "--out", str(tmp_path / "t-re-sh.plab")]) == 1
+    assert capsys.readouterr().err.startswith("error: DomainError:")
 
 
 def test_check_missing_ticket_exits_one(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from prunelab import harness
 from prunelab.cli import main
-from prunelab.errors import ConfigError
+from prunelab.errors import ConfigError, DatasetError
 from prunelab.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -60,6 +60,8 @@ def test_config_rejects_bad_shapes():
         tiny_config(pipelines=[{"schedule": "smart"}])
     with pytest.raises(ConfigError, match="unknown schedule"):
         tiny_config(pipelines=[{"kind": "random", "schedule": "spiral"}])
+    with pytest.raises(ConfigError, match="unknown schedule"):
+        tiny_config(pipelines=[{"kind": "random", "schedule": "extracted"}])
     with pytest.raises(ConfigError, match="unknown check"):
         tiny_config(checks=["mirror"])
     with pytest.raises(ConfigError, match="outside"):
@@ -269,6 +271,18 @@ def test_run_experiment_output_dir_env_override(tmp_path, monkeypatch):
     run_experiment(cfg)
     assert target.exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"dataset": {**TINY["dataset"], "clases": 4}},  # a dataset key typo
+    {"pipelines": [{"kind": "random"}, {"kind": "random"}]},  # colliding labels
+])
+def test_a_bad_config_leaves_no_output_directory(tmp_path, monkeypatch, overrides):
+    monkeypatch.delenv("PRUNELAB_OUTPUT_DIR", raising=False)
+    cfg = tiny_config(output_dir=str(tmp_path / "out"), **overrides)
+    with pytest.raises((ConfigError, DatasetError)):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def strip_seconds(path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from prunelab import pipelines, seeding
+from prunelab.checks import CHECK_NAMES, STRUCTURAL_CHECKS
 from prunelab.engine import backward, forward_loss
 from prunelab.errors import (
     AlignmentError,
@@ -18,7 +19,6 @@ from prunelab.models import LayerSpec, accuracy, build_network, layer_sizes, pre
 from prunelab.pipelines import (
     IMP_MODES,
     TICKET_KINDS,
-    Checkpoint,
     Ticket,
     TrainConfig,
     apply_structural_check,
@@ -26,16 +26,11 @@ from prunelab.pipelines import (
     build_ticket,
     iterative_magnitude_prune,
     learning_rate_at,
-    load_checkpoint,
     load_ticket,
     make_initial_ticket,
-    make_lt_ticket,
     make_random_ticket,
-    make_weight_rewind_ticket,
     replay_ticket,
-    rewind_weights,
     run_cell,
-    save_checkpoint,
     save_ticket,
     score_batch,
     train,
@@ -135,7 +130,7 @@ def assert_train_matches_manual_sgd_loop(specs, split):
     assert len({h.lr for h in result.history}) == 2
     assert sorted(result.checkpoints) == sorted(checkpoints)
     for epoch, want in checkpoints.items():
-        got = result.checkpoints[epoch].weights.weights
+        got = result.checkpoints[epoch].weights
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     for got, want in zip(result.params.weights, w):
         assert np.array_equal(got, want)
@@ -185,14 +180,11 @@ def test_train_checkpoints_capture_epoch_boundaries():
     mask = full_mask(SIZES)
     result = train(params, mask, SPLIT.train, FAST, checkpoint_epochs=(0, 2, 3))
     assert sorted(result.checkpoints) == [0, 2, 3]
-    for w0, winit in zip(result.checkpoints[0].weights.weights, params.weights):
+    for w0, winit in zip(result.checkpoints[0].weights, params.weights):
         assert np.array_equal(w0, winit)
-    assert result.checkpoints[3].epoch == 3
     assert any(
         not np.array_equal(a, b)
-        for a, b in zip(
-            result.checkpoints[2].weights.weights, result.checkpoints[3].weights.weights
-        )
+        for a, b in zip(result.checkpoints[2].weights, result.checkpoints[3].weights)
     )
     with pytest.raises(DomainError):
         train(params, mask, SPLIT.train, FAST, checkpoint_epochs=(7,))
@@ -258,7 +250,7 @@ def test_initial_tickets_prune_a_fresh_init(kind):
 
 
 def test_lt_ticket_resets_kept_weights_to_init_bit_for_bit():
-    ticket = make_lt_ticket(SPECS, SPLIT.train, 0.5, FAST, seed=3)
+    ticket = build_ticket("lt", SPECS, SPLIT.train, 0.5, 3, FAST)
     init = build_network(SPECS, 3)
     for w, winit in zip(ticket.weights.weights, init.weights):
         assert np.array_equal(w, winit)
@@ -279,31 +271,21 @@ def test_lt_preserve_output_layer_keeps_it_dense():
 
 
 def test_weight_rewind_ticket_takes_the_checkpoint_weights():
-    ticket = make_weight_rewind_ticket(SPECS, SPLIT.train, 0.5, FAST, 2, seed=5)
+    ticket = build_ticket("weight-rewind", SPECS, SPLIT.train, 0.5, 5, FAST, {"rewind_epoch": 2})
     assert ticket.provenance["rewound_to_epoch"] == 2
     assert ticket.provenance["schedule_offset"] == 2
     source = ticket.provenance["source_checkpoints"][2]
-    for w, wc in zip(ticket.weights.weights, source.weights.weights):
+    for w, wc in zip(ticket.weights.weights, source.weights):
         assert np.array_equal(w, wc)
     with pytest.raises(DomainError):
-        make_weight_rewind_ticket(SPECS, SPLIT.train, 0.5, FAST, 9, seed=5)
-
-
-def test_rewind_weights_swaps_checkpoint_and_offset():
-    ticket = make_lt_ticket(SPECS, SPLIT.train, 0.5, FAST, seed=6)
-    final = ticket.provenance["source_checkpoints"][FAST.epochs]
-    rewound = rewind_weights(ticket, final)
-    assert rewound.provenance["schedule_offset"] == FAST.epochs
-    for w, wc in zip(rewound.weights.weights, final.weights.weights):
-        assert np.array_equal(w, wc)
-    assert rewound.mask is ticket.mask
+        build_ticket("weight-rewind", SPECS, SPLIT.train, 0.5, 5, FAST, {"rewind_epoch": 9})
 
 
 def test_lr_rewind_ticket_keeps_trained_weights_and_fresh_schedule():
     ticket = build_ticket("lr-rewind", SPECS, SPLIT, 0.5, 7, FAST)
     assert ticket.provenance["schedule_offset"] == 0
     final = ticket.provenance["source_checkpoints"][FAST.epochs]
-    for w, wc in zip(ticket.weights.weights, final.weights.weights):
+    for w, wc in zip(ticket.weights.weights, final.weights):
         assert np.array_equal(w, wc)
 
 
@@ -431,6 +413,23 @@ def test_replay_ticket_reproduces_mask_and_weights():
             assert np.array_equal(wa, wb)
 
 
+def test_replay_rebuilds_every_checked_ticket_from_its_file(tmp_path):
+    memo = {}
+    for kind in TICKET_KINDS:
+        for check in CHECK_NAMES:
+            cell = run_cell(kind, {}, check, SPLIT, SPECS, 0.5, 18, FAST, memo=memo)
+            reads_data = kind not in pipelines.DATA_FREE_KINDS
+            applied = check in STRUCTURAL_CHECKS or (check != "none" and reads_data)
+            assert cell.ticket.provenance.get("checks", []) == ([check] if applied else [])
+            path = tmp_path / f"{kind}-{check}.plab"
+            save_ticket(cell.ticket, str(path))
+            again = replay_ticket(load_ticket(str(path)).provenance, SPECS, SPLIT)
+            for a, b in zip(cell.ticket.mask.layers, again.mask.layers):
+                assert np.array_equal(a, b), (kind, check)
+            for a, b in zip(cell.ticket.weights.weights, again.weights.weights):
+                assert np.array_equal(a, b), (kind, check)
+
+
 def test_apply_structural_check_records_provenance():
     ticket = build_ticket("random", SPECS, SPLIT, 0.5, 4, FAST)
     rng = np.random.default_rng(0)
@@ -554,46 +553,6 @@ def test_a_shared_memo_gives_standalone_cells_with_one_pretraining_per_data(monk
             arr[0] = 1.0
 
 
-def test_checkpoint_container_round_trips_bit_for_bit(tmp_path):
-    params = build_network(SPECS, seed=14)
-    result = train(params, full_mask(SIZES), SPLIT.train, FAST, checkpoint_epochs=(2,))
-    ckpt = result.checkpoints[2]
-    path = tmp_path / "epoch2.ckpt"
-    save_checkpoint(ckpt, str(path))
-    loaded = load_checkpoint(str(path))
-    assert loaded.epoch == 2
-    for wa, wb in zip(ckpt.weights.weights, loaded.weights.weights):
-        assert np.array_equal(wa, wb)
-    assert loaded.weights.specs == SPECS
-
-    # restored rng state continues the stream identically
-    a = np.random.default_rng()
-    a.bit_generator.state = ckpt.rng_state
-    b = np.random.default_rng()
-    b.bit_generator.state = loaded.rng_state
-    assert np.array_equal(a.random(8), b.random(8))
-
-
-def test_checkpoint_container_rejects_corruption(tmp_path):
-    params = build_network(SPECS, seed=15)
-    ckpt = Checkpoint(0, params, np.random.default_rng(0).bit_generator.state)
-    path = tmp_path / "c.ckpt"
-    save_checkpoint(ckpt, str(path))
-    raw = bytearray(path.read_bytes())
-    raw[0] ^= 0xFF
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(DatasetError, match="magic"):
-        load_checkpoint(str(bad))
-
-    raw = bytearray(path.read_bytes())
-    raw[8] = 99
-    versioned = tmp_path / "versioned.ckpt"
-    versioned.write_bytes(bytes(raw))
-    with pytest.raises(DatasetError, match="version"):
-        load_checkpoint(str(versioned))
-
-
 def test_ticket_container_round_trips_bit_for_bit(tmp_path):
     ticket = build_ticket("lt", SPECS, SPLIT, 0.5, 16, FAST)
     path = tmp_path / "t.plab"
@@ -614,6 +573,12 @@ def test_ticket_container_round_trips_bit_for_bit(tmp_path):
     with pytest.raises(DatasetError, match="magic"):
         load_ticket(str(bad))
 
+    raw = bytearray(path.read_bytes())
+    raw[8] = 99
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(DatasetError, match="version"):
+        load_ticket(str(bad))
+
 
 def tiny_ticket():
     specs = (LayerSpec("dense", 2, 3), LayerSpec("dense", 3, 2, is_output=True))
@@ -622,24 +587,18 @@ def tiny_ticket():
 
 
 def test_containers_reject_every_truncation_and_trailing_bytes(tmp_path):
-    ticket = tiny_ticket()
-    ckpt = Checkpoint(0, ticket.weights, np.random.default_rng(0).bit_generator.state)
-    for save, load, obj in (
-        (save_ticket, load_ticket, ticket),
-        (save_checkpoint, load_checkpoint, ckpt),
-    ):
-        path = tmp_path / "whole"
-        save(obj, str(path))
-        raw = path.read_bytes()
-        load(str(path))
-        torn = tmp_path / "torn"
-        for cut in range(len(raw)):
-            torn.write_bytes(raw[:cut])
-            with pytest.raises(DatasetError):
-                load(str(torn))
-        torn.write_bytes(raw + b"\0")
-        with pytest.raises(DatasetError, match="trailing"):
-            load(str(torn))
+    path = tmp_path / "whole"
+    save_ticket(tiny_ticket(), str(path))
+    raw = path.read_bytes()
+    load_ticket(str(path))
+    torn = tmp_path / "torn"
+    for cut in range(len(raw)):
+        torn.write_bytes(raw[:cut])
+        with pytest.raises(DatasetError):
+            load_ticket(str(torn))
+    torn.write_bytes(raw + b"\0")
+    with pytest.raises(DatasetError, match="trailing"):
+        load_ticket(str(torn))
 
 
 def test_ticket_rejects_per_layer_size_mismatch():

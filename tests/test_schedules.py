@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from prunelab.errors import AlignmentError, DomainError, InfeasibleSparsityError
 from prunelab.models import ArchFamily, LayerSpec
-from prunelab.pruning import Mask, round_half_up
+from prunelab.pruning import round_half_up
 from prunelab.schedules import (
     OUTPUT_KEEP_RATIO,
     SCHEDULE_KINDS,
     KeepRatioSchedule,
     ablation_schedule,
-    extract_schedule,
     retained_budget,
     schedule_by_name,
     smart_ratio,
@@ -112,23 +111,11 @@ def test_schedule_by_name_dispatch_and_rejection():
         sizes, None, 0.9
     ).quotas
     with pytest.raises(DomainError):
-        schedule_by_name("extracted", sizes, None, 0.9)
-    with pytest.raises(DomainError):
         schedule_by_name("golden", sizes, None, 0.9)
 
 
 def test_schedule_kind_registry():
-    assert set(SCHEDULE_KINDS) == {
-        "smart", "balanced", "ascending", "linear", "cubic", "extracted"
-    }
-
-
-def test_extract_schedule_reads_counts_off_a_mask():
-    mask = Mask((np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])))
-    sched = extract_schedule(mask)
-    assert sched.quotas == (2, 1)
-    assert sched.ratios == (pytest.approx(2 / 3), pytest.approx(1 / 4))
-    assert sched.target_sparsity == pytest.approx(1.0 - 3.0 / 7.0)
+    assert set(SCHEDULE_KINDS) == {"smart", "balanced", "ascending", "linear", "cubic"}
 
 
 def test_keep_ratio_schedule_validates_lengths():
