@@ -63,8 +63,6 @@ from .pipelines import (
     iterative_magnitude_prune,
     learning_rate_at,
     load_ticket,
-    make_initial_ticket,
-    make_random_ticket,
     replay_ticket,
     run_cell,
     save_ticket,
@@ -86,7 +84,6 @@ from .pruning import (
 )
 from .schedules import (
     KeepRatioSchedule,
-    ablation_schedule,
     schedule_by_name,
     smart_ratio,
     smart_raw_weights,

@@ -13,11 +13,13 @@ import json
 import sys
 
 from . import __version__
+from .checks import STRUCTURAL_CHECKS
 from .data import load_dataset
 from .errors import DatasetError, DomainError, PrunelabError
 from .harness import emit_report, load_config, parse_rows, run_experiment
 from .models import ArchFamily, PRESET_NAMES, preset_specs
 from .pipelines import (
+    IMP_MODES,
     TICKET_KINDS,
     TrainConfig,
     apply_structural_check,
@@ -165,7 +167,7 @@ def build_parser():
     p_ticket.add_argument("--classes", type=int, default=3)
     p_ticket.add_argument("--family", default="plain", choices=[f.value for f in ArchFamily])
     p_ticket.add_argument("--schedule", default="smart", choices=SCHEDULE_KINDS)
-    p_ticket.add_argument("--mode", default="reset", choices=("reset", "lr-rewind", "hybrid"))
+    p_ticket.add_argument("--mode", default="reset", choices=IMP_MODES)
     p_ticket.add_argument("--round-fraction", type=float, default=0.2)
     p_ticket.add_argument("--rewind-epoch", type=int, default=None)
     p_ticket.add_argument("--epochs", type=int, default=40)
@@ -174,7 +176,7 @@ def build_parser():
 
     p_check = sub.add_parser("check", help="apply a structural sanity check to a ticket")
     p_check.add_argument("ticket", help="path to a saved ticket")
-    p_check.add_argument("check", choices=("rearrange", "shuffle-weights"))
+    p_check.add_argument("check", choices=STRUCTURAL_CHECKS)
     p_check.add_argument("--seed", type=int, default=None,
                          help="seed of the grid cell whose check stream to draw from "
                               "(default: the ticket's seed)")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv as csv_module
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -212,24 +213,26 @@ def load_dataset(source: dict) -> DataSplit:
             f"{kind} dataset takes no key {unknown}; allowed: {DATASET_KEYS[kind]}"
         )
     if kind == "synthetic-blobs":
-        return synthetic_blobs(
-            int(source.get("classes", 3)),
-            int(source.get("dim", 16)),
-            int(source.get("n", 600)),
-            int(source.get("seed", 0)),
-            noise=float(source.get("noise", 1.0)),
-            sample_shape=source.get("shape"),
-        )
+        defaults = {"classes": 3, "dim": 16, "n": 600, "seed": 0}
+        counts = {k: source.get(k, d) for k, d in defaults.items()}
+        for k, v in counts.items():
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise DatasetError(f"synthetic-blobs {k} must be an integer, not {v!r}")
+        try:
+            return synthetic_blobs(
+                **counts, noise=float(source.get("noise", 1.0)), sample_shape=source.get("shape")
+            )
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"synthetic-blobs: bad noise or shape: {exc}") from None
+    # idx-files and csv read only paths, and need each of them.
+    for key in DATASET_KEYS[kind]:
+        if not isinstance(source.get(key), str):
+            raise DatasetError(f"{kind} source needs {key!r} as a path string")
     if kind == "idx-files":
-        for key in DATASET_KEYS[kind]:
-            if key not in source:
-                raise DatasetError(f"idx-files source needs {key!r}")
         return load_idx_split(
             source["train_images"],
             source["train_labels"],
             source["test_images"],
             source["test_labels"],
         )
-    if "path" not in source:
-        raise DatasetError("csv source needs a 'path'")
     return load_csv(source["path"])

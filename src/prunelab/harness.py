@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -20,10 +21,30 @@ import numpy as np
 from .checks import CHECK_NAMES
 from .data import load_dataset
 from .engine import NUMERICS_VERSION
-from .errors import ConfigError, PrunelabError
-from .models import PRESET_NAMES, preset_specs
-from .pipelines import PIPELINE_OPTIONS, TICKET_KINDS, TrainConfig, run_cell
+from .errors import ConfigError, DomainError, PrunelabError
+from .models import PRESET_NAMES, ArchFamily, preset_specs
+from .pipelines import IMP_MODES, PIPELINE_OPTIONS, TICKET_KINDS, TrainConfig, run_cell
 from .schedules import SCHEDULE_KINDS
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+FAMILIES = tuple(f.value for f in ArchFamily)
+# Each pipeline option: the values it takes, and a test for them.
+OPTION_VALUES = {
+    "family": (f"one of {FAMILIES}", lambda v: v in FAMILIES),
+    "schedule": (f"one of {SCHEDULE_KINDS}", lambda v: v in SCHEDULE_KINDS),
+    "mode": (f"one of {IMP_MODES}", lambda v: v in IMP_MODES),
+    "rewind_epoch": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "preserve_output_layer": ("true or false", lambda v: isinstance(v, bool)),
+    "round_fraction": ("a number in (0, 1)", lambda v: _is_number(v) and 0.0 < v < 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -38,6 +59,15 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        for p in self.pipelines:
+            if not isinstance(p, dict):
+                raise ConfigError(f"pipeline entry {p!r} is not a mapping")
+        for s in self.sparsities:
+            if not (_is_number(s) and 0.0 <= s < 1.0):
+                raise ConfigError(f"sparsity {s!r} outside [0, 1)")
+        for s in self.seeds:
+            if not _is_int(s):
+                raise ConfigError(f"seed {s!r} is not an integer")
         object.__setattr__(self, "pipelines", tuple(dict(p) for p in self.pipelines))
         object.__setattr__(self, "sparsities", tuple(float(s) for s in self.sparsities))
         object.__setattr__(self, "checks", tuple(self.checks))
@@ -55,14 +85,13 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"pipeline {p['kind']!r} takes no option {unknown}; allowed: {allowed}"
                 )
-            if "schedule" in p and p["schedule"] not in SCHEDULE_KINDS:
-                raise ConfigError(f"unknown schedule {p['schedule']!r} in {p}")
+            for key in PIPELINE_OPTIONS[p["kind"]]:
+                expected, ok = OPTION_VALUES[key]
+                if key in p and not ok(p[key]):
+                    raise ConfigError(f"unknown {key} {p[key]!r} in {p}; expected {expected}")
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}; choose from {CHECK_NAMES}")
-        for s in self.sparsities:
-            if not (0.0 <= s < 1.0):
-                raise ConfigError(f"sparsity {s} outside [0, 1)")
 
     def to_dict(self):
         return {
@@ -99,7 +128,7 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"config is missing required key {exc}") from None
-        except TypeError as exc:
+        except (TypeError, ValueError, DomainError) as exc:
             raise ConfigError(str(exc)) from None
 
 

@@ -1,11 +1,11 @@
-"""Ticket pipelines: masked SGD training, ticket constructors, the ticket file.
+"""Ticket pipelines: masked SGD training, ticket construction, the ticket file.
 
 A ticket is (mask, weights, provenance): everything needed to retrain a
-pruned network.  Constructors cover score-at-init tickets (snip, grasp),
-magnitude tickets from a pretrained network (one constructor, with a table
-row per kind: reset to init, weight rewinding, fresh-schedule retraining of
-trained weights, layerwise schedule-constrained pruning), schedule-driven
-random tickets, and iterative magnitude pruning.
+pruned network.  `build_ticket` constructs every kind: the dense network,
+schedule-driven random tickets, score-at-init tickets (snip, grasp),
+magnitude tickets from a pretrained network (a table row per kind: reset to
+init, weight rewinding, fresh-schedule retraining of trained weights,
+layerwise schedule-constrained pruning), and iterative magnitude pruning.
 
 Training is plain SGD with momentum and weight decay, stepped in place on
 one flat buffer each for the weights, velocity, mask and gradient of a run.
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 import struct
+import zlib
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -46,6 +48,7 @@ from .checks import (
 from .models import ArchFamily, LayeredParams, LayerSpec, accuracy, build_network, layer_sizes
 from .pruning import (
     _select_global,
+    _select_layerwise,
     Mask,
     ScoreMap,
     full_mask,
@@ -91,6 +94,8 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lr_drop_points", tuple(float(p) for p in self.lr_drop_points))
+        if not all(isinstance(v, numbers.Integral) for v in (self.epochs, self.batch_size)):
+            raise DomainError("epochs and batch_size must be integers")
         if self.epochs < 0 or self.batch_size < 1:
             raise DomainError("epochs must be >= 0 and batch_size >= 1")
         if self.initial_lr <= 0 or self.lr_drop_factor <= 0:
@@ -188,8 +193,9 @@ def train(
     keep = np.concatenate(mask.layers)
     grad = np.empty_like(weights)
     step = np.empty_like(weights)
-    cur = params.with_weights(_layer_views(weights, params.weights))
-    grads = _layer_views(grad, params.weights)
+    bounds = np.cumsum([w.size for w in params.weights])[:-1]
+    cur = params.with_weights(np.split(weights, bounds))
+    grads = np.split(grad, bounds)
     n = data.n
     shape = data.sample_shape_for_net()
     checkpoints = {}
@@ -238,15 +244,6 @@ def train(
     return TrainResult(cur, tuple(history), checkpoints)
 
 
-def _layer_views(flat, layers):
-    """Consecutive views of `flat`, one per array in `layers` and of its size."""
-    views, start = [], 0
-    for x in layers:
-        views.append(flat[start : start + x.size])
-        start += x.size
-    return views
-
-
 def best_accuracy(result, params_if_empty=None, mask=None, eval_data=None) -> float:
     """Best per-epoch eval accuracy of a run, in [0, 1]."""
     accs = [h.accuracy for h in result.history if h.accuracy is not None]
@@ -281,31 +278,10 @@ def _arch_provenance(specs):
     ]
 
 
-def make_initial_ticket(kind, specs, data, target_sparsity, seed) -> Ticket:
-    """Score a fresh initialization on one batch and prune globally."""
-    if kind not in ("snip", "grasp"):
-        raise DomainError(f"initial tickets support snip or grasp, not {kind!r}")
-    params = build_network(specs, seed)
-    ones = full_mask(layer_sizes(specs))
-    samples, labels, idx = score_batch(data, seed)
-    shape = data.sample_shape_for_net()
-    if kind == "snip":
-        scores = snip_scores(params, ones, samples, labels, sample_shape=shape)
-    else:
-        scores = grasp_scores(params, ones, samples, labels, sample_shape=shape)
-    mask = mask_from_scores_global(scores, target_sparsity)
-    return Ticket(
-        mask,
-        params,
-        {
-            "kind": kind,
-            "criterion": kind,
-            "sparsity": float(target_sparsity),
-            "seed": int(seed),
-            "score_batch": [int(i) for i in idx],
-            "arch": _arch_provenance(specs),
-        },
-    )
+def _header(kind, specs, target_sparsity, seed, **fields):
+    """The provenance every ticket starts with, then its kind's own `fields`."""
+    return {"kind": kind, "sparsity": float(target_sparsity), "seed": int(seed),
+            "arch": _arch_provenance(specs), **fields}
 
 
 def _resolve(data):
@@ -363,8 +339,7 @@ def _trained_ticket(
     """Pretrain densely, prune by trained magnitude as `kind`'s row says."""
     rule, kept, offset = TRAINED_TICKETS[kind]
     epochs = {0, cfg.epochs}
-    prov = {"kind": kind, "criterion": "magnitude", "sparsity": float(target_sparsity),
-            "seed": int(seed)}
+    prov = _header(kind, specs, target_sparsity, seed, criterion="magnitude")
     if kept == "rewind":
         kept = offset = int(rewind_epoch)
         if kept < 0 or kept > cfg.epochs:
@@ -382,7 +357,7 @@ def _trained_ticket(
                     source_checkpoints=dict(result.checkpoints))
     if offset is not None:
         prov["schedule_offset"] = offset
-    prov.update(pretrain=run_cfg.to_dict(), arch=_arch_provenance(specs))
+    prov["pretrain"] = run_cfg.to_dict()
     weights = result.params if kept == "trained" else result.checkpoints[kept]
     return Ticket(mask, weights, prov)
 
@@ -401,31 +376,6 @@ def _global_magnitude_mask(params, target_sparsity, preserve_output_layer):
         ScoreMap(scores.layers[:-1]), np.ones(sum(sizes[:-1]), dtype=bool), budget - sizes[-1]
     )
     return Mask(hidden.layers + (np.ones(sizes[-1]),))
-
-
-def make_random_ticket(
-    specs, target_sparsity, family, seed, schedule_kind="smart"
-) -> Ticket:
-    """Schedule-driven random mask over a fresh initialization; data-free."""
-    sizes = layer_sizes(specs)
-    schedule = schedule_by_name(schedule_kind, sizes, specs, target_sparsity, family)
-    params = build_network(specs, seed)
-    mask = random_mask_from_schedule(
-        schedule, sizes, seeding.stream(seed, seeding.RANDOM_MASK)
-    )
-    return Ticket(
-        mask,
-        params,
-        {
-            "kind": "random",
-            "criterion": "random",
-            "schedule": schedule_kind,
-            "family": ArchFamily(family).value,
-            "sparsity": float(target_sparsity),
-            "seed": int(seed),
-            "arch": _arch_provenance(specs),
-        },
-    )
 
 
 IMP_MODES = ("reset", "lr-rewind", "hybrid")
@@ -484,43 +434,21 @@ def iterative_magnitude_prune(
         if mode == "hybrid":
             t = (total - next_n) / (total - budget)
             reals = [m - t * (m - q) for m, q in zip(sizes, final_schedule.quotas)]
-            quotas = _largest_remainder(reals, prev_quotas, next_n)
-            new_layers = []
-            for s, c, q in zip(scores.layers, mask.layers, quotas):
-                eligible = c > 0
-                masked = np.where(eligible, s, -np.inf)
-                keep = np.argsort(-masked, kind="stable")[:q]
-                nc = np.zeros(s.size)
-                nc[keep] = 1.0
-                new_layers.append(nc)
-            new_mask = Mask(tuple(new_layers))
-            prev_quotas = quotas
+            prev_quotas = _largest_remainder(reals, prev_quotas, next_n)
+            new_mask = _select_layerwise(scores, mask, prev_quotas)
         else:
-            eligible = np.concatenate([c > 0 for c in mask.layers])
-            new_mask = _select_global(scores, eligible, next_n)
+            new_mask = _select_global(scores, np.concatenate(mask.layers) > 0, next_n)
         for old, new in zip(mask.layers, new_mask.layers):
             assert not ((new == 1.0) & (old == 0.0)).any(), "pruning must only remove"
         mask = new_mask
         survivors = next_n
         weights = init if mode == "reset" else trained
 
-    return Ticket(
-        mask,
-        weights,
-        {
-            "kind": "imp",
-            "mode": mode,
-            "criterion": "magnitude",
-            "family": ArchFamily(family).value,
-            "sparsity": float(target_sparsity),
-            "round_fraction": float(round_fraction),
-            "rounds": rounds,
-            "seed": int(seed),
-            "pretrain": pretrain_cfg.to_dict(),
-            "schedule_offset": 0,
-            "arch": _arch_provenance(specs),
-        },
-    )
+    return Ticket(mask, weights, _header(
+        "imp", specs, target_sparsity, seed, mode=mode, criterion="magnitude",
+        family=ArchFamily(family).value, round_fraction=float(round_fraction), rounds=rounds,
+        pretrain=pretrain_cfg.to_dict(), schedule_offset=0,
+    ))
 
 
 def build_ticket(
@@ -539,19 +467,6 @@ def build_ticket(
     data = split.train if isinstance(split, DataSplit) else split
     if kind not in DATA_FREE_KINDS and data is None:
         raise DomainError(f"pipeline {kind!r} needs data")
-    if kind == "dense":
-        return Ticket(
-            full_mask(layer_sizes(specs)),
-            build_network(specs, seed),
-            {"kind": "dense", "sparsity": 0.0, "seed": int(seed),
-             "arch": _arch_provenance(specs)},
-        )
-    if kind == "random":
-        return make_random_ticket(
-            specs, target_sparsity, family, seed, schedule_kind=params.get("schedule", "smart")
-        )
-    if kind in ("snip", "grasp"):
-        return make_initial_ticket(kind, specs, _resolve(data), target_sparsity, seed)
     if kind in TRAINED_TICKETS:
         return _trained_ticket(
             kind, specs, data, target_sparsity, cfg, seed,
@@ -564,7 +479,31 @@ def build_ticket(
             specs, _resolve(data), target_sparsity, float(params.get("round_fraction", 0.2)),
             cfg, params.get("mode", "reset"), seed, family,
         )
-    raise DomainError(f"unknown pipeline kind {kind!r}; choose from {TICKET_KINDS}")
+    sizes = layer_sizes(specs)
+    if kind == "dense":
+        return Ticket(full_mask(sizes), build_network(specs, seed), _header(kind, specs, 0, seed))
+    if kind == "random":
+        name = params.get("schedule", "smart")
+        schedule = schedule_by_name(name, sizes, specs, target_sparsity, family)
+        init = build_network(specs, seed)
+        rng = seeding.stream(seed, seeding.RANDOM_MASK)
+        mask = random_mask_from_schedule(schedule, sizes, rng)
+        return Ticket(mask, init, _header(
+            kind, specs, target_sparsity, seed, criterion=kind, schedule=name,
+            family=family.value,
+        ))
+    if kind not in ("snip", "grasp"):
+        raise DomainError(f"unknown pipeline kind {kind!r}; choose from {TICKET_KINDS}")
+    # Score a fresh initialization on one batch and prune globally.
+    data = _resolve(data)
+    init = build_network(specs, seed)
+    samples, labels, idx = score_batch(data, seed)
+    score = snip_scores if kind == "snip" else grasp_scores
+    shape = data.sample_shape_for_net()
+    scores = score(init, full_mask(sizes), samples, labels, sample_shape=shape)
+    return Ticket(mask_from_scores_global(scores, target_sparsity), init, _header(
+        kind, specs, target_sparsity, seed, criterion=kind, score_batch=[int(i) for i in idx]
+    ))
 
 
 def checked_ticket(
@@ -620,9 +559,7 @@ def replay_ticket(provenance, specs, split) -> Ticket:
 
 def apply_structural_check(ticket, check, rng) -> Ticket:
     """Attack a finished ticket's mask placement or weight values."""
-    prov = dict(ticket.provenance)
-    prov.setdefault("checks", [])
-    prov["checks"] = list(prov["checks"]) + [check]
+    prov = {**ticket.provenance, "checks": [*ticket.provenance.get("checks", ()), check]}
     if check == "rearrange":
         return Ticket(rearrange_mask_layerwise(ticket.mask, rng), ticket.weights, prov)
     if check == "shuffle-weights":
@@ -672,8 +609,10 @@ def run_cell(
     return CellResult(100.0 * best, tuple(ratios), any(r == 0.0 for r in ratios), ticket)
 
 
+# Layout: magic, version, arch JSON, provenance JSON, layer count, then each
+# layer's weights and mask; a little-endian CRC32 of every earlier byte ends it.
 TICKET_MAGIC = b"PLTCKT01"
-CONTAINER_VERSION = 1
+CONTAINER_VERSION = 2
 
 
 def _pack_array(arr):
@@ -739,6 +678,7 @@ def save_ticket(ticket, path):
     for w, c in zip(ticket.weights.weights, ticket.mask.layers):
         buf.write(_pack_array(w))
         buf.write(_pack_array(c))
+    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
     with open(path, "wb") as f:
         f.write(buf.getvalue())
 
@@ -775,8 +715,11 @@ def load_ticket(path) -> Ticket:
         c, offset = _unpack_array(buf, offset, spec.weight_count, path)
         weights.append(w)
         layers.append(c)
-    if offset != len(buf):
-        raise DatasetError(f"{path}: {len(buf) - offset} trailing bytes after byte {offset}")
+    (crc,), end = _unpack("<I", buf, offset, path)
+    if crc != zlib.crc32(buf[:offset]):
+        raise DatasetError(f"{path}: checksum mismatch over bytes 0-{offset - 1}")
+    if end != len(buf):
+        raise DatasetError(f"{path}: {len(buf) - end} trailing bytes after byte {end}")
     try:
         return Ticket(Mask(tuple(layers)), LayeredParams(specs, tuple(weights)), prov)
     except PrunelabError as exc:

@@ -112,6 +112,20 @@ def mask_from_scores_global(scores, target_sparsity) -> Mask:
     return _select_global(scores, np.ones(total, dtype=bool), k)
 
 
+def _select_layerwise(scores, within, quotas) -> Mask:
+    """Keep each layer's quota of best scores among the positions the mask `within` keeps.
+
+    The layerwise sibling of `_select_global`: ties break by position.
+    """
+    layers = []
+    for s, c, q in zip(scores.layers, within.layers, quotas):
+        candidates = np.flatnonzero(c)
+        out = np.zeros(s.size)
+        out[candidates[np.argsort(-s[candidates], kind="stable")[:q]]] = 1.0
+        layers.append(out)
+    return Mask(tuple(layers))
+
+
 def mask_from_scores_layerwise(scores, schedule) -> Mask:
     """Keep each layer's quota of best-scoring weights; ties by position."""
     quotas = schedule.quotas
@@ -119,16 +133,10 @@ def mask_from_scores_layerwise(scores, schedule) -> Mask:
         raise AlignmentError(
             f"schedule has {len(quotas)} layers, scores have {len(scores.layers)}"
         )
-    layers = []
     for i, (s, q) in enumerate(zip(scores.layers, quotas)):
-        q = int(q)
         if q < 0 or q > s.size:
             raise DomainError(f"layer {i}: quota {q} outside [0, {s.size}]")
-        keep = np.argsort(-s, kind="stable")[:q]
-        c = np.zeros(s.size)
-        c[keep] = 1.0
-        layers.append(c)
-    mask = Mask(tuple(layers))
+    mask = _select_layerwise(scores, full_mask(s.size for s in scores.layers), quotas)
     if mask.total_kept == 0:
         raise EmptyNetworkError("all layer quotas are zero")
     return mask

@@ -165,39 +165,27 @@ def smart_ratio(sizes, specs, target_sparsity, family=ArchFamily.PLAIN) -> KeepR
     return _finalize(raws, sizes, target_sparsity)
 
 
-def ablation_schedule(
-    kind, sizes, specs, target_sparsity, family=ArchFamily.PLAIN
-) -> KeepRatioSchedule:
-    """Alternative depth profiles sharing the scale-cap-finalize pipeline.
+def schedule_by_name(kind, sizes, specs, target_sparsity, family=ArchFamily.PLAIN):
+    """Dispatch on the schedule-kind names; every profile shares scale-cap-finalize.
 
+    smart: the main schedule (`smart_ratio`).
     balanced: flat raw, so every hidden layer gets the same keep-ratio.
     ascending: the main schedule's hidden ratio sequence reversed.
     linear: raw(l) = L - l + 1.  cubic: raw(l) = (L - l + 1)^3.
     """
-    sizes = _validate_inputs(sizes, specs, target_sparsity)
-    n = len(sizes)
+    if kind not in SCHEDULE_KINDS:
+        raise DomainError(f"unknown schedule kind {kind!r}; choose from {SCHEDULE_KINDS}")
     if kind == "smart":
         return smart_ratio(sizes, specs, target_sparsity, family)
+    sizes = _validate_inputs(sizes, specs, target_sparsity)
+    n = len(sizes)
     if kind == "balanced":
         raws = [1.0] * (n - 1)
     elif kind == "linear":
         raws = [float(n - l + 1) for l in range(1, n)]
     elif kind == "cubic":
         raws = [float((n - l + 1) ** 3) for l in range(1, n)]
-    elif kind == "ascending":
-        reals, _ = _real_retained(smart_raw_weights(n, family), sizes, target_sparsity)
-        hidden_ratios = [k / m for k, m in zip(reals[:-1], sizes[:-1])]
-        raws = hidden_ratios[::-1]
     else:
-        raise DomainError(f"unknown schedule kind {kind!r}")
+        reals, _ = _real_retained(smart_raw_weights(n, family), sizes, target_sparsity)
+        raws = [k / m for k, m in zip(reals[:-1], sizes[:-1])][::-1]
     return _finalize(raws, sizes, target_sparsity)
-
-
-def schedule_by_name(kind, sizes, specs, target_sparsity, family=ArchFamily.PLAIN):
-    """Dispatch on the public schedule-kind names."""
-    if kind not in SCHEDULE_KINDS:
-        raise DomainError(f"unknown schedule kind {kind!r}; choose from {SCHEDULE_KINDS}")
-    if kind == "smart":
-        return smart_ratio(sizes, specs, target_sparsity, family)
-    return ablation_schedule(kind, sizes, specs, target_sparsity, family)
-

@@ -54,6 +54,20 @@ def test_run_executes_a_config(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("typo", [
     {"pipelines": [{"kind": "lt", "schedul": "smart"}]},
     {"dataset": {**TINY["dataset"], "clases": 4}},
+    # malformed values: each once ended in a traceback, or ran wrongly
+    {"pipelines": [{"kind": "weight-rewind", "rewind_epoch": "x"}]},
+    {"pipelines": [{"kind": "weight-rewind", "rewind_epoch": 1.7}]},
+    {"pipelines": [{"kind": "hybrid", "family": "plian"}]},
+    {"pipelines": [{"kind": "imp", "round_fraction": "abc"}]},
+    {"pipelines": [{"kind": "imp", "mode": "anneal"}]},
+    {"pipelines": [{"kind": "lt", "preserve_output_layer": "no"}]},
+    {"pipelines": ["lt"]},
+    {"seeds": ["x"]},
+    {"sparsities": ["x"]},
+    {"train": {**TINY["train"], "epochs": 2.5}},
+    {"dataset": {**TINY["dataset"], "classes": "x"}},
+    {"dataset": {**TINY["dataset"], "noise": [1]}},
+    {"dataset": {"kind": "csv", "path": 5}},
 ])
 def test_run_config_typo_exits_one_with_one_line(tmp_path, capsys, typo):
     cfg_path = tmp_path / "exp.json"

@@ -62,10 +62,30 @@ def test_config_rejects_bad_shapes():
         tiny_config(pipelines=[{"kind": "random", "schedule": "spiral"}])
     with pytest.raises(ConfigError, match="unknown schedule"):
         tiny_config(pipelines=[{"kind": "random", "schedule": "extracted"}])
+    for entry, key in [
+        ({"kind": "weight-rewind", "rewind_epoch": "x"}, "rewind_epoch"),
+        ({"kind": "weight-rewind", "rewind_epoch": 1.7}, "rewind_epoch"),
+        ({"kind": "weight-rewind", "rewind_epoch": -1}, "rewind_epoch"),
+        ({"kind": "hybrid", "family": "plian"}, "family"),
+        ({"kind": "imp", "round_fraction": "abc"}, "round_fraction"),
+        ({"kind": "imp", "round_fraction": 1.0}, "round_fraction"),
+        ({"kind": "imp", "mode": "anneal"}, "mode"),
+        ({"kind": "lt", "preserve_output_layer": "no"}, "preserve_output_layer"),
+    ]:
+        with pytest.raises(ConfigError, match=f"unknown {key}"):
+            tiny_config(pipelines=[entry])
+    with pytest.raises(ConfigError, match="not a mapping"):
+        tiny_config(pipelines=["lt"])
     with pytest.raises(ConfigError, match="unknown check"):
         tiny_config(checks=["mirror"])
     with pytest.raises(ConfigError, match="outside"):
         tiny_config(sparsities=[1.0])
+    with pytest.raises(ConfigError, match="outside"):
+        tiny_config(sparsities=["x"])
+    with pytest.raises(ConfigError, match="not an integer"):
+        tiny_config(seeds=["x"])
+    with pytest.raises(ConfigError, match="integers"):
+        tiny_config(train={**TINY["train"], "epochs": 2.5})
     with pytest.raises(ConfigError):
         tiny_config(seeds=[])
 

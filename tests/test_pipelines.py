@@ -27,8 +27,6 @@ from prunelab.pipelines import (
     iterative_magnitude_prune,
     learning_rate_at,
     load_ticket,
-    make_initial_ticket,
-    make_random_ticket,
     replay_ticket,
     run_cell,
     save_ticket,
@@ -238,7 +236,7 @@ def test_score_batch_is_capped_and_deterministic():
 
 @pytest.mark.parametrize("kind", ["snip", "grasp"])
 def test_initial_tickets_prune_a_fresh_init(kind):
-    ticket = make_initial_ticket(kind, SPECS, SPLIT.train, 0.5, seed=2)
+    ticket = build_ticket(kind, SPECS, SPLIT.train, 0.5, 2, FAST)
     total = sum(SIZES)
     assert ticket.mask.total_kept == round_half_up(0.5 * total)
     for w, init in zip(ticket.weights.weights, build_network(SPECS, 2).weights):
@@ -246,7 +244,7 @@ def test_initial_tickets_prune_a_fresh_init(kind):
     assert ticket.provenance["kind"] == kind
     assert len(ticket.provenance["score_batch"]) == SPLIT.train.n
     with pytest.raises(DomainError):
-        make_initial_ticket("magnitude", SPECS, SPLIT.train, 0.5, seed=2)
+        build_ticket("magnitude", SPECS, SPLIT.train, 0.5, 2, FAST)
 
 
 def test_lt_ticket_resets_kept_weights_to_init_bit_for_bit():
@@ -302,11 +300,11 @@ def test_hybrid_ticket_fills_schedule_quotas_with_layer_magnitude():
 
 def test_random_ticket_is_data_free_and_schedule_exact():
     for kind in ("smart", "balanced", "ascending", "linear", "cubic"):
-        ticket = make_random_ticket(SPECS, 0.6, "plain", 9, schedule_kind=kind)
+        ticket = build_ticket("random", SPECS, None, 0.6, 9, FAST, {"schedule": kind})
         assert ticket.mask.total_kept == round_half_up(0.4 * sum(SIZES))
         assert ticket.provenance["schedule"] == kind
-    a = make_random_ticket(SPECS, 0.6, "plain", 10)
-    b = make_random_ticket(SPECS, 0.6, "plain", 10)
+    a = build_ticket("random", SPECS, None, 0.6, 10, FAST, {"family": "plain"})
+    b = build_ticket("random", SPECS, None, 0.6, 10, FAST, {"family": "plain"})
     for ca, cb in zip(a.mask.layers, b.mask.layers):
         assert np.array_equal(ca, cb)
 
@@ -599,6 +597,19 @@ def test_containers_reject_every_truncation_and_trailing_bytes(tmp_path):
     torn.write_bytes(raw + b"\0")
     with pytest.raises(DatasetError, match="trailing"):
         load_ticket(str(torn))
+
+
+def test_ticket_container_rejects_every_single_flipped_byte(tmp_path):
+    path = tmp_path / "whole"
+    save_ticket(tiny_ticket(), str(path))
+    raw = path.read_bytes()
+    flipped = tmp_path / "flipped"
+    for i in range(len(raw)):
+        bad = bytearray(raw)
+        bad[i] ^= 0x01
+        flipped.write_bytes(bytes(bad))
+        with pytest.raises(DatasetError):
+            load_ticket(str(flipped))
 
 
 def test_ticket_rejects_per_layer_size_mismatch():

@@ -12,7 +12,6 @@ from prunelab.schedules import (
     OUTPUT_KEEP_RATIO,
     SCHEDULE_KINDS,
     KeepRatioSchedule,
-    ablation_schedule,
     retained_budget,
     schedule_by_name,
     smart_ratio,
@@ -80,28 +79,28 @@ def test_schedule_input_validation():
 
 
 def test_ablation_linear_and_cubic_raw_profiles():
-    lin = ablation_schedule("linear", [100, 100, 100, 50], None, 0.9)
-    cub = ablation_schedule("cubic", [100, 100, 100, 50], None, 0.9)
+    lin = schedule_by_name("linear", [100, 100, 100, 50], None, 0.9)
+    cub = schedule_by_name("cubic", [100, 100, 100, 50], None, 0.9)
     # proportionality survives uniform sizes: ratios follow the raw profile
     assert lin.ratios[0] / lin.ratios[2] == pytest.approx(4.0 / 2.0, rel=0.15)
     assert cub.ratios[0] / cub.ratios[2] == pytest.approx(64.0 / 8.0, rel=0.3)
 
 
 def test_ablation_balanced_equalizes_hidden_quotas():
-    bal = ablation_schedule("balanced", [200, 200, 200, 50], None, 0.9)
+    bal = schedule_by_name("balanced", [200, 200, 200, 50], None, 0.9)
     hidden = bal.quotas[:-1]
     assert max(hidden) - min(hidden) <= 1
 
 
 def test_ablation_ascending_reverses_the_hidden_profile():
-    asc = ablation_schedule("ascending", [100, 100, 100, 100, 50], None, 1.0 - 83.0 / 450.0)
+    asc = schedule_by_name("ascending", [100, 100, 100, 100, 50], None, 1.0 - 83.0 / 450.0)
     assert np.allclose(asc.ratios[:-1], [0.06, 0.12, 0.20, 0.30], atol=1e-12, rtol=0)
     assert asc.quotas == (6, 12, 20, 30, 15)
 
 
 def test_ablation_ascending_keeps_budget_on_uneven_sizes():
     sizes = [384, 1152, 4608, 384]
-    asc = ablation_schedule("ascending", sizes, None, 0.9)
+    asc = schedule_by_name("ascending", sizes, None, 0.9)
     assert asc.total_kept == retained_budget(sizes, 0.9)
 
 
