@@ -58,7 +58,6 @@ from .pipelines import (
     TrainConfig,
     TrainResult,
     apply_structural_check,
-    best_accuracy,
     build_ticket,
     iterative_magnitude_prune,
     learning_rate_at,

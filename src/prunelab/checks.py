@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .errors import AlignmentError, DomainError
+from .engine import check_alignment
+from .errors import DomainError
 from .pruning import Mask
 
 DATA_CHECKS = ("random-labels", "random-pixels", "corrupt-both", "half-data")
@@ -58,14 +59,9 @@ def rearrange_mask_layerwise(mask, rng) -> Mask:
 
 def shuffle_unmasked_weights(params, mask, rng):
     """Permute the surviving weight values within each layer; mask untouched."""
-    if len(mask.layers) != len(params.weights):
-        raise AlignmentError(
-            f"mask has {len(mask.layers)} layers, params have {len(params.weights)}"
-        )
+    check_alignment(params, mask)
     new_weights = []
     for w, c in zip(params.weights, mask.layers):
-        if w.shape != c.shape:
-            raise AlignmentError("mask and weights are misaligned")
         out = w.copy()
         kept = np.flatnonzero(c)
         out[kept] = w[kept][rng.permutation(kept.size)]

@@ -17,9 +17,11 @@ from .checks import STRUCTURAL_CHECKS
 from .data import load_dataset
 from .errors import DatasetError, DomainError, PrunelabError
 from .harness import emit_report, load_config, parse_rows, run_experiment
-from .models import ArchFamily, PRESET_NAMES, preset_specs
+from .models import PRESET_NAMES, preset_specs
 from .pipelines import (
+    FAMILIES,
     IMP_MODES,
+    OPTIONS,
     TICKET_KINDS,
     TrainConfig,
     apply_structural_check,
@@ -86,10 +88,8 @@ def _cmd_ticket(args):
         classes = args.classes
     specs = preset_specs(args.arch, specs_shape, classes)
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
-    params = {"family": args.family, "schedule": args.schedule, "mode": args.mode,
-              "round_fraction": args.round_fraction}
-    if args.rewind_epoch is not None:
-        params["rewind_epoch"] = args.rewind_epoch
+    # Only the options given; build_ticket fills in the rest.
+    params = {k: getattr(args, k) for k in OPTIONS if getattr(args, k, None) is not None}
     ticket = build_ticket(args.kind, specs, split, args.sparsity, args.seed, cfg, params)
     save_ticket(ticket, args.out)
     ratios = ", ".join(f"{r:.4f}" for r in keep_ratios(ticket.mask))
@@ -120,8 +120,7 @@ def _cmd_ratios(args):
     shape = tuple(int(d) for d in args.input_shape.split("x"))
     specs = preset_specs(args.preset, shape, args.classes)
     sizes = [s.weight_count for s in specs]
-    schedule = schedule_by_name(args.kind, sizes, specs, args.sparsity,
-                                ArchFamily(args.family))
+    schedule = schedule_by_name(args.kind, sizes, specs, args.sparsity, args.family)
     print(f"{'layer':>5}  {'kind':<6} {'size':>8} {'quota':>8} {'ratio':>10}")
     for i, (spec, m, q, r) in enumerate(
         zip(specs, sizes, schedule.quotas, schedule.ratios), start=1
@@ -165,11 +164,11 @@ def build_parser():
     p_ticket.add_argument("--data", help="dataset, e.g. synthetic-blobs:classes=3,dim=16,n=600,seed=7")
     p_ticket.add_argument("--input-shape", default="16", help="AxBxC input shape for data-free kinds")
     p_ticket.add_argument("--classes", type=int, default=3)
-    p_ticket.add_argument("--family", default="plain", choices=[f.value for f in ArchFamily])
-    p_ticket.add_argument("--schedule", default="smart", choices=SCHEDULE_KINDS)
-    p_ticket.add_argument("--mode", default="reset", choices=IMP_MODES)
-    p_ticket.add_argument("--round-fraction", type=float, default=0.2)
-    p_ticket.add_argument("--rewind-epoch", type=int, default=None)
+    p_ticket.add_argument("--family", choices=FAMILIES)
+    p_ticket.add_argument("--schedule", choices=SCHEDULE_KINDS)
+    p_ticket.add_argument("--mode", choices=IMP_MODES)
+    p_ticket.add_argument("--round-fraction", type=float)
+    p_ticket.add_argument("--rewind-epoch", type=int)
     p_ticket.add_argument("--epochs", type=int, default=40)
     p_ticket.add_argument("--out", default="ticket.plab")
     p_ticket.set_defaults(fn=_cmd_ticket)
@@ -186,8 +185,8 @@ def build_parser():
     p_ratios = sub.add_parser("ratios", help="print a keep-ratio schedule")
     p_ratios.add_argument("preset", choices=PRESET_NAMES)
     p_ratios.add_argument("sparsity", type=float)
-    p_ratios.add_argument("family", choices=[f.value for f in ArchFamily])
-    p_ratios.add_argument("--kind", default="smart", choices=SCHEDULE_KINDS)
+    p_ratios.add_argument("family", choices=FAMILIES)
+    p_ratios.add_argument("--kind", default=OPTIONS["schedule"][0], choices=SCHEDULE_KINDS)
     p_ratios.add_argument("--input-shape", default=None,
                           help="AxBxC input shape (defaults per preset)")
     p_ratios.add_argument("--classes", type=int, default=3)

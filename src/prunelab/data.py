@@ -142,7 +142,10 @@ def load_idx_split(train_images, train_labels, test_images, test_labels) -> Data
     )
 
 
-def load_csv(path, *, test_fraction=0.2) -> DataSplit:
+CSV_TEST_FRACTION = 0.2  # of the shuffled rows, held out as the test set
+
+
+def load_csv(path) -> DataSplit:
     """Numeric CSV, last column is the integer label; fixed shuffled 80/20 split."""
     rows = []
     with open(path, newline="") as f:
@@ -174,7 +177,7 @@ def load_csv(path, *, test_fraction=0.2) -> DataSplit:
     features = (features - mu) / sd
 
     order = np.random.default_rng(2_000_003).permutation(len(rows))
-    split = int(round((1.0 - test_fraction) * len(rows)))
+    split = int(round((1.0 - CSV_TEST_FRACTION) * len(rows)))
     tr, te = order[:split], order[split:]
     shape = (features.shape[1],)
     return DataSplit(

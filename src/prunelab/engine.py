@@ -118,7 +118,8 @@ def _conv2d_backward(x, k, g, need_gx):
     return gx, gk.reshape(k.shape)
 
 
-def _check_alignment(params, mask):
+def check_alignment(params, mask):
+    """The one mask-vs-weights check: a mask entry for every weight, layer by layer."""
     if len(mask.layers) != len(params.weights):
         raise AlignmentError(
             f"mask has {len(mask.layers)} layers, params have {len(params.weights)}"
@@ -207,7 +208,7 @@ def forward_logits(params, mask, samples, *, sample_shape=None):
         samples = samples[None, :]
     if samples.shape[0] == 0:
         raise DomainError("empty batch")
-    _check_alignment(params, mask)
+    check_alignment(params, mask)
     return _run_layers(params, mask, samples, sample_shape)
 
 
@@ -216,7 +217,7 @@ def forward_loss(params, mask, samples, labels, *, sample_shape=None, head=SOFTM
     if head not in HEADS:
         raise DomainError(f"unknown loss head {head!r}")
     samples, labels = _as_batch(samples, labels)
-    _check_alignment(params, mask)
+    check_alignment(params, mask)
     n = samples.shape[0]
     classes = params.specs[-1].fan_out
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -22,29 +21,9 @@ from .checks import CHECK_NAMES
 from .data import load_dataset
 from .engine import NUMERICS_VERSION
 from .errors import ConfigError, DomainError, PrunelabError
-from .models import PRESET_NAMES, ArchFamily, preset_specs
-from .pipelines import IMP_MODES, PIPELINE_OPTIONS, TICKET_KINDS, TrainConfig, run_cell
-from .schedules import SCHEDULE_KINDS
-
-
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-FAMILIES = tuple(f.value for f in ArchFamily)
-# Each pipeline option: the values it takes, and a test for them.
-OPTION_VALUES = {
-    "family": (f"one of {FAMILIES}", lambda v: v in FAMILIES),
-    "schedule": (f"one of {SCHEDULE_KINDS}", lambda v: v in SCHEDULE_KINDS),
-    "mode": (f"one of {IMP_MODES}", lambda v: v in IMP_MODES),
-    "rewind_epoch": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
-    "preserve_output_layer": ("true or false", lambda v: isinstance(v, bool)),
-    "round_fraction": ("a number in (0, 1)", lambda v: _is_number(v) and 0.0 < v < 1.0),
-}
+from .models import PRESET_NAMES, preset_specs
+from .pipelines import PIPELINE_OPTIONS, TICKET_KINDS, TrainConfig, pipeline_options, run_cell
+from .pipelines import _is_int, _is_number
 
 
 @dataclass(frozen=True)
@@ -85,10 +64,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"pipeline {p['kind']!r} takes no option {unknown}; allowed: {allowed}"
                 )
-            for key in PIPELINE_OPTIONS[p["kind"]]:
-                expected, ok = OPTION_VALUES[key]
-                if key in p and not ok(p[key]):
-                    raise ConfigError(f"unknown {key} {p[key]!r} in {p}; expected {expected}")
+            try:
+                pipeline_options(p["kind"], p)
+            except DomainError as exc:
+                raise ConfigError(f"{exc} in pipeline {p}") from None
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}; choose from {CHECK_NAMES}")

@@ -27,9 +27,8 @@ import numpy as np
 
 from . import seeding
 from .data import DataSplit
-from .engine import backward, forward_loss
+from .engine import backward, check_alignment, forward_loss
 from .errors import (
-    AlignmentError,
     DatasetError,
     DomainError,
     InfeasibleSparsityError,
@@ -58,13 +57,35 @@ from .pruning import (
     mask_from_scores_global,
     mask_from_scores_layerwise,
     random_mask_from_schedule,
+    retained_budget,
     round_half_up,
     snip_scores,
 )
-from .schedules import _largest_remainder, retained_budget, schedule_by_name, smart_ratio
+from .schedules import SCHEDULE_KINDS, _largest_remainder, schedule_by_name, smart_ratio
 
 SCORE_BATCH_SIZE = 128
+IMP_MODES = ("reset", "lr-rewind", "hybrid")
+FAMILIES = tuple(f.value for f in ArchFamily)
 
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# Each pipeline option: its default, the values it takes, and a test for them.
+# A rewind_epoch of None leaves the epoch to `_trained_ticket`, which knows the run.
+OPTIONS = {
+    "family": ("plain", f"one of {FAMILIES}", lambda v: v in FAMILIES),
+    "schedule": ("smart", f"one of {SCHEDULE_KINDS}", lambda v: v in SCHEDULE_KINDS),
+    "mode": ("reset", f"one of {IMP_MODES}", lambda v: v in IMP_MODES),
+    "rewind_epoch": (None, "an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "preserve_output_layer": (False, "true or false", lambda v: isinstance(v, bool)),
+    "round_fraction": (0.2, "a number in (0, 1)", lambda v: _is_number(v) and 0.0 < v < 1.0),
+}
 # Each pipeline kind and the options `build_ticket` reads for it.
 PIPELINE_OPTIONS = {
     "dense": (),
@@ -81,6 +102,19 @@ TICKET_KINDS = tuple(PIPELINE_OPTIONS)
 DATA_FREE_KINDS = ("dense", "random")
 
 
+def pipeline_options(kind, params):
+    """The options `kind` reads from `params`, defaults filled in; other keys are ignored."""
+    if kind not in PIPELINE_OPTIONS:
+        raise DomainError(f"unknown pipeline kind {kind!r}; choose from {TICKET_KINDS}")
+    opts = {}
+    for key in PIPELINE_OPTIONS[kind]:
+        default, expected, ok = OPTIONS[key]
+        opts[key] = params.get(key, default)
+        if key in params and not ok(opts[key]):
+            raise DomainError(f"unknown {key} {opts[key]!r}; expected {expected}")
+    return opts
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 40
@@ -93,16 +127,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "lr_drop_points", tuple(float(p) for p in self.lr_drop_points))
-        if not all(isinstance(v, numbers.Integral) for v in (self.epochs, self.batch_size)):
-            raise DomainError("epochs and batch_size must be integers")
+        pts = tuple(self.lr_drop_points)
+        if not all(_is_int(v) for v in (self.epochs, self.batch_size, self.seed)):
+            raise DomainError("epochs, batch_size and seed must be integers")
+        rates = (self.initial_lr, self.lr_drop_factor, self.weight_decay, self.momentum)
+        if not all(_is_number(v) for v in rates + pts):
+            raise DomainError("learning rates, decay, momentum and drop points must be numbers")
+        object.__setattr__(self, "lr_drop_points", tuple(float(p) for p in pts))
         if self.epochs < 0 or self.batch_size < 1:
             raise DomainError("epochs must be >= 0 and batch_size >= 1")
         if self.initial_lr <= 0 or self.lr_drop_factor <= 0:
             raise DomainError("learning rates and drop factor must be positive")
         if self.weight_decay < 0 or self.momentum < 0:
             raise DomainError("weight decay and momentum must be non-negative")
-        pts = self.lr_drop_points
         if any(not (0.0 < p < 1.0) for p in pts) or list(pts) != sorted(set(pts)):
             raise DomainError("lr_drop_points must be strictly increasing within (0, 1)")
 
@@ -141,13 +178,7 @@ class Ticket:
     provenance: dict
 
     def __post_init__(self):
-        if len(self.mask.layers) != len(self.weights.weights):
-            raise AlignmentError("ticket mask and weights have different layer counts")
-        for i, (c, w) in enumerate(zip(self.mask.layers, self.weights.weights)):
-            if c.size != w.size:
-                raise AlignmentError(
-                    f"layer {i}: ticket mask has {c.size} entries for {w.size} weights"
-                )
+        check_alignment(self.weights, self.mask)
 
 
 def learning_rate_at(cfg, epoch) -> float:
@@ -173,11 +204,7 @@ def train(
     uses the rate of schedule epoch min(offset + t, epochs - 1), which lets a
     rewound ticket resume the schedule where its checkpoint left off.
     """
-    if len(mask.layers) != len(params.weights):
-        raise AlignmentError("mask and params have different layer counts")
-    for i, (c, w) in enumerate(zip(mask.layers, params.weights)):
-        if c.shape != w.shape:
-            raise AlignmentError(f"layer {i}: mask and weights are misaligned")
+    check_alignment(params, mask)
     if schedule_offset < 0:
         raise DomainError("schedule_offset must be >= 0")
     checkpoint_epochs = set(int(e) for e in checkpoint_epochs)
@@ -242,16 +269,6 @@ def train(
             f"layer {l} weights became non-finite", max(cfg.epochs - 1, 0)
         )
     return TrainResult(cur, tuple(history), checkpoints)
-
-
-def best_accuracy(result, params_if_empty=None, mask=None, eval_data=None) -> float:
-    """Best per-epoch eval accuracy of a run, in [0, 1]."""
-    accs = [h.accuracy for h in result.history if h.accuracy is not None]
-    if accs:
-        return max(accs)
-    if params_if_empty is not None and eval_data is not None:
-        return accuracy(params_if_empty, mask, eval_data)
-    raise DomainError("run recorded no accuracies and no fallback was given")
 
 
 def score_batch(data, seed):
@@ -332,29 +349,30 @@ TRAINED_TICKETS = {
 }
 
 
-def _trained_ticket(
-    kind, specs, data, target_sparsity, cfg, seed, *,
-    rewind_epoch, preserve_output_layer, family, memo=None,
-) -> Ticket:
-    """Pretrain densely, prune by trained magnitude as `kind`'s row says."""
+def _trained_ticket(kind, specs, data, target_sparsity, cfg, seed, opts, *, memo=None) -> Ticket:
+    """Pretrain densely, prune by trained magnitude as `kind`'s row says.
+
+    `opts` are the kind's filled options (see `pipeline_options`).
+    """
     rule, kept, offset = TRAINED_TICKETS[kind]
     epochs = {0, cfg.epochs}
-    prov = _header(kind, specs, target_sparsity, seed, criterion="magnitude")
+    prov = _header(kind, specs, target_sparsity, seed, criterion="magnitude", **opts)
     if kept == "rewind":
-        kept = offset = int(rewind_epoch)
-        if kept < 0 or kept > cfg.epochs:
+        kept = opts["rewind_epoch"]
+        kept = offset = max(cfg.epochs // 10, 1) if kept is None else kept
+        if kept > cfg.epochs:
             raise DomainError(f"rewind epoch {kept} outside [0, {cfg.epochs}]")
         epochs.add(kept)
         prov.update(rewind_epoch=kept, rewound_to_epoch=kept)
     run_cfg, result = _pretrain(specs, data, cfg, seed, epochs, memo=memo)
     if rule == "smart":
-        schedule = smart_ratio(layer_sizes(specs), specs, target_sparsity, family)
+        schedule = smart_ratio(layer_sizes(specs), specs, target_sparsity, opts["family"])
         mask = mask_from_scores_layerwise(magnitude_scores(result.params), schedule)
-        prov.update(schedule="smart", family=ArchFamily(family).value)
+        prov["schedule"] = "smart"
     else:
-        mask = _global_magnitude_mask(result.params, target_sparsity, preserve_output_layer)
-        prov.update(preserve_output_layer=bool(preserve_output_layer),
-                    source_checkpoints=dict(result.checkpoints))
+        keep_output = opts["preserve_output_layer"]
+        mask = _global_magnitude_mask(result.params, target_sparsity, keep_output)
+        prov["source_checkpoint_epochs"] = sorted(result.checkpoints)
     if offset is not None:
         prov["schedule_offset"] = offset
     prov["pretrain"] = run_cfg.to_dict()
@@ -367,7 +385,7 @@ def _global_magnitude_mask(params, target_sparsity, preserve_output_layer):
     if not preserve_output_layer:
         return mask_from_scores_global(scores, target_sparsity)
     sizes = layer_sizes(params)
-    budget = round_half_up((1.0 - target_sparsity) * sum(sizes))
+    budget = retained_budget(sizes, target_sparsity)
     if budget < sizes[-1]:
         raise InfeasibleSparsityError(
             f"budget {budget} cannot cover the preserved output layer ({sizes[-1]})"
@@ -376,9 +394,6 @@ def _global_magnitude_mask(params, target_sparsity, preserve_output_layer):
         ScoreMap(scores.layers[:-1]), np.ones(sum(sizes[:-1]), dtype=bool), budget - sizes[-1]
     )
     return Mask(hidden.layers + (np.ones(sizes[-1]),))
-
-
-IMP_MODES = ("reset", "lr-rewind", "hybrid")
 
 
 def iterative_magnitude_prune(
@@ -458,42 +473,33 @@ def build_ticket(
 
     `split` may be a DataSplit, a train Dataset, or a zero-argument function
     that derives the train Dataset when a ticket first needs it; data-free
-    kinds accept None.  PIPELINE_OPTIONS lists the params each kind reads;
-    others are ignored.  `memo` shares pretraining runs among tickets built
-    from the same data (see `_pretrain`).
+    kinds accept None.  `params` are checked and filled by `pipeline_options`,
+    and provenance records the filled options.  `memo` shares pretraining
+    runs among tickets built from the same data (see `_pretrain`).
     """
-    params = dict(params or {})
-    family = ArchFamily(params.get("family", "plain"))
+    opts = pipeline_options(kind, params or {})
     data = split.train if isinstance(split, DataSplit) else split
     if kind not in DATA_FREE_KINDS and data is None:
         raise DomainError(f"pipeline {kind!r} needs data")
     if kind in TRAINED_TICKETS:
-        return _trained_ticket(
-            kind, specs, data, target_sparsity, cfg, seed,
-            rewind_epoch=params.get("rewind_epoch", max(cfg.epochs // 10, 1)),
-            preserve_output_layer=bool(params.get("preserve_output_layer", False)),
-            family=family, memo=memo,
-        )
+        return _trained_ticket(kind, specs, data, target_sparsity, cfg, seed, opts, memo=memo)
     if kind == "imp":
         return iterative_magnitude_prune(
-            specs, _resolve(data), target_sparsity, float(params.get("round_fraction", 0.2)),
-            cfg, params.get("mode", "reset"), seed, family,
+            specs, _resolve(data), target_sparsity, opts["round_fraction"], cfg, opts["mode"],
+            seed, opts["family"],
         )
     sizes = layer_sizes(specs)
     if kind == "dense":
         return Ticket(full_mask(sizes), build_network(specs, seed), _header(kind, specs, 0, seed))
     if kind == "random":
-        name = params.get("schedule", "smart")
-        schedule = schedule_by_name(name, sizes, specs, target_sparsity, family)
+        schedule = schedule_by_name(
+            opts["schedule"], sizes, specs, target_sparsity, opts["family"]
+        )
         init = build_network(specs, seed)
         rng = seeding.stream(seed, seeding.RANDOM_MASK)
         mask = random_mask_from_schedule(schedule, sizes, rng)
-        return Ticket(mask, init, _header(
-            kind, specs, target_sparsity, seed, criterion=kind, schedule=name,
-            family=family.value,
-        ))
-    if kind not in ("snip", "grasp"):
-        raise DomainError(f"unknown pipeline kind {kind!r}; choose from {TICKET_KINDS}")
+        prov = _header(kind, specs, target_sparsity, seed, criterion=kind, **opts)
+        return Ticket(mask, init, prov)
     # Score a fresh initialization on one batch and prune globally.
     data = _resolve(data)
     init = build_network(specs, seed)
@@ -604,7 +610,9 @@ def run_cell(
         ticket.weights, ticket.mask, split.train, rcfg,
         eval_data=split.test, schedule_offset=offset,
     )
-    best = best_accuracy(result, ticket.weights, ticket.mask, split.test)
+    # The best epoch, or the ticket as built when no epoch ran.
+    best = max([h.accuracy for h in result.history]
+               or [accuracy(ticket.weights, ticket.mask, split.test)])
     ratios = keep_ratios(ticket.mask)
     return CellResult(100.0 * best, tuple(ratios), any(r == 0.0 for r in ratios), ticket)
 
@@ -658,22 +666,12 @@ def _unpack_json(buf, offset, path):
         raise DatasetError(f"{path}: bad JSON at byte {offset}: {exc}") from None
 
 
-def _jsonable_provenance(prov):
-    out = {}
-    for k, v in prov.items():
-        if k == "source_checkpoints":
-            out["source_checkpoint_epochs"] = sorted(int(e) for e in v)
-        else:
-            out[k] = v
-    return out
-
-
 def save_ticket(ticket, path):
     buf = io.BytesIO()
     buf.write(TICKET_MAGIC)
     buf.write(struct.pack("<I", CONTAINER_VERSION))
     buf.write(_pack_json(_arch_provenance(ticket.weights.specs)))
-    buf.write(_pack_json(_jsonable_provenance(ticket.provenance)))
+    buf.write(_pack_json(ticket.provenance))
     buf.write(struct.pack("<I", len(ticket.weights.weights)))
     for w, c in zip(ticket.weights.weights, ticket.mask.layers):
         buf.write(_pack_array(w))

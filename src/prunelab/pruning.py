@@ -26,6 +26,11 @@ def round_half_up(x) -> int:
     return int(math.floor(x + 0.5))
 
 
+def retained_budget(sizes, target_sparsity) -> int:
+    """round((1 - p) * N): the weights every ticket at sparsity p keeps."""
+    return round_half_up((1.0 - target_sparsity) * sum(int(m) for m in sizes))
+
+
 @dataclass(frozen=True)
 class Mask:
     """Per-layer binary keep indicators stored as float64 {0, 1} vectors."""
@@ -105,11 +110,11 @@ def mask_from_scores_global(scores, target_sparsity) -> Mask:
     """Keep the round((1 - p) * total) best-scoring weights across all layers."""
     if not (0.0 <= target_sparsity < 1.0):
         raise DomainError("target sparsity must lie in [0, 1)")
-    total = sum(s.size for s in scores.layers)
-    k = round_half_up((1.0 - target_sparsity) * total)
+    sizes = [s.size for s in scores.layers]
+    k = retained_budget(sizes, target_sparsity)
     if k == 0:
         raise EmptyNetworkError("target sparsity would empty the whole network")
-    return _select_global(scores, np.ones(total, dtype=bool), k)
+    return _select_global(scores, np.ones(sum(sizes), dtype=bool), k)
 
 
 def _select_layerwise(scores, within, quotas) -> Mask:
@@ -156,9 +161,10 @@ def snip_scores(params, mask, samples, labels, *, sample_shape=None, head=engine
     return ScoreMap(tuple(np.abs(g * w) for g, w in zip(grads, params.weights)))
 
 
-def grasp_scores(
-    params, mask, samples, labels, *, sample_shape=None, epsilon=1e-5, head=engine.SOFTMAX_XENT
-):
+GRASP_EPSILON = 1e-5  # finite-difference step of the Hessian-gradient product
+
+
+def grasp_scores(params, mask, samples, labels, *, sample_shape=None, head=engine.SOFTMAX_XENT):
     """Keep-priority w * (H g).
 
     The raw gradient-flow change for removing weight j is -w_j (Hg)_j; the
@@ -175,7 +181,7 @@ def grasp_scores(
         raise DegenerateGradientError("loss gradient is zero on the scoring batch")
     unit = [g / gnorm for g in grads]
     hu = engine.hessian_vector_product(
-        params, mask, samples, labels, unit, epsilon, sample_shape=sample_shape, head=head
+        params, mask, samples, labels, unit, GRASP_EPSILON, sample_shape=sample_shape, head=head
     )
     return ScoreMap(tuple(w * (gnorm * h) for w, h in zip(params.weights, hu)))
 
@@ -199,6 +205,3 @@ def random_mask_from_schedule(schedule, sizes, rng) -> Mask:
     if mask.total_kept == 0:
         raise EmptyNetworkError("all layer quotas are zero")
     return mask
-
-
-CRITERION_NAMES = ("magnitude", "snip", "grasp", "random")

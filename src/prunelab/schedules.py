@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import AlignmentError, DomainError, InfeasibleSparsityError
 from .models import ArchFamily
-from .pruning import round_half_up
+from .pruning import retained_budget
 
 OUTPUT_KEEP_RATIO = 0.3
 
@@ -44,10 +44,6 @@ class KeepRatioSchedule:
     @property
     def total_kept(self) -> int:
         return sum(self.quotas)
-
-
-def retained_budget(sizes, target_sparsity) -> int:
-    return round_half_up((1.0 - target_sparsity) * sum(int(m) for m in sizes))
 
 
 def smart_raw_weights(total_layers, family) -> list[float]:

@@ -68,6 +68,9 @@ def test_run_executes_a_config(tmp_path, capsys, monkeypatch):
     {"dataset": {**TINY["dataset"], "classes": "x"}},
     {"dataset": {**TINY["dataset"], "noise": [1]}},
     {"dataset": {"kind": "csv", "path": 5}},
+    {"train": {**TINY["train"], "epochs": True}},
+    {"train": {**TINY["train"], "batch_size": True}},
+    {"train": {**TINY["train"], "seed": 1.5}},
 ])
 def test_run_config_typo_exits_one_with_one_line(tmp_path, capsys, typo):
     cfg_path = tmp_path / "exp.json"

@@ -22,7 +22,6 @@ from prunelab.pipelines import (
     Ticket,
     TrainConfig,
     apply_structural_check,
-    best_accuracy,
     build_ticket,
     iterative_magnitude_prune,
     learning_rate_at,
@@ -77,6 +76,11 @@ def test_train_config_validation_and_round_trip():
         TrainConfig(lr_drop_points=(0.5, 0.5))
     with pytest.raises(DomainError):
         TrainConfig(momentum=-0.1)
+    for bad in ({"epochs": True}, {"batch_size": True}, {"seed": 1.5}, {"initial_lr": True},
+                {"lr_drop_factor": "0.1"}, {"weight_decay": None}, {"momentum": False},
+                {"lr_drop_points": (0.5, True)}):
+        with pytest.raises(DomainError):
+            TrainConfig(**bad)
 
 
 def assert_train_matches_manual_sgd_loop(specs, split):
@@ -208,18 +212,15 @@ def test_train_rejects_misaligned_mask():
         train(params, Mask((np.ones(24), np.ones(17))), SPLIT.train, FAST)
 
 
-def test_best_accuracy_uses_history_or_fallback():
-    params = build_network(SPECS, seed=12)
-    mask = full_mask(SIZES)
-    result = train(params, mask, SPLIT.train, FAST, eval_data=SPLIT.test)
-    accs = [h.accuracy for h in result.history]
-    assert best_accuracy(result) == max(accs)
-    silent = train(params, mask, SPLIT.train, FAST)
-    assert all(h.accuracy is None for h in silent.history)
-    fallback = best_accuracy(silent, silent.params, mask, SPLIT.test)
-    assert 0.0 <= fallback <= 1.0
-    with pytest.raises(DomainError):
-        best_accuracy(silent)
+def test_run_cell_reports_the_best_epoch_or_the_ticket_as_built():
+    cell = run_cell("random", {}, "none", SPLIT, SPECS, 0.5, 12, FAST)
+    rcfg = dataclasses.replace(FAST, seed=seeding.combine(12, seeding.RETRAIN))
+    result = train(cell.ticket.weights, cell.ticket.mask, SPLIT.train, rcfg, eval_data=SPLIT.test)
+    assert cell.accuracy == 100.0 * max(h.accuracy for h in result.history)
+    idle_cfg = dataclasses.replace(FAST, epochs=0)
+    idle = run_cell("random", {}, "none", SPLIT, SPECS, 0.5, 12, idle_cfg)
+    as_built = accuracy(idle.ticket.weights, idle.ticket.mask, SPLIT.test)
+    assert idle.accuracy == 100.0 * as_built
 
 
 def test_score_batch_is_capped_and_deterministic():
@@ -253,7 +254,7 @@ def test_lt_ticket_resets_kept_weights_to_init_bit_for_bit():
     for w, winit in zip(ticket.weights.weights, init.weights):
         assert np.array_equal(w, winit)
     assert ticket.mask.total_kept == round_half_up(0.5 * sum(SIZES))
-    assert 0 in ticket.provenance["source_checkpoints"]
+    assert ticket.provenance["source_checkpoint_epochs"] == [0, FAST.epochs]
 
 
 def test_lt_preserve_output_layer_keeps_it_dense():
@@ -272,8 +273,9 @@ def test_weight_rewind_ticket_takes_the_checkpoint_weights():
     ticket = build_ticket("weight-rewind", SPECS, SPLIT.train, 0.5, 5, FAST, {"rewind_epoch": 2})
     assert ticket.provenance["rewound_to_epoch"] == 2
     assert ticket.provenance["schedule_offset"] == 2
-    source = ticket.provenance["source_checkpoints"][2]
-    for w, wc in zip(ticket.weights.weights, source.weights):
+    _, run = pipelines._pretrain(SPECS, SPLIT.train, FAST, 5, {0, 2, FAST.epochs})
+    assert ticket.provenance["source_checkpoint_epochs"] == [0, 2, FAST.epochs]
+    for w, wc in zip(ticket.weights.weights, run.checkpoints[2].weights):
         assert np.array_equal(w, wc)
     with pytest.raises(DomainError):
         build_ticket("weight-rewind", SPECS, SPLIT.train, 0.5, 5, FAST, {"rewind_epoch": 9})
@@ -282,8 +284,8 @@ def test_weight_rewind_ticket_takes_the_checkpoint_weights():
 def test_lr_rewind_ticket_keeps_trained_weights_and_fresh_schedule():
     ticket = build_ticket("lr-rewind", SPECS, SPLIT, 0.5, 7, FAST)
     assert ticket.provenance["schedule_offset"] == 0
-    final = ticket.provenance["source_checkpoints"][FAST.epochs]
-    for w, wc in zip(ticket.weights.weights, final.weights):
+    _, run = pipelines._pretrain(SPECS, SPLIT.train, FAST, 7, {0, FAST.epochs})
+    for w, wc in zip(ticket.weights.weights, run.params.weights):
         assert np.array_equal(w, wc)
 
 
@@ -401,6 +403,18 @@ def test_build_ticket_covers_every_kind():
         build_ticket("snip", SPECS, None, 0.5, 1, FAST)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("random", {"family": "plian"}),
+    ("imp", {"round_fraction": "x"}),
+    ("weight-rewind", {"rewind_epoch": "x"}),
+    ("lt", {"preserve_output_layer": "no"}),
+])
+def test_build_ticket_rejects_bad_option_values(kind, params):
+    key = next(iter(params))
+    with pytest.raises(DomainError, match=f"unknown {key}"):
+        build_ticket(kind, SPECS, SPLIT, 0.5, 1, FAST, params)
+
+
 def test_replay_ticket_reproduces_mask_and_weights():
     for kind in ("random", "snip", "lt"):
         ticket = build_ticket(kind, SPECS, SPLIT, 0.5, 3, FAST)
@@ -421,7 +435,9 @@ def test_replay_rebuilds_every_checked_ticket_from_its_file(tmp_path):
             assert cell.ticket.provenance.get("checks", []) == ([check] if applied else [])
             path = tmp_path / f"{kind}-{check}.plab"
             save_ticket(cell.ticket, str(path))
-            again = replay_ticket(load_ticket(str(path)).provenance, SPECS, SPLIT)
+            loaded = load_ticket(str(path)).provenance
+            assert loaded == cell.ticket.provenance, (kind, check)
+            again = replay_ticket(loaded, SPECS, SPLIT)
             for a, b in zip(cell.ticket.mask.layers, again.mask.layers):
                 assert np.array_equal(a, b), (kind, check)
             for a, b in zip(cell.ticket.weights.weights, again.weights.weights):
