@@ -59,7 +59,6 @@ from .pipelines import (
     TrainResult,
     apply_structural_check,
     build_ticket,
-    iterative_magnitude_prune,
     learning_rate_at,
     load_ticket,
     replay_ticket,

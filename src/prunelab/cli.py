@@ -56,6 +56,14 @@ def _parse_dataset_arg(text):
     return source
 
 
+def _shape_arg(text):
+    """argparse type of --input-shape: AxBxC, positive integers."""
+    dims = text.split("x")
+    if not all(d.isdecimal() and int(d) > 0 for d in dims):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an AxBxC shape of positive integers")
+    return tuple(int(d) for d in dims)
+
+
 def _cmd_run(args):
     cfg = load_config(args.config)
     if args.out:
@@ -75,18 +83,15 @@ def _cmd_run(args):
 
 
 def _cmd_ticket(args):
-    specs_shape = None
     split = None
     if args.data:
         split = load_dataset(_parse_dataset_arg(args.data))
-        specs_shape = split.train.sample_shape
-        classes = split.train.class_count
+        shape, classes = split.train.sample_shape, split.train.class_count
+    elif args.kind != "random":
+        raise DomainError(f"pipeline {args.kind!r} needs --data")
     else:
-        if args.kind != "random":
-            raise DomainError(f"pipeline {args.kind!r} needs --data")
-        specs_shape = tuple(int(d) for d in args.input_shape.split("x"))
-        classes = args.classes
-    specs = preset_specs(args.arch, specs_shape, classes)
+        shape, classes = args.input_shape, args.classes
+    specs = preset_specs(args.arch, shape, classes)
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
     # Only the options given; build_ticket fills in the rest.
     params = {k: getattr(args, k) for k in OPTIONS if getattr(args, k, None) is not None}
@@ -117,7 +122,7 @@ def _cmd_check(args):
 
 
 def _cmd_ratios(args):
-    shape = tuple(int(d) for d in args.input_shape.split("x"))
+    shape = args.input_shape or ((16,) if args.preset == "mlp-4" else (1, 8, 8))
     specs = preset_specs(args.preset, shape, args.classes)
     sizes = [s.weight_count for s in specs]
     schedule = schedule_by_name(args.kind, sizes, specs, args.sparsity, args.family)
@@ -162,7 +167,8 @@ def build_parser():
     p_ticket.add_argument("--sparsity", type=float, default=0.9)
     p_ticket.add_argument("--seed", type=int, default=0)
     p_ticket.add_argument("--data", help="dataset, e.g. synthetic-blobs:classes=3,dim=16,n=600,seed=7")
-    p_ticket.add_argument("--input-shape", default="16", help="AxBxC input shape for data-free kinds")
+    p_ticket.add_argument("--input-shape", default="16", type=_shape_arg,
+                          help="AxBxC input shape for data-free kinds")
     p_ticket.add_argument("--classes", type=int, default=3)
     p_ticket.add_argument("--family", choices=FAMILIES)
     p_ticket.add_argument("--schedule", choices=SCHEDULE_KINDS)
@@ -187,7 +193,7 @@ def build_parser():
     p_ratios.add_argument("sparsity", type=float)
     p_ratios.add_argument("family", choices=FAMILIES)
     p_ratios.add_argument("--kind", default=OPTIONS["schedule"][0], choices=SCHEDULE_KINDS)
-    p_ratios.add_argument("--input-shape", default=None,
+    p_ratios.add_argument("--input-shape", type=_shape_arg,
                           help="AxBxC input shape (defaults per preset)")
     p_ratios.add_argument("--classes", type=int, default=3)
     p_ratios.set_defaults(fn=_cmd_ratios)
@@ -206,8 +212,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "command", None) == "ratios" and args.input_shape is None:
-        args.input_shape = "16" if args.preset == "mlp-4" else "1x8x8"
     try:
         return args.fn(args)
     except PrunelabError as exc:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .data import load_dataset
 from .engine import NUMERICS_VERSION
 from .errors import ConfigError, DomainError, PrunelabError
 from .models import PRESET_NAMES, preset_specs
-from .pipelines import PIPELINE_OPTIONS, TICKET_KINDS, TrainConfig, pipeline_options, run_cell
+from .pipelines import TICKET_KINDS, TrainConfig, pipeline_options, run_cell
 from .pipelines import _is_int, _is_number
 
 
@@ -32,8 +33,8 @@ class ExperimentConfig:
     dataset: dict
     pipelines: tuple[dict, ...]
     sparsities: tuple[float, ...]
-    checks: tuple[str, ...]
     seeds: tuple[int, ...]
+    checks: tuple[str, ...] = ("none",)
     train: TrainConfig = field(default_factory=TrainConfig)
     output_dir: str = "results"
 
@@ -47,6 +48,7 @@ class ExperimentConfig:
         for s in self.seeds:
             if not _is_int(s):
                 raise ConfigError(f"seed {s!r} is not an integer")
+        object.__setattr__(self, "dataset", dict(self.dataset))
         object.__setattr__(self, "pipelines", tuple(dict(p) for p in self.pipelines))
         object.__setattr__(self, "sparsities", tuple(float(s) for s in self.sparsities))
         object.__setattr__(self, "checks", tuple(self.checks))
@@ -58,14 +60,8 @@ class ExperimentConfig:
         for p in self.pipelines:
             if p.get("kind") not in TICKET_KINDS:
                 raise ConfigError(f"pipeline entry needs a kind from {TICKET_KINDS}: {p}")
-            allowed = ("kind", "name") + PIPELINE_OPTIONS[p["kind"]]
-            unknown = sorted(set(p) - set(allowed))
-            if unknown:
-                raise ConfigError(
-                    f"pipeline {p['kind']!r} takes no option {unknown}; allowed: {allowed}"
-                )
             try:
-                pipeline_options(p["kind"], p)
+                pipeline_options(p["kind"], _pipeline_params(p))
             except DomainError as exc:
                 raise ConfigError(f"{exc} in pipeline {p}") from None
         for c in self.checks:
@@ -73,42 +69,28 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown check {c!r}; choose from {CHECK_NAMES}")
 
     def to_dict(self):
-        return {
-            "arch": self.arch,
-            "dataset": dict(self.dataset),
-            "pipelines": [dict(p) for p in self.pipelines],
-            "sparsities": list(self.sparsities),
-            "checks": list(self.checks),
-            "seeds": list(self.seeds),
-            "train": self.train.to_dict(),
-            "output_dir": self.output_dir,
-        }
+        d = {**asdict(self), "train": self.train.to_dict()}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
 
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ConfigError("config must be a mapping")
-        unknown = set(d) - {
-            "arch", "dataset", "pipelines", "sparsities", "checks", "seeds",
-            "train", "output_dir",
-        }
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"config is missing required key {f.name!r}")
         try:
-            return cls(
-                arch=d["arch"],
-                dataset=dict(d["dataset"]),
-                pipelines=tuple(d["pipelines"]),
-                sparsities=tuple(d["sparsities"]),
-                checks=tuple(d.get("checks", ["none"])),
-                seeds=tuple(d["seeds"]),
-                train=TrainConfig.from_dict(d.get("train", {})),
-                output_dir=d.get("output_dir", "results"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"config is missing required key {exc}") from None
+            return cls(**{**d, "train": TrainConfig.from_dict(d.get("train", {}))})
         except (TypeError, ValueError, DomainError) as exc:
             raise ConfigError(str(exc)) from None
+
+
+def _pipeline_params(p):
+    """A config's pipeline entry without the keys that name it: the options it passes."""
+    return {k: v for k, v in p.items() if k not in ("kind", "name")}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -206,7 +188,7 @@ def _record_to_row(rec):
 
 
 def emit_rows(rows, path):
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.DictWriter(f, CSV_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -214,25 +196,47 @@ def emit_rows(rows, path):
 
 
 def parse_rows(path):
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
+    """The rows of a rows CSV; a malformed file raises ConfigError naming its line."""
+    with open(path, "rb") as f:
+        return _parse_rows(f.read(), path)
+
+
+def _parse_rows(raw, path):
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {line}: bytes that are not UTF-8") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
             raise ConfigError(f"{path}: expected columns {CSV_COLUMNS}")
-        return [_record_to_row(rec) for rec in reader]
+        rows = []
+        for rec in reader:
+            # DictReader keys surplus fields under None and fills missing ones with None.
+            if None in rec or None in rec.values():
+                raise ValueError(f"expected {len(CSV_COLUMNS)} fields")
+            rows.append(_record_to_row(rec))
+        return rows
+    except (ValueError, csv.Error) as exc:
+        raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _drop_torn_tail(path):
-    """Cut a last line that has no newline; returns the bytes kept.
+def _resume_rows(path):
+    """The finished rows of an earlier run, after cutting a last line that has no newline.
 
     Rows are written whole and flushed one at a time, so such a line is a
     row an interrupted run did not finish.  Its cell runs again on resume.
+    A malformed finished row raises ConfigError before the file is touched.
     """
-    with open(path, "rb+") as f:
-        data = f.read()
-        kept = data.rfind(b"\n") + 1
-        if kept < len(data):
+    with open(path, "rb") as f:
+        raw = f.read()
+    kept = raw.rfind(b"\n") + 1
+    rows = _parse_rows(raw[:kept], path) if kept else []
+    if kept < len(raw):
+        with open(path, "rb+") as f:
             f.truncate(kept)
-    return kept
+    return rows
 
 
 def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
@@ -248,14 +252,13 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
     rows_path = os.path.join(out_dir, f"rows-{digest[:12]}.csv")
 
     done = {}
-    if resume and os.path.exists(rows_path) and _drop_torn_tail(rows_path):
-        for row in parse_rows(rows_path):
-            done[row.key()] = row
+    if resume and os.path.exists(rows_path):
+        done = {row.key(): row for row in _resume_rows(rows_path)}
 
     rows = []
     memo = {}  # pretraining runs shared by cells that prune on the same data
     fresh = not done
-    with open(rows_path, "w" if fresh else "a", newline="") as f:
+    with open(rows_path, "w" if fresh else "a", newline="", encoding="utf-8") as f:
         writer = csv.DictWriter(f, CSV_COLUMNS)
         if fresh:
             writer.writeheader()
@@ -264,11 +267,11 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
             if key in done:
                 rows.append(done[key])
                 continue
-            params = {k: v for k, v in p.items() if k not in ("kind", "name")}
             started = time.perf_counter()
             try:
                 cell = run_cell(
-                    p["kind"], params, check, split, specs, target, seed, cfg.train, memo=memo
+                    p["kind"], _pipeline_params(p), check, split, specs, target, seed, cfg.train,
+                    memo=memo,
                 )
                 flags = "collapse-warning" if cell.collapsed else ""
                 row = ResultRow(
@@ -304,54 +307,41 @@ class SummaryRow:
 def summarize(rows) -> list[SummaryRow]:
     """Mean and sample standard deviation over seeds, in first-seen order."""
     groups = {}
-    order = []
     for row in rows:
-        key = (row.pipeline, row.check, row.sparsity)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
+        accs = groups.setdefault((row.pipeline, row.check, row.sparsity), [])
         if row.accuracy is not None:
-            groups[key].append(row.accuracy)
+            accs.append(row.accuracy)
     out = []
-    for key in order:
-        accs = groups[key]
+    for key, accs in groups.items():
         if accs:
             mean = float(np.mean(accs))
             std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
         else:
             mean = std = None
-        out.append(SummaryRow(key[0], key[1], key[2], mean, std, len(accs)))
+        out.append(SummaryRow(*key, mean, std, len(accs)))
     return out
+
+
+def _markdown_cell(s):
+    return "failed" if s is None or s.mean is None else f"{s.mean:.2f}±{s.std:.2f}"
 
 
 def format_markdown(rows) -> str:
     """Per-pipeline tables: checks down the side, sparsities across."""
     summary = summarize(rows)
-    pipelines = []
-    for s in summary:
-        if s.pipeline not in pipelines:
-            pipelines.append(s.pipeline)
     lines = []
-    for pipe in pipelines:
+    for pipe in dict.fromkeys(s.pipeline for s in summary):
         rows_here = [s for s in summary if s.pipeline == pipe]
         sparsities = sorted({s.sparsity for s in rows_here})
-        checks = []
-        for s in rows_here:
-            if s.check not in checks:
-                checks.append(s.check)
-        lines.append(f"## {pipe}")
-        lines.append("")
-        lines.append("| check | " + " | ".join(repr(sp) for sp in sparsities) + " |")
-        lines.append("|" + " --- |" * (len(sparsities) + 1))
         by_key = {(s.check, s.sparsity): s for s in rows_here}
-        for check in checks:
-            cells = []
-            for sp in sparsities:
-                s = by_key.get((check, sp))
-                if s is None or s.mean is None:
-                    cells.append("failed")
-                else:
-                    cells.append(f"{s.mean:.2f}±{s.std:.2f}")
+        lines += [
+            f"## {pipe}",
+            "",
+            "| check | " + " | ".join(repr(sp) for sp in sparsities) + " |",
+            "|" + " --- |" * (len(sparsities) + 1),
+        ]
+        for check in dict.fromkeys(s.check for s in rows_here):
+            cells = [_markdown_cell(by_key.get((check, sp))) for sp in sparsities]
             lines.append(f"| {check} | " + " | ".join(cells) + " |")
         lines.append("")
     return "\n".join(lines)

@@ -25,6 +25,9 @@ class ArchFamily(enum.Enum):
     FAST_DECAY = "fast-decay"
 
 
+FAMILIES = tuple(f.value for f in ArchFamily)
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """Static description of one layer (no weights)."""
@@ -94,10 +97,6 @@ class LayeredParams:
 
     def with_weights(self, new_weights):
         return LayeredParams(self.specs, tuple(new_weights))
-
-    @property
-    def total_weights(self) -> int:
-        return sum(w.size for w in self.weights)
 
 
 def layer_sizes(obj) -> list[int]:

@@ -44,7 +44,7 @@ from .checks import (
     rearrange_mask_layerwise,
     shuffle_unmasked_weights,
 )
-from .models import ArchFamily, LayeredParams, LayerSpec, accuracy, build_network, layer_sizes
+from .models import FAMILIES, LayeredParams, LayerSpec, accuracy, build_network, layer_sizes
 from .pruning import (
     _select_global,
     _select_layerwise,
@@ -65,7 +65,6 @@ from .schedules import SCHEDULE_KINDS, _largest_remainder, schedule_by_name, sma
 
 SCORE_BATCH_SIZE = 128
 IMP_MODES = ("reset", "lr-rewind", "hybrid")
-FAMILIES = tuple(f.value for f in ArchFamily)
 
 
 def _is_int(v):
@@ -103,11 +102,19 @@ DATA_FREE_KINDS = ("dense", "random")
 
 
 def pipeline_options(kind, params):
-    """The options `kind` reads from `params`, defaults filled in; other keys are ignored."""
+    """The options `kind` reads from `params`, defaults filled in.
+
+    A key that `kind` does not read, or a value its option does not take,
+    raises DomainError.
+    """
     if kind not in PIPELINE_OPTIONS:
         raise DomainError(f"unknown pipeline kind {kind!r}; choose from {TICKET_KINDS}")
+    allowed = PIPELINE_OPTIONS[kind]
+    unread = sorted(set(params) - set(allowed), key=str)
+    if unread:
+        raise DomainError(f"pipeline {kind!r} takes no option {unread}; allowed: {allowed}")
     opts = {}
-    for key in PIPELINE_OPTIONS[kind]:
+    for key in allowed:
         default, expected, ok = OPTIONS[key]
         opts[key] = params.get(key, default)
         if key in params and not ok(opts[key]):
@@ -150,9 +157,6 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        if "lr_drop_points" in d:
-            d["lr_drop_points"] = tuple(d["lr_drop_points"])
         return cls(**d)
 
 
@@ -396,16 +400,7 @@ def _global_magnitude_mask(params, target_sparsity, preserve_output_layer):
     return Mask(hidden.layers + (np.ones(sizes[-1]),))
 
 
-def iterative_magnitude_prune(
-    specs,
-    data,
-    target_sparsity,
-    round_fraction,
-    pretrain_cfg,
-    mode,
-    seed,
-    family=ArchFamily.PLAIN,
-) -> Ticket:
+def _imp_ticket(specs, data, target_sparsity, cfg, seed, opts) -> Ticket:
     """Train-prune rounds until the target sparsity is reached.
 
     Each round removes `round_fraction` of the surviving weights (globally by
@@ -413,14 +408,13 @@ def iterative_magnitude_prune(
     per-layer quotas interpolated linearly between dense counts and the final
     depth-weighted schedule).  reset restarts every round from the epoch-0
     weights, the other modes continue from the trained weights.  Masks are
-    nested: pruning only ever removes.
+    nested: pruning only ever removes.  `opts` are the kind's filled options
+    (see `pipeline_options`).
     """
-    if mode not in IMP_MODES:
-        raise DomainError(f"unknown round mode {mode!r}; choose from {IMP_MODES}")
-    if not (0.0 < round_fraction < 1.0):
-        raise DomainError("round fraction must lie in (0, 1)")
     if not (0.0 < target_sparsity < 1.0):
         raise DomainError("target sparsity must lie in (0, 1)")
+    opts = {**opts, "round_fraction": float(opts["round_fraction"])}
+    mode, round_fraction = opts["mode"], opts["round_fraction"]
 
     sizes = layer_sizes(specs)
     total = sum(sizes)
@@ -432,15 +426,15 @@ def iterative_magnitude_prune(
     mask = full_mask(sizes)
     weights = init
     survivors = total
-    final_schedule = smart_ratio(sizes, specs, target_sparsity, family) if mode == "hybrid" else None
+    final_schedule = (
+        smart_ratio(sizes, specs, target_sparsity, opts["family"]) if mode == "hybrid" else None
+    )
     prev_quotas = list(sizes)
     rounds = 0
 
     while survivors > budget:
         rounds += 1
-        run_cfg = replace(
-            pretrain_cfg, seed=seeding.combine(seed, seeding.IMP_ROUND, rounds)
-        )
+        run_cfg = replace(cfg, seed=seeding.combine(seed, seeding.IMP_ROUND, rounds))
         result = train(weights, mask, data, run_cfg)
         trained = result.params
         # Each round removes at least one weight, even where rounding would keep all.
@@ -460,9 +454,8 @@ def iterative_magnitude_prune(
         weights = init if mode == "reset" else trained
 
     return Ticket(mask, weights, _header(
-        "imp", specs, target_sparsity, seed, mode=mode, criterion="magnitude",
-        family=ArchFamily(family).value, round_fraction=float(round_fraction), rounds=rounds,
-        pretrain=pretrain_cfg.to_dict(), schedule_offset=0,
+        "imp", specs, target_sparsity, seed, criterion="magnitude", **opts, rounds=rounds,
+        pretrain=cfg.to_dict(), schedule_offset=0,
     ))
 
 
@@ -484,10 +477,7 @@ def build_ticket(
     if kind in TRAINED_TICKETS:
         return _trained_ticket(kind, specs, data, target_sparsity, cfg, seed, opts, memo=memo)
     if kind == "imp":
-        return iterative_magnitude_prune(
-            specs, _resolve(data), target_sparsity, opts["round_fraction"], cfg, opts["mode"],
-            seed, opts["family"],
-        )
+        return _imp_ticket(specs, _resolve(data), target_sparsity, cfg, seed, opts)
     sizes = layer_sizes(specs)
     if kind == "dense":
         return Ticket(full_mask(sizes), build_network(specs, seed), _header(kind, specs, 0, seed))

@@ -131,20 +131,22 @@ def _select_layerwise(scores, within, quotas) -> Mask:
     return Mask(tuple(layers))
 
 
+def _check_quotas(quotas, sizes):
+    """Each layer's quota must fit its layer, and the quotas must keep something."""
+    if len(quotas) != len(sizes):
+        raise AlignmentError(f"schedule has {len(quotas)} layers, the network has {len(sizes)}")
+    for i, (q, m) in enumerate(zip(quotas, sizes)):
+        if q < 0 or q > m:
+            raise DomainError(f"layer {i}: quota {q} outside [0, {m}]")
+    if sum(quotas) == 0:
+        raise EmptyNetworkError("all layer quotas are zero")
+
+
 def mask_from_scores_layerwise(scores, schedule) -> Mask:
     """Keep each layer's quota of best-scoring weights; ties by position."""
-    quotas = schedule.quotas
-    if len(quotas) != len(scores.layers):
-        raise AlignmentError(
-            f"schedule has {len(quotas)} layers, scores have {len(scores.layers)}"
-        )
-    for i, (s, q) in enumerate(zip(scores.layers, quotas)):
-        if q < 0 or q > s.size:
-            raise DomainError(f"layer {i}: quota {q} outside [0, {s.size}]")
-    mask = _select_layerwise(scores, full_mask(s.size for s in scores.layers), quotas)
-    if mask.total_kept == 0:
-        raise EmptyNetworkError("all layer quotas are zero")
-    return mask
+    sizes = [s.size for s in scores.layers]
+    _check_quotas(schedule.quotas, sizes)
+    return _select_layerwise(scores, full_mask(sizes), schedule.quotas)
 
 
 def magnitude_scores(params) -> ScoreMap:
@@ -189,19 +191,10 @@ def grasp_scores(params, mask, samples, labels, *, sample_shape=None, head=engin
 def random_mask_from_schedule(schedule, sizes, rng) -> Mask:
     """Uniform random placement of each layer's quota."""
     sizes = [int(m) for m in sizes]
-    if len(schedule.quotas) != len(sizes):
-        raise AlignmentError(
-            f"schedule has {len(schedule.quotas)} layers, sizes have {len(sizes)}"
-        )
+    _check_quotas(schedule.quotas, sizes)
     layers = []
     for q, m in zip(schedule.quotas, sizes):
-        q = int(q)
-        if q < 0 or q > m:
-            raise DomainError(f"quota {q} outside [0, {m}]")
         c = np.zeros(m)
         c[rng.permutation(m)[:q]] = 1.0
         layers.append(c)
-    mask = Mask(tuple(layers))
-    if mask.total_kept == 0:
-        raise EmptyNetworkError("all layer quotas are zero")
-    return mask
+    return Mask(tuple(layers))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AlignmentError, DomainError, InfeasibleSparsityError
-from .models import ArchFamily
+from .models import FAMILIES, ArchFamily
 from .pruning import retained_budget
 
 OUTPUT_KEEP_RATIO = 0.3
@@ -46,9 +46,16 @@ class KeepRatioSchedule:
         return sum(self.quotas)
 
 
+def _family(family) -> ArchFamily:
+    try:
+        return ArchFamily(family)
+    except ValueError:
+        raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}") from None
+
+
 def smart_raw_weights(total_layers, family) -> list[float]:
     """raw(l) for the non-output layers l = 1..L-1."""
-    family = ArchFamily(family)
+    family = _family(family)
     raws = []
     for l in range(1, total_layers):
         r = float((total_layers - l + 1) ** 2 + (total_layers - l + 1))
@@ -171,6 +178,7 @@ def schedule_by_name(kind, sizes, specs, target_sparsity, family=ArchFamily.PLAI
     """
     if kind not in SCHEDULE_KINDS:
         raise DomainError(f"unknown schedule kind {kind!r}; choose from {SCHEDULE_KINDS}")
+    _family(family)
     if kind == "smart":
         return smart_ratio(sizes, specs, target_sparsity, family)
     sizes = _validate_inputs(sizes, specs, target_sparsity)

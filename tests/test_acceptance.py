@@ -38,7 +38,6 @@ from prunelab.pipelines import (
     TICKET_KINDS,
     TrainConfig,
     build_ticket,
-    iterative_magnitude_prune,
     run_cell,
     train,
 )
@@ -314,8 +313,9 @@ def test_criterion_09_imp_compounds_rounds_and_nests_masks():
     split = synthetic_blobs(4, 10, 200, seed=3)
     cfg = TrainConfig(epochs=2, batch_size=32, seed=0)
     q = 0.2
-    shallow = iterative_magnitude_prune(specs, split.train, 0.36, q, cfg, "reset", seed=5)
-    deep = iterative_magnitude_prune(specs, split.train, 0.488, q, cfg, "reset", seed=5)
+    imp = {"round_fraction": q, "mode": "reset"}
+    shallow = build_ticket("imp", specs, split.train, 0.36, 5, cfg, imp)
+    deep = build_ticket("imp", specs, split.train, 0.488, 5, cfg, imp)
 
     rounds_ok = shallow.provenance["rounds"] == 2 and deep.provenance["rounds"] == 3
     err2 = abs(sparsity(shallow.mask) - (1.0 - (1.0 - q) ** 2))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prunelab.cli import main
-from prunelab.harness import ResultRow, emit_rows
+from prunelab.harness import CSV_COLUMNS, ResultRow, emit_rows
 from prunelab.models import LayerSpec, build_network, layer_sizes, preset_specs
 from prunelab.pipelines import (
     Ticket,
@@ -38,6 +38,8 @@ def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["conjure"]) == 2
     assert main(["ratios", "mlp-4", "0.9", "plain", "--kind", "spiral"]) == 2
+    assert main(["ticket", "random", "--input-shape", "4xq"]) == 2
+    assert main(["ratios", "mlp-4", "0.9", "plain", "--input-shape", "x"]) == 2
 
 
 def test_run_executes_a_config(tmp_path, capsys, monkeypatch):
@@ -209,6 +211,47 @@ def test_report_reformats_rows(tmp_path, capsys):
     text = out.read_text()
     assert "## a" in text
     assert "92.00±2.83" in text
+
+
+# Each turns two good rows into a malformed rows file.
+MALFORMED_ROWS = {
+    "bad-value": lambda raw: raw.replace(b",94.0,", b",abc,"),
+    "short-row": lambda raw: raw + b"a,none,0.5\r\n",
+    "not-utf8": lambda raw: raw.replace(b"a,none,0.5,1", b"\xff,none,0.5,1"),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_ROWS, "resume"])
+def test_malformed_rows_exit_one_with_one_line(tmp_path, capsys, monkeypatch, case):
+    if case == "resume":
+        monkeypatch.delenv("PRUNELAB_OUTPUT_DIR", raising=False)
+        cfg_path, out = tmp_path / "exp.json", tmp_path / "results"
+        cfg_path.write_text(json.dumps(TINY))
+        argv = ["run", str(cfg_path), "--out", str(out), "--quiet"]
+        assert main(argv) == 0
+        (rows_path,) = out.glob("rows-*.csv")
+        head, _, rest = rows_path.read_bytes().partition(b"\n")
+        fields = rest.split(b",")
+        fields[CSV_COLUMNS.index("accuracy")] = b"abc"
+        # and a torn last row, which a resume over a well-formed file would cut
+        rows_path.write_bytes(head + b"\n" + b",".join(fields) + b"random,no")
+    else:
+        rows_path = tmp_path / "rows.csv"
+        emit_rows(
+            [
+                ResultRow("a", "none", 0.5, 0, 90.0, (0.5,), 0.1),
+                ResultRow("a", "none", 0.5, 1, 94.0, (0.5,), 0.1),
+            ],
+            str(rows_path),
+        )
+        rows_path.write_bytes(MALFORMED_ROWS[case](rows_path.read_bytes()))
+        argv = ["report", str(rows_path), "--out", str(tmp_path / "out.csv")]
+    before = rows_path.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: ConfigError: {rows_path}: line ")
+    assert rows_path.read_bytes() == before  # resume neither drops the row nor rewrites
 
 
 def test_report_missing_rows_exits_one(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from prunelab import harness
 from prunelab.cli import main
-from prunelab.errors import ConfigError, DatasetError
+from prunelab.errors import ConfigError, DatasetError, DomainError
 from prunelab.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -24,7 +24,9 @@ from prunelab.harness import (
     run_experiment,
     summarize,
 )
-from prunelab.pipelines import TrainConfig
+from prunelab.data import synthetic_blobs
+from prunelab.models import preset_specs
+from prunelab.pipelines import TrainConfig, build_ticket
 
 TINY = {
     "arch": "mlp-4",
@@ -90,17 +92,42 @@ def test_config_rejects_bad_shapes():
         tiny_config(seeds=[])
 
 
-@pytest.mark.parametrize("entry", [
-    {"kind": "lt", "schedul": "smart", "rewind_epoch": 3},  # a typo, and an option lt never reads
-    {"kind": "lt", "rewind_epoch": 3},
-    {"kind": "snip", "family": "plain"},
-    {"kind": "hybrid", "schedule": "smart"},
-    {"kind": "random", "mode": "reset"},
-    {"kind": "imp", "preserve_output_layer": True},
-])
+# Pipeline entries with options their kind does not read, and `prunelab ticket`
+# flags that give the same kind an option it does not read.
+UNREAD_OPTIONS = [
+    # a typo, and an option lt never reads
+    ({"kind": "lt", "schedul": "smart", "rewind_epoch": 3}, ["--schedule", "smart"]),
+    ({"kind": "lt", "rewind_epoch": 3}, ["--rewind-epoch", "3"]),
+    ({"kind": "snip", "family": "plain"}, ["--family", "plain"]),
+    ({"kind": "hybrid", "schedule": "smart"}, ["--schedule", "smart"]),
+    ({"kind": "random", "mode": "reset"}, ["--mode", "reset"]),
+    # no flag sets preserve_output_layer
+    ({"kind": "imp", "preserve_output_layer": True}, ["--rewind-epoch", "1"]),
+    ({"kind": "random", "mode": "hybrid"}, ["--mode", "hybrid"]),
+]
+
+
+@pytest.mark.parametrize("entry", [entry for entry, _ in UNREAD_OPTIONS])
 def test_config_rejects_options_a_pipeline_kind_does_not_read(entry):
     with pytest.raises(ConfigError, match="takes no option"):
         tiny_config(pipelines=[entry])
+
+
+@pytest.mark.parametrize("entry, flags", UNREAD_OPTIONS)
+def test_api_and_cli_refuse_options_a_pipeline_kind_does_not_read(tmp_path, capsys, entry, flags):
+    kind = entry["kind"]
+    split = synthetic_blobs(3, 4, 60, seed=9)
+    specs = preset_specs("mlp-4", (4,), 3)
+    params = {k: v for k, v in entry.items() if k != "kind"}
+    with pytest.raises(DomainError, match="takes no option"):
+        build_ticket(kind, specs, split, 0.5, 0, TrainConfig(epochs=1), params)
+    out = tmp_path / "t.plab"
+    data = "synthetic-blobs:classes=3,dim=4,n=60,seed=9"
+    assert main(["ticket", kind, *flags, "--data", data, "--epochs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DomainError:")
+    assert "takes no option" in err[0]
+    assert not out.exists()
 
 
 def test_config_accepts_every_option_a_pipeline_kind_reads():
@@ -123,6 +150,13 @@ def test_config_hash_ignores_key_order_but_not_content():
     reordered = ExperimentConfig.from_dict(dict(reversed(list(TINY.items()))))
     assert config_hash(reordered) == digest
     assert config_hash(tiny_config(seeds=[0, 2])) != digest
+
+
+def test_config_hash_is_pinned():
+    # A change to the config's dict form must not orphan existing rows files;
+    # a NUMERICS_VERSION bump changes this digest on purpose.
+    digest = "99babe9a42e012dfffcf980d899f07d8bbd4517d356b772240ff0a2cc9a9e684"
+    assert config_hash(tiny_config()) == digest
 
 
 def test_config_hash_ignores_output_dir_but_not_the_numerics_version(monkeypatch):

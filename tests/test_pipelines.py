@@ -23,7 +23,6 @@ from prunelab.pipelines import (
     TrainConfig,
     apply_structural_check,
     build_ticket,
-    iterative_magnitude_prune,
     learning_rate_at,
     load_ticket,
     replay_ticket,
@@ -322,7 +321,9 @@ def imp_survivor_sequence(total, budget, q):
 @pytest.mark.parametrize("mode", IMP_MODES)
 def test_imp_reaches_the_budget_with_the_rounded_round_count(mode):
     cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
-    ticket = iterative_magnitude_prune(SPECS, SPLIT.train, 0.7, 0.2, cfg, mode, seed=11)
+    ticket = build_ticket(
+        "imp", SPECS, SPLIT.train, 0.7, 11, cfg, {"round_fraction": 0.2, "mode": mode}
+    )
     total = sum(SIZES)
     budget = round_half_up(0.3 * total)
     seq = imp_survivor_sequence(total, budget, 0.2)
@@ -333,7 +334,7 @@ def test_imp_reaches_the_budget_with_the_rounded_round_count(mode):
 
 def test_imp_reset_mode_returns_initialization_weights():
     cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
-    ticket = iterative_magnitude_prune(SPECS, SPLIT.train, 0.7, 0.2, cfg, "reset", seed=12)
+    ticket = build_ticket("imp", SPECS, SPLIT.train, 0.7, 12, cfg, {"round_fraction": 0.2})
     init = build_network(SPECS, 12)
     for w, winit in zip(ticket.weights.weights, init.weights):
         assert np.array_equal(w, winit)
@@ -341,7 +342,9 @@ def test_imp_reset_mode_returns_initialization_weights():
 
 def test_imp_hybrid_mode_lands_on_schedule_quotas():
     cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
-    ticket = iterative_magnitude_prune(SPECS, SPLIT.train, 0.7, 0.3, cfg, "hybrid", seed=13)
+    ticket = build_ticket(
+        "imp", SPECS, SPLIT.train, 0.7, 13, cfg, {"round_fraction": 0.3, "mode": "hybrid"}
+    )
     want = smart_ratio(SIZES, SPECS, 0.7).quotas
     assert tuple(ticket.mask.counts()) == want
 
@@ -349,11 +352,11 @@ def test_imp_hybrid_mode_lands_on_schedule_quotas():
 def test_imp_validates_arguments():
     cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
     with pytest.raises(DomainError):
-        iterative_magnitude_prune(SPECS, SPLIT.train, 0.7, 0.0, cfg, "reset", 0)
+        build_ticket("imp", SPECS, SPLIT.train, 0.7, 0, cfg, {"round_fraction": 0.0})
     with pytest.raises(DomainError):
-        iterative_magnitude_prune(SPECS, SPLIT.train, 1.2, 0.2, cfg, "reset", 0)
+        build_ticket("imp", SPECS, SPLIT.train, 1.2, 0, cfg, {"round_fraction": 0.2})
     with pytest.raises(DomainError):
-        iterative_magnitude_prune(SPECS, SPLIT.train, 0.7, 0.2, cfg, "anneal", 0)
+        build_ticket("imp", SPECS, SPLIT.train, 0.7, 0, cfg, {"mode": "anneal"})
 
 
 def record_train_masks(monkeypatch, limit=50):
@@ -379,7 +382,9 @@ def test_imp_removes_a_weight_every_round_where_rounding_keeps_all(monkeypatch, 
     cfg = TrainConfig(epochs=1, batch_size=16, seed=0)
     budget = round_half_up((1.0 - target) * 8)
     masks = record_train_masks(monkeypatch)
-    ticket = iterative_magnitude_prune(specs, split.train, target, 0.1, cfg, mode, seed=3)
+    ticket = build_ticket(
+        "imp", specs, split.train, target, 3, cfg, {"round_fraction": 0.1, "mode": mode}
+    )
     assert ticket.mask.total_kept == budget
     masks.append(ticket.mask)
     kept = [m.total_kept for m in masks]

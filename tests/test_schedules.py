@@ -111,6 +111,13 @@ def test_schedule_by_name_dispatch_and_rejection():
     ).quotas
     with pytest.raises(DomainError):
         schedule_by_name("golden", sizes, None, 0.9)
+    for kind in SCHEDULE_KINDS:
+        with pytest.raises(DomainError, match="unknown family"):
+            schedule_by_name(kind, sizes, None, 0.9, "plian")
+    with pytest.raises(DomainError, match="unknown family"):
+        smart_ratio(sizes, None, 0.9, "plian")
+    with pytest.raises(DomainError, match="unknown family"):
+        smart_raw_weights(4, "x")
 
 
 def test_schedule_kind_registry():
