@@ -85,12 +85,16 @@ def _cmd_run(args):
 def _cmd_ticket(args):
     split = None
     if args.data:
+        for flag, value in (("--input-shape", args.input_shape), ("--classes", args.classes)):
+            if value is not None:
+                raise DomainError(f"{flag} conflicts with --data, which fixes it")
         split = load_dataset(_parse_dataset_arg(args.data))
         shape, classes = split.train.sample_shape, split.train.class_count
     elif args.kind != "random":
         raise DomainError(f"pipeline {args.kind!r} needs --data")
     else:
-        shape, classes = args.input_shape, args.classes
+        shape = (16,) if args.input_shape is None else args.input_shape
+        classes = 3 if args.classes is None else args.classes
     specs = preset_specs(args.arch, shape, classes)
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
     # Only the options given; build_ticket fills in the rest.
@@ -167,9 +171,10 @@ def build_parser():
     p_ticket.add_argument("--sparsity", type=float, default=0.9)
     p_ticket.add_argument("--seed", type=int, default=0)
     p_ticket.add_argument("--data", help="dataset, e.g. synthetic-blobs:classes=3,dim=16,n=600,seed=7")
-    p_ticket.add_argument("--input-shape", default="16", type=_shape_arg,
-                          help="AxBxC input shape for data-free kinds")
-    p_ticket.add_argument("--classes", type=int, default=3)
+    p_ticket.add_argument("--input-shape", type=_shape_arg,
+                          help="AxBxC input shape without --data (default 16)")
+    p_ticket.add_argument("--classes", type=int,
+                          help="class count without --data (default 3)")
     p_ticket.add_argument("--family", choices=FAMILIES)
     p_ticket.add_argument("--schedule", choices=SCHEDULE_KINDS)
     p_ticket.add_argument("--mode", choices=IMP_MODES)

@@ -3,16 +3,19 @@
 A network is a fixed stack of bias-free dense and conv layers with ReLU
 between them and one batch-mean loss head (softmax cross-entropy or squared
 error).  `forward_loss` runs the stack once and keeps each layer's input,
-masked weights and mask, and the softmax its loss computed; `backward` walks
-the same layers in reverse and returns per-layer weight gradients.  The
-stack is the whole graph, so every numeric path stays inspectable and
-bit-reproducible.
+masked weights and mask, each conv layer's patch blocks, and the softmax its
+loss computed; `backward` walks the same layers in reverse and returns
+per-layer weight gradients.  The stack is the whole graph, so every numeric
+path stays inspectable and bit-reproducible.
 
-Convolution is im2col plus GEMM: the forward pass and the kernel gradient
-are one matrix product each against the patch matrix, and the input gradient
-is a col2im loop over the kernel taps.  Both run over fixed blocks of
-CONV_BLOCK samples, so the patch matrix's memory does not grow with the
-batch.  No gradient is computed for the first layer's input, which is data.
+Convolution is im2col plus GEMM over fixed blocks of CONV_BLOCK samples.
+The forward pass builds each block's patch matrix once and keeps it; the
+kernel gradient is one matrix product per kept block, and the input
+gradient is a col2im loop over the kernel taps.  A loop that runs one pass
+after another (an SGD run, the two sides of a Hessian-vector product) hands
+the spent pass to `forward_loss(..., reuse=...)`, which refills its patch
+buffers in place instead of allocating new ones.  No gradient is computed
+for the first layer's input, which is data.
 
 Masks enter as masked weights (w * c) and the weight gradient is multiplied
 by c, so the gradient with respect to a masked-out weight is exactly zero.
@@ -41,11 +44,17 @@ HEADS = (SOFTMAX_XENT, SQUARED_ERROR)
 class ForwardPass:
     """What `backward` needs from one `forward_loss` call.
 
-    `layers` holds (input, masked weights, mask) per layer, the input as the
-    layer received it (before any flatten) and weights and mask in the
-    layer's natural shape.  `target` is the int labels for softmax-xent or
-    the (n, classes) target matrix for squared error.  `probs` is the
-    softmax of the logits that the loss computed, or None for squared error.
+    `layers` holds (input, masked weights, mask, patch blocks) per layer, the
+    input as the layer received it (before any flatten) and weights and mask
+    in the layer's natural shape.  The patch blocks are the conv layer's
+    im2col matrices, one per CONV_BLOCK samples (None for a dense layer);
+    they take up to kh * kw times the memory of the layer's input.  A pass
+    handed to `forward_loss` as `reuse` has lent those blocks to the
+    new pass, which overwrites them: it must not be used afterwards.
+
+    `target` is the int labels for softmax-xent or the (n, classes) target
+    matrix for squared error.  `probs` is the softmax of the logits that the
+    loss computed, or None for squared error.
     """
 
     layers: tuple
@@ -55,21 +64,35 @@ class ForwardPass:
     probs: np.ndarray | None
 
 
-CONV_BLOCK = 64  # samples per im2col block; bounds the patch matrix's memory
+CONV_BLOCK = 64  # samples per im2col patch block
 
 
 def _conv_blocks(n):
     return [slice(s, min(s + CONV_BLOCK, n)) for s in range(0, n, CONV_BLOCK)]
 
 
-def _im2col(x, kh, kw):
-    """Patch matrix of x (n, ci, h, w): rows (ci, kh, kw), columns (n, ho, wo)."""
-    ci = x.shape[1]
+def _im2col(x, kh, kw, buf=None):
+    """Patch matrix of x (n, ci, h, w): rows (ci, kh, kw), columns (n, ho, wo).
+
+    Written into `buf` when it has the patch matrix's shape (the same bytes
+    as a new array), else into a new array.
+    """
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(ci * kh * kw, -1)
+    windows = windows.transpose(1, 4, 5, 0, 2, 3)
+    shape = (math.prod(windows.shape[:3]), math.prod(windows.shape[3:]))
+    if buf is None or buf.shape != shape:
+        return np.ascontiguousarray(windows).reshape(shape)
+    np.copyto(buf.reshape(windows.shape), windows)
+    return buf
 
 
-def _conv2d_forward(x, k):
+def _conv2d_forward(x, k, cols=None, spare=()):
+    """Valid cross-correlation of x (n, ci, h, w) with k (co, ci, kh, kw).
+
+    When `cols` is a list, each block's patch matrix is appended to it,
+    refilled in place from the matching block of `spare` where the shapes
+    agree.
+    """
     n, ci, h, w = x.shape
     co, ci2, kh, kw = k.shape
     if ci != ci2:
@@ -79,29 +102,36 @@ def _conv2d_forward(x, k):
         raise AlignmentError(f"kernel {kh}x{kw} does not fit input {h}x{w}")
     k2 = k.reshape(co, -1)
     out = np.empty((n, co, ho, wo))
-    for b in _conv_blocks(n):
-        y = k2 @ _im2col(x[b], kh, kw)
+    for j, b in enumerate(_conv_blocks(n)):
+        col = _im2col(x[b], kh, kw, spare[j] if j < len(spare) else None)
+        if cols is not None:
+            cols.append(col)
+        y = k2 @ col
         out[b] = y.reshape(co, -1, ho, wo).transpose(1, 0, 2, 3)
     return out
 
 
-def _conv2d_backward(x, k, g, need_gx):
-    """Kernel gradient, and the input gradient when `need_gx` (else None).
+def _conv2d_backward(cols, k, g, in_hw=None):
+    """Kernel gradient, and the gradient of an `in_hw` input when given (else None).
 
-    The kernel gradient is one GEMM per block against the patch matrix.  The
-    input gradient is col2im over the kh*kw taps: the upstream gradient is
-    zero-padded to the full (h, w) grid, so each tap is one GEMM and one
-    shifted add along the flattened (n, h, w) axis.  Entries the shift
-    carries across a row or sample edge come from the zero padding.
+    `cols` are the forward pass's patch blocks, so the kernel gradient is
+    one GEMM per block.  The input gradient is col2im over the kh*kw taps:
+    the upstream gradient is zero-padded to the full (h, w) grid, so each
+    tap is one GEMM and one shifted add along the flattened (n, h, w) axis.
+    Entries the shift carries across a row or sample edge come from the zero
+    padding.
     """
-    n, ci, h, w = x.shape
-    co, _, kh, kw = k.shape
+    n = g.shape[0]
+    co, ci, kh, kw = k.shape
     ho, wo = g.shape[2], g.shape[3]
+    need_gx = in_hw is not None
+    if need_gx:
+        h, w = in_hw
+        gx = np.zeros((ci, n * h * w + (kh - 1) * w + kw - 1))
     gk = None
-    gx = np.zeros((ci, n * h * w + (kh - 1) * w + kw - 1)) if need_gx else None
-    for b in _conv_blocks(n):
+    for b, col in zip(_conv_blocks(n), cols):
         gb = g[b].transpose(1, 0, 2, 3)
-        part = gb.reshape(co, -1) @ _im2col(x[b], kh, kw).T
+        part = gb.reshape(co, -1) @ col.T
         gk = part if gk is None else gk + part
         if need_gx:
             cells = gb.shape[1] * h * w
@@ -113,8 +143,9 @@ def _conv2d_backward(x, k, g, need_gx):
                 for v in range(kw):
                     s = u * w + v
                     acc[:, s : s + cells] += k[:, :, u, v].T @ gpad
-    if need_gx:
-        gx = gx[:, : n * h * w].reshape(ci, n, h, w).transpose(1, 0, 2, 3)
+    if not need_gx:
+        return None, gk.reshape(k.shape)
+    gx = gx[:, : n * h * w].reshape(ci, n, h, w).transpose(1, 0, 2, 3)
     return gx, gk.reshape(k.shape)
 
 
@@ -136,10 +167,12 @@ def _layer_shape(spec):
     return (spec.fan_in, spec.fan_out)
 
 
-def _run_layers(params, mask, samples, sample_shape, keep=None):
+def _run_layers(params, mask, samples, sample_shape, keep=None, spare=()):
     """Masked forward pass through the stack; returns the (n, classes) logits.
 
-    When `keep` is a list, each layer appends (input, masked weights, mask).
+    When `keep` is a list, each layer appends (input, masked weights, mask,
+    patch blocks), filling its patch blocks into that layer's entry of
+    `spare` (an earlier pass's layers) where it can.
     """
     specs = params.specs
     n = samples.shape[0]
@@ -167,6 +200,7 @@ def _run_layers(params, mask, samples, sample_shape, keep=None):
         c = mask.layers[i].reshape(shape)
         w = params.weights[i].reshape(shape) * c
         x = h
+        cols = None
         if spec.kind == "dense":
             h = h.reshape(n, -1)
             if h.shape[1] != spec.fan_in:
@@ -177,9 +211,11 @@ def _run_layers(params, mask, samples, sample_shape, keep=None):
         else:
             if h.ndim != 4:
                 raise AlignmentError(f"layer {i}: conv needs an image-shaped input")
-            h = _conv2d_forward(h, w)
+            if keep is not None:
+                cols = []
+            h = _conv2d_forward(h, w, cols, (spare[i][3] if i < len(spare) else None) or ())
         if keep is not None:
-            keep.append((x, w, c))
+            keep.append((x, w, c, cols))
         if not spec.is_output:
             np.maximum(h, 0.0, out=h)
     return h
@@ -212,8 +248,14 @@ def forward_logits(params, mask, samples, *, sample_shape=None):
     return _run_layers(params, mask, samples, sample_shape)
 
 
-def forward_loss(params, mask, samples, labels, *, sample_shape=None, head=SOFTMAX_XENT):
-    """Masked batch-mean loss; returns (loss, pass) with the pass ready for backward."""
+def forward_loss(
+    params, mask, samples, labels, *, sample_shape=None, head=SOFTMAX_XENT, reuse=None
+):
+    """Masked batch-mean loss; returns (loss, pass) with the pass ready for backward.
+
+    `reuse` is an earlier pass whose conv patch buffers this pass refills
+    in place where their shapes match; that pass must not be used again.
+    """
     if head not in HEADS:
         raise DomainError(f"unknown loss head {head!r}")
     samples, labels = _as_batch(samples, labels)
@@ -222,7 +264,8 @@ def forward_loss(params, mask, samples, labels, *, sample_shape=None, head=SOFTM
     classes = params.specs[-1].fan_out
 
     layers = []
-    z = _run_layers(params, mask, samples, sample_shape, layers)
+    spare = () if reuse is None else reuse.layers
+    z = _run_layers(params, mask, samples, sample_shape, layers, spare)
     if head == SQUARED_ERROR and classes == 1:
         target = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     else:
@@ -265,12 +308,12 @@ def backward(fp, out=None):
 
     grads = [None] * len(fp.layers) if out is None else out
     for i in range(len(fp.layers) - 1, -1, -1):
-        x, w, c = fp.layers[i]
+        x, w, c, cols = fp.layers[i]
         if w.ndim == 2:
             gw = x.reshape(n, -1).T @ g
             gx = (g @ w.T).reshape(x.shape) if i else None
         else:
-            gx, gw = _conv2d_backward(x, w, g, i > 0)
+            gx, gw = _conv2d_backward(cols, w, g, x.shape[2:] if i else None)
         grads[i] = np.multiply(gw.reshape(-1), c.reshape(-1), out=None if out is None else out[i])
         if i:
             # x is relu(z) of the layer below, and relu(z) > 0 exactly where z > 0.
@@ -325,12 +368,16 @@ def hessian_vector_product(
     if all(np.array_equal(p, w) for p, w in zip(plus, params.weights)):
         raise DegenerateStepError("epsilon step underflowed to zero perturbation")
 
-    _, pass_p = forward_loss(
+    # Each pass is dropped once its gradient is taken; the minus pass
+    # refills the plus pass's patch buffers.
+    _, fp = forward_loss(
         params.with_weights(plus), mask, samples, labels, sample_shape=sample_shape, head=head
     )
-    gp = backward(pass_p)
-    _, pass_m = forward_loss(
-        params.with_weights(minus), mask, samples, labels, sample_shape=sample_shape, head=head
+    gp = backward(fp)
+    _, fp = forward_loss(
+        params.with_weights(minus), mask, samples, labels,
+        sample_shape=sample_shape, head=head, reuse=fp,
     )
-    gm = backward(pass_m)
+    gm = backward(fp)
+    del fp
     return [(a - b) / (2.0 * epsilon) for a, b in zip(gp, gm)]

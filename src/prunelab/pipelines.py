@@ -238,6 +238,7 @@ def train(
         snapshot(0)
 
     history = []
+    tape = None  # each step refills the previous step's conv patch buffers
     for epoch in range(cfg.epochs):
         lr = learning_rate_at(cfg, min(schedule_offset + epoch, max(cfg.epochs - 1, 0)))
         order = rng.permutation(n)
@@ -246,7 +247,8 @@ def train(
             idx = order[start : start + cfg.batch_size]
             try:
                 loss, tape = forward_loss(
-                    cur, mask, data.samples[idx], data.labels[idx], sample_shape=shape
+                    cur, mask, data.samples[idx], data.labels[idx],
+                    sample_shape=shape, reuse=tape,
                 )
             except NumericsError as exc:
                 raise TrainingDivergedError(str(exc), epoch) from None

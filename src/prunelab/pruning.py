@@ -178,6 +178,7 @@ def grasp_scores(params, mask, samples, labels, *, sample_shape=None, head=engin
         params, mask, samples, labels, sample_shape=sample_shape, head=head
     )
     grads = engine.backward(fp)
+    del fp  # not alive through the two passes of the Hessian-vector product
     gnorm = math.sqrt(sum(float(g @ g) for g in grads))
     if gnorm == 0.0:
         raise DegenerateGradientError("loss gradient is zero on the scoring batch")

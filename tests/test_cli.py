@@ -122,6 +122,27 @@ def test_ticket_snip_from_synthetic_data(tmp_path, capsys):
     assert ticket.mask.total_kept == round_half_up(0.5 * sum(sizes))
 
 
+@pytest.mark.parametrize("flag", [["--input-shape", "4"], ["--classes", "7"]])
+def test_ticket_refuses_shape_flags_that_the_data_fixes(tmp_path, capsys, flag):
+    out = tmp_path / "s.plab"
+    code = main([
+        "ticket", "snip", "--data", "synthetic-blobs:classes=3,dim=4,n=60,seed=9",
+        "--epochs", "1", *flag, "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError:") and flag[0] in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_ticket_random_defaults_to_sixteen_inputs_and_three_classes(tmp_path, capsys):
+    out = tmp_path / "r.plab"
+    assert main(["ticket", "random", "--out", str(out)]) == 0
+    sizes = [c.size for c in load_ticket(str(out)).mask.layers]
+    assert sizes == layer_sizes(preset_specs("mlp-4", (16,), 3))
+
+
 def test_check_rewrites_a_ticket(tmp_path, capsys):
     original = tmp_path / "t.plab"
     main([

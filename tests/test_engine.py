@@ -19,7 +19,7 @@ from prunelab.errors import (
     DomainError,
     NumericsError,
 )
-from prunelab.models import LayerSpec, LayeredParams, build_network, layer_sizes
+from prunelab.models import LayerSpec, LayeredParams, build_network, layer_sizes, preset_specs
 from prunelab.pruning import Mask, full_mask
 
 from conftest import random_batch
@@ -200,12 +200,16 @@ def test_conv_kernels_match_explicit_loops_across_sample_blocks():
     assert got.shape == want.shape
     assert rel_error([got], [want]) <= 1e-12
 
+    cols = []
+    assert np.array_equal(_conv2d_forward(x, k, cols), got)
+    assert len(cols) == 3
+
     g = rng.normal(size=want.shape)
     want_gx, want_gk = conv_grads_by_loops(x, k, g)
-    gx, gk = _conv2d_backward(x, k, g, True)
+    gx, gk = _conv2d_backward(cols, k, g, x.shape[2:])
     assert rel_error([gx], [want_gx]) <= 1e-12
     assert rel_error([gk], [want_gk]) <= 1e-12
-    no_gx, same_gk = _conv2d_backward(x, k, g, False)
+    no_gx, same_gk = _conv2d_backward(cols, k, g)
     assert no_gx is None
     assert np.array_equal(same_gk, gk)
 
@@ -246,6 +250,33 @@ def test_backward_leaves_the_pass_reusable(tiny_net):
     first = backward(fp)
     second = backward(fp)
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("preset, shape", [("conv-5", (1, 12, 12)), ("mlp-4", (16,))])
+@pytest.mark.parametrize("second_batch", [64, 30])
+def test_reused_pass_matches_a_fresh_pass(preset, shape, second_batch):
+    # The second batch is as large as the first (every patch buffer is
+    # refilled in place) or smaller (its block shape differs: a new buffer).
+    specs = preset_specs(preset, shape, 3)
+    params = build_network(specs, seed=21)
+    rng = np.random.default_rng(22)
+    mask = Mask(tuple((rng.random(m) < 0.7).astype(float) for m in layer_sizes(specs)))
+    image = shape if preset == "conv-5" else None
+    x1, y1 = random_batch(specs, 64, seed=23, image_shape=image)
+    x2, y2 = random_batch(specs, second_batch, seed=24, image_shape=image)
+    _, spent = forward_loss(params, mask, x1, y1, sample_shape=image)
+    backward(spent)
+    lent = [b for layer in spent.layers for b in layer[3] or ()]
+    loss, fp = forward_loss(params, mask, x2, y2, sample_shape=image, reuse=spent)
+    kept = [b for layer in fp.layers for b in layer[3] or ()]
+    assert len(kept) == (3 if preset == "conv-5" else 0)
+    assert [a is b for a, b in zip(kept, lent)] == [second_batch == 64] * len(kept)
+    want_loss, fresh = forward_loss(params, mask, x2, y2, sample_shape=image)
+    want = backward(fresh)
+    assert loss == want_loss
+    assert np.array_equal(fp.logits, fresh.logits)
+    for _ in range(2):
+        assert all(np.array_equal(a, b) for a, b in zip(backward(fp), want))
 
 
 OUT_STACKS = {
