@@ -30,11 +30,11 @@ def corrupt_labels(data, rng) -> Dataset:
 
 
 def corrupt_pixels(data, rng) -> Dataset:
-    """Apply an independent uniform permutation to each sample's features."""
-    d = data.samples.shape[1]
-    out = np.empty_like(data.samples)
-    for i in range(data.n):
-        out[i] = data.samples[i][rng.permutation(d)]
+    """Apply an independent uniform permutation to each sample's features.
+
+    The stream and the result equal one `rng.permutation(d)` per sample, in order.
+    """
+    out = rng.permuted(data.samples, axis=1)
     return Dataset(out, data.labels.copy(), data.class_count, data.sample_shape)
 
 

@@ -35,7 +35,7 @@ from .schedules import SCHEDULE_KINDS, schedule_by_name
 
 
 def _parse_dataset_arg(text):
-    """Compact dataset syntax: kind:key=value,key=value."""
+    """Compact dataset syntax: kind:key=value,key=value; shape=AxBxC as in --input-shape."""
     if ":" not in text:
         return {"kind": text}
     kind, _, rest = text.partition(":")
@@ -49,6 +49,12 @@ def _parse_dataset_arg(text):
         if "=" not in item:
             raise DomainError(f"dataset option {item!r} is not key=value")
         key, _, value = item.partition("=")
+        if key == "shape":
+            try:
+                source[key] = _shape_arg(value)
+            except argparse.ArgumentTypeError as exc:
+                raise DomainError(f"dataset shape: {exc}") from None
+            continue
         try:
             source[key] = json.loads(value)
         except json.JSONDecodeError:
@@ -57,7 +63,7 @@ def _parse_dataset_arg(text):
 
 
 def _shape_arg(text):
-    """argparse type of --input-shape: AxBxC, positive integers."""
+    """argparse type of --input-shape (and --data's shape): AxBxC, positive integers."""
     dims = text.split("x")
     if not all(d.isdecimal() and int(d) > 0 for d in dims):
         raise argparse.ArgumentTypeError(f"{text!r} is not an AxBxC shape of positive integers")
@@ -170,7 +176,8 @@ def build_parser():
     p_ticket.add_argument("--arch", default="mlp-4", choices=PRESET_NAMES)
     p_ticket.add_argument("--sparsity", type=float, default=0.9)
     p_ticket.add_argument("--seed", type=int, default=0)
-    p_ticket.add_argument("--data", help="dataset, e.g. synthetic-blobs:classes=3,dim=16,n=600,seed=7")
+    p_ticket.add_argument("--data", help="dataset, e.g. synthetic-blobs:classes=3,dim=16,n=600,"
+                                         "seed=7 (an image shape: dim=144,shape=1x12x12)")
     p_ticket.add_argument("--input-shape", type=_shape_arg,
                           help="AxBxC input shape without --data (default 16)")
     p_ticket.add_argument("--classes", type=int,

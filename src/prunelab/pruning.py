@@ -91,6 +91,19 @@ def keep_ratios(mask) -> list[float]:
     return [int(c.sum()) / c.size for c in mask.layers]
 
 
+def _top_k(values, k) -> np.ndarray:
+    """Positions of the k largest values, ties in position order: the first k of
+    a stable descending sort, as a set.  `values` must hold no NaN (`ScoreMap`
+    refuses non-finite scores).
+    """
+    n = values.size
+    if k == 0 or k >= n:
+        return np.arange(min(k, n))
+    kth = np.partition(values, n - k)[n - k]
+    above = np.flatnonzero(values > kth)
+    return np.concatenate((above, np.flatnonzero(values == kth)[: k - above.size]))
+
+
 def _select_global(scores, eligible, k) -> Mask:
     """Keep the k best eligible weights across all layers; ties by flat position.
 
@@ -100,9 +113,8 @@ def _select_global(scores, eligible, k) -> Mask:
     """
     flat = np.concatenate(scores.layers)
     candidates = np.flatnonzero(eligible)
-    order = candidates[np.argsort(-flat[candidates], kind="stable")]
     out = np.zeros(flat.size)
-    out[order[:k]] = 1.0
+    out[candidates[_top_k(flat[candidates], k)]] = 1.0
     return Mask(tuple(np.split(out, np.cumsum([s.size for s in scores.layers])[:-1])))
 
 
@@ -126,7 +138,7 @@ def _select_layerwise(scores, within, quotas) -> Mask:
     for s, c, q in zip(scores.layers, within.layers, quotas):
         candidates = np.flatnonzero(c)
         out = np.zeros(s.size)
-        out[candidates[np.argsort(-s[candidates], kind="stable")[:q]]] = 1.0
+        out[candidates[_top_k(s[candidates], q)]] = 1.0
         layers.append(out)
     return Mask(tuple(layers))
 

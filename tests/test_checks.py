@@ -80,6 +80,39 @@ def test_corrupt_both_changes_labels_and_pixels():
     assert np.array_equal(out.labels, again.labels)
 
 
+def per_row_pixels(data, rng):
+    """Reference for corrupt_pixels: one rng.permutation(d) per sample, in sample order."""
+    out = np.empty_like(data.samples)
+    for i in range(data.n):
+        out[i] = data.samples[i][rng.permutation(data.samples.shape[1])]
+    return out
+
+
+PIXEL_SHAPES = [(0, 4), (7, 0), (3, 1), (5, 2), (64, 16), (40, 144), (1600, 256)]
+
+
+@pytest.mark.parametrize("n,d", PIXEL_SHAPES)
+def test_corrupt_pixels_matches_the_per_row_reference_and_its_stream(n, d):
+    data = toy_data(n=n, d=d, seed=n + d)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    out = corrupt_pixels(data, rng)
+    assert np.array_equal(out.samples, per_row_pixels(data, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n,d", PIXEL_SHAPES)
+def test_corrupt_both_matches_the_per_row_reference_and_its_stream(n, d):
+    data = toy_data(n=n, d=d, seed=n + d)
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    out = corrupt_both(data, rng)
+    label_rng, pixel_rng = ref_rng.spawn(2)
+    labels = label_rng.integers(0, data.class_count, data.n)
+    assert np.array_equal(out.labels, labels)
+    assert np.array_equal(out.samples, per_row_pixels(data, pixel_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.bit_generator.seed_seq.n_children_spawned == 2
+
+
 def test_half_dataset_keeps_floor_half_without_replacement():
     data = Dataset(
         np.arange(11, dtype=float)[:, None], np.zeros(11, dtype=int), 2, (1,)

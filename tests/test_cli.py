@@ -122,6 +122,31 @@ def test_ticket_snip_from_synthetic_data(tmp_path, capsys):
     assert ticket.mask.total_kept == round_half_up(0.5 * sum(sizes))
 
 
+def test_ticket_builds_a_conv_ticket_from_shaped_blobs(tmp_path, capsys):
+    out = tmp_path / "c.plab"
+    code = main([
+        "ticket", "snip", "--arch", "conv-5", "--epochs", "1",
+        "--data", "synthetic-blobs:classes=4,dim=144,n=400,shape=1x12x12", "--out", str(out),
+    ])
+    assert code == 0
+    sizes = [c.size for c in load_ticket(str(out)).mask.layers]
+    assert sizes == layer_sizes(preset_specs("conv-5", (1, 12, 12), 4))
+
+
+@pytest.mark.parametrize("shape", ["[1", "1x12xq", "1x0x144", "", "1x-12x12"])
+def test_ticket_malformed_data_shape_exits_one_with_one_line(tmp_path, capsys, shape):
+    out = tmp_path / "c.plab"
+    code = main([
+        "ticket", "snip", "--arch", "conv-5", "--epochs", "1",
+        "--data", f"synthetic-blobs:dim=144,n=60,shape={shape}", "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError:") and "AxBxC" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--input-shape", "4"], ["--classes", "7"]])
 def test_ticket_refuses_shape_flags_that_the_data_fixes(tmp_path, capsys, flag):
     out = tmp_path / "s.plab"

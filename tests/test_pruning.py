@@ -16,6 +16,8 @@ from prunelab.models import LayerSpec, LayeredParams, build_network, layer_sizes
 from prunelab.pruning import (
     Mask,
     ScoreMap,
+    _select_global,
+    _select_layerwise,
     full_mask,
     grasp_scores,
     keep_ratios,
@@ -116,6 +118,82 @@ def test_global_selection_matches_full_sort_oracle(data):
     expect = np.zeros(total)
     expect[order[:k]] = 1.0
     assert np.array_equal(np.concatenate(mask.layers), expect)
+
+
+TIED_VALUES = {
+    "small-int": st.integers(-2, 2).map(float),
+    "signed-zero": st.sampled_from([-0.0, 0.0, 1.0, -1.0]),
+}
+
+
+def draw_tied_layers(data):
+    """Score layers with many exact ties: small integers, +-0.0 mixes or constant layers."""
+    sizes = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    kind = data.draw(st.sampled_from(["small-int", "signed-zero", "all-equal"]))
+    if kind == "all-equal":
+        return [np.full(m, data.draw(st.sampled_from([-1.0, -0.0, 0.0, 2.5]))) for m in sizes]
+    return [np.array(data.draw(st.lists(TIED_VALUES[kind], min_size=m, max_size=m)))
+            for m in sizes]
+
+
+def sorted_pick(values, positions, k):
+    """Oracle: the first k positions of a full sort on (-score, position)."""
+    return sorted(positions, key=lambda i: (-values[i], i))[:k]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_global_and_layerwise_selection_match_full_sort_under_ties(data):
+    layers = draw_tied_layers(data)
+    flat = np.concatenate(layers)
+    total = flat.size
+    scores = ScoreMap(tuple(layers))
+    # mask_from_scores_global for every budget from 1 to total
+    k = data.draw(st.integers(1, total))
+    expect = np.zeros(total)
+    expect[sorted_pick(flat, range(total), k)] = 1.0
+    got = _select_global(scores, np.ones(total, dtype=bool), k)
+    assert np.array_equal(np.concatenate(got.layers), expect)
+    p = 1.0 - k / total
+    if round_half_up((1.0 - p) * total) == k:
+        got = mask_from_scores_global(scores, p)
+        assert np.array_equal(np.concatenate(got.layers), expect)
+    # mask_from_scores_layerwise for one quota per layer
+    quotas = [data.draw(st.integers(0, s.size)) for s in layers]
+    if sum(quotas) > 0:
+        got = mask_from_scores_layerwise(scores, KeepRatioSchedule(
+            tuple(q / s.size for q, s in zip(quotas, layers)), tuple(quotas), 0.5))
+        for s, q, c in zip(layers, quotas, got.layers):
+            want = np.zeros(s.size)
+            want[sorted_pick(s, range(s.size), q)] = 1.0
+            assert np.array_equal(c, want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_selection_within_an_eligible_subset_matches_full_sort_under_ties(data):
+    """IMP's nested rounds choose among the weights the previous mask kept."""
+    layers = draw_tied_layers(data)
+    flat = np.concatenate(layers)
+    within = Mask(tuple(
+        np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=s.size,
+                                    max_size=s.size)))
+        for s in layers
+    ))
+    eligible = np.concatenate(within.layers) > 0
+    candidates = np.flatnonzero(eligible).tolist()
+    k = data.draw(st.integers(0, len(candidates)))
+    expect = np.zeros(flat.size)
+    expect[sorted_pick(flat, candidates, k)] = 1.0
+    got = _select_global(ScoreMap(tuple(layers)), eligible, k)
+    assert np.array_equal(np.concatenate(got.layers), expect)
+
+    quotas = [data.draw(st.integers(0, int(c.sum()))) for c in within.layers]
+    got = _select_layerwise(ScoreMap(tuple(layers)), within, quotas)
+    for s, c, q, out in zip(layers, within.layers, quotas, got.layers):
+        want = np.zeros(s.size)
+        want[sorted_pick(s, np.flatnonzero(c).tolist(), q)] = 1.0
+        assert np.array_equal(out, want)
 
 
 def test_layerwise_selection_takes_per_layer_quota():
