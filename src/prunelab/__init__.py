@@ -14,7 +14,6 @@ from .checks import (
 from .data import DataSplit, Dataset, load_dataset, synthetic_blobs
 from .engine import (
     backward,
-    finite_diff_gradient,
     forward_logits,
     forward_loss,
     hessian_vector_product,
@@ -24,7 +23,6 @@ from .errors import (
     ConfigError,
     DatasetError,
     DegenerateGradientError,
-    DegenerateStepError,
     DomainError,
     EmptyNetworkError,
     InfeasibleSparsityError,

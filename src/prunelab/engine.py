@@ -5,17 +5,19 @@ between them and one batch-mean loss head (softmax cross-entropy or squared
 error).  `forward_loss` runs the stack once and keeps each layer's input,
 masked weights and mask, each conv layer's patch blocks, and the softmax its
 loss computed; `backward` walks the same layers in reverse and returns
-per-layer weight gradients.  The stack is the whole graph, so every numeric
-path stays inspectable and bit-reproducible.
+per-layer weight gradients.  `hessian_vector_product` takes the same pass
+and returns the exact Hessian-vector product from one tangent pass forward
+and one back, through the same per-layer gradient step as `backward`.  The
+stack is the whole graph, so every numeric path stays inspectable and
+bit-reproducible.
 
 Convolution is im2col plus GEMM over fixed blocks of CONV_BLOCK samples.
 The forward pass builds each block's patch matrix once and keeps it; the
 kernel gradient is one matrix product per kept block, and the input
-gradient is a col2im loop over the kernel taps.  A loop that runs one pass
-after another (an SGD run, the two sides of a Hessian-vector product) hands
-the spent pass to `forward_loss(..., reuse=...)`, which refills its patch
-buffers in place instead of allocating new ones.  No gradient is computed
-for the first layer's input, which is data.
+gradient is a col2im loop over the kernel taps.  An SGD run hands each
+step's spent pass to `forward_loss(..., reuse=...)`, which refills its
+patch buffers in place instead of allocating new ones.  No gradient is
+computed for the first layer's input, which is data.
 
 Masks enter as masked weights (w * c) and the weight gradient is multiplied
 by c, so the gradient with respect to a masked-out weight is exactly zero.
@@ -25,15 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateStepError, DomainError, NumericsError
+from .errors import AlignmentError, DomainError, NumericsError
 
 # Bump whenever a change can move a computed value.  Version 2: conv by
 # im2col + GEMM, whose summation order differs from the per-tap einsums.
-NUMERICS_VERSION = 2
+# Version 3: GraSP's H g is the exact Hessian-vector product, where it was
+# a central difference at step 1e-5, which a ReLU crossing could throw off.
+NUMERICS_VERSION = 3
 
 SOFTMAX_XENT = "softmax-xent"
 SQUARED_ERROR = "squared-error"
@@ -42,7 +45,7 @@ HEADS = (SOFTMAX_XENT, SQUARED_ERROR)
 
 @dataclass(frozen=True)
 class ForwardPass:
-    """What `backward` needs from one `forward_loss` call.
+    """What `backward` and `hessian_vector_product` need from one `forward_loss` call.
 
     `layers` holds (input, masked weights, mask, patch blocks) per layer, the
     input as the layer received it (before any flatten) and weights and mask
@@ -86,67 +89,75 @@ def _im2col(x, kh, kw, buf=None):
     return buf
 
 
-def _conv2d_forward(x, k, cols=None, spare=()):
-    """Valid cross-correlation of x (n, ci, h, w) with k (co, ci, kh, kw).
+def _patches(x, kh, kw):
+    """Yield the patch matrix of each CONV_BLOCK of x's samples, all in one
+    buffer: each block must be used up before the next is drawn."""
+    col = None
+    for b in _conv_blocks(len(x)):
+        col = _im2col(x[b], kh, kw, col)
+        yield col
 
-    When `cols` is a list, each block's patch matrix is appended to it,
-    refilled in place from the matching block of `spare` where the shapes
-    agree.
-    """
-    n, ci, h, w = x.shape
-    co, ci2, kh, kw = k.shape
-    if ci != ci2:
-        raise AlignmentError(f"conv input has {ci} channels, kernel expects {ci2}")
-    ho, wo = h - kh + 1, w - kw + 1
-    if ho < 1 or wo < 1:
-        raise AlignmentError(f"kernel {kh}x{kw} does not fit input {h}x{w}")
-    k2 = k.reshape(co, -1)
+
+def _apply(x, w, cols=None):
+    """A layer's pre-activation output for input x: x @ w, or the conv of x
+    with w over x's patch blocks `cols` (built one block at a time when None)."""
+    n = len(x)
+    if w.ndim == 2:
+        return x.reshape(n, -1) @ w
+    co, _, kh, kw = w.shape
+    ho, wo = x.shape[2] - kh + 1, x.shape[3] - kw + 1
     out = np.empty((n, co, ho, wo))
-    for j, b in enumerate(_conv_blocks(n)):
-        col = _im2col(x[b], kh, kw, spare[j] if j < len(spare) else None)
-        if cols is not None:
-            cols.append(col)
-        y = k2 @ col
-        out[b] = y.reshape(co, -1, ho, wo).transpose(1, 0, 2, 3)
+    for b, col in zip(_conv_blocks(n), _patches(x, kh, kw) if cols is None else cols):
+        out[b] = (w.reshape(co, -1) @ col).reshape(co, -1, ho, wo).transpose(1, 0, 2, 3)
     return out
 
 
-def _conv2d_backward(cols, k, g, in_hw=None):
-    """Kernel gradient, and the gradient of an `in_hw` input when given (else None).
+def _weight_grad(x, w, g, cols=None):
+    """A layer's weight gradient for the gradient g at its output, in w's flat order.
 
-    `cols` are the forward pass's patch blocks, so the kernel gradient is
-    one GEMM per block.  The input gradient is col2im over the kh*kw taps:
-    the upstream gradient is zero-padded to the full (h, w) grid, so each
-    tap is one GEMM and one shifted add along the flattened (n, h, w) axis.
-    Entries the shift carries across a row or sample edge come from the zero
-    padding.
+    For conv it is one GEMM per patch block of x: `cols`, or built one
+    block at a time when None.
     """
-    n = g.shape[0]
-    co, ci, kh, kw = k.shape
-    ho, wo = g.shape[2], g.shape[3]
-    need_gx = in_hw is not None
-    if need_gx:
-        h, w = in_hw
-        gx = np.zeros((ci, n * h * w + (kh - 1) * w + kw - 1))
+    if w.ndim == 2:
+        return x.reshape(len(x), -1).T @ g
     gk = None
-    for b, col in zip(_conv_blocks(n), cols):
-        gb = g[b].transpose(1, 0, 2, 3)
-        part = gb.reshape(co, -1) @ col.T
+    co = g.shape[1]
+    for b, col in zip(_conv_blocks(len(x)), _patches(x, *w.shape[2:]) if cols is None else cols):
+        part = g[b].transpose(1, 0, 2, 3).reshape(co, -1) @ col.T
         gk = part if gk is None else gk + part
-        if need_gx:
-            cells = gb.shape[1] * h * w
-            gpad = np.zeros((co, gb.shape[1], h, w))
-            gpad[:, :, :ho, :wo] = gb
-            gpad = gpad.reshape(co, cells)
-            acc = gx[:, b.start * h * w :]
+    return gk
+
+
+def _grad_below(w, g, x):
+    """The gradient at the pre-activation beneath a layer with input x, for
+    the gradient g at the layer's output.
+
+    Conv is col2im over the kh*kw taps: the upstream gradient is zero-padded
+    to the full (h, w) grid, so each tap is one GEMM and one shifted add
+    along the flattened (n, h, w) axis.  Entries the shift carries across a
+    row or sample edge come from the zero padding.
+    """
+    if w.ndim == 2:
+        gx = (g @ w.T).reshape(x.shape)
+    else:
+        n, ci, h, wd = x.shape
+        co, _, kh, kw = w.shape
+        ho, wo = g.shape[2], g.shape[3]
+        gx = np.zeros((ci, n * h * wd + (kh - 1) * wd + kw - 1))
+        for b in _conv_blocks(n):
+            m = b.stop - b.start
+            gpad = np.zeros((co, m, h, wd))
+            gpad[:, :, :ho, :wo] = g[b].transpose(1, 0, 2, 3)
+            gpad = gpad.reshape(co, m * h * wd)
+            acc = gx[:, b.start * h * wd :]
             for u in range(kh):
                 for v in range(kw):
-                    s = u * w + v
-                    acc[:, s : s + cells] += k[:, :, u, v].T @ gpad
-    if not need_gx:
-        return None, gk.reshape(k.shape)
-    gx = gx[:, : n * h * w].reshape(ci, n, h, w).transpose(1, 0, 2, 3)
-    return gx, gk.reshape(k.shape)
+                    s = u * wd + v
+                    acc[:, s : s + gpad.shape[1]] += w[:, :, u, v].T @ gpad
+        gx = gx[:, : n * h * wd].reshape(ci, n, h, wd).transpose(1, 0, 2, 3)
+    # x is relu(z) of the layer below, and relu(z) > 0 exactly where z > 0.
+    gx *= x > 0
+    return gx
 
 
 def check_alignment(params, mask):
@@ -174,26 +185,17 @@ def _run_layers(params, mask, samples, sample_shape, keep=None, spare=()):
     patch blocks), filling its patch blocks into that layer's entry of
     `spare` (an earlier pass's layers) where it can.
     """
+    check_alignment(params, mask)
     specs = params.specs
     n = samples.shape[0]
+    h = samples
     if specs[0].kind == "conv":
-        if sample_shape is None or len(sample_shape) != 3:
-            raise AlignmentError("a conv-first network needs a (channels, h, w) sample_shape")
-        if math.prod(sample_shape) != samples.shape[1]:
+        if sample_shape is None or len(sample_shape) != 3 or math.prod(sample_shape) != h.shape[1]:
             raise AlignmentError(
-                f"sample_shape {sample_shape} does not cover {samples.shape[1]} features"
-            )
-        if sample_shape[0] != specs[0].fan_in:
-            raise AlignmentError(
-                f"input has {sample_shape[0]} channels, first conv expects {specs[0].fan_in}"
+                f"a conv-first network needs a (channels, h, w) sample_shape covering "
+                f"{h.shape[1]} features, got {sample_shape}"
             )
         h = samples.reshape(n, *sample_shape)
-    else:
-        if samples.shape[1] != specs[0].fan_in:
-            raise AlignmentError(
-                f"input has {samples.shape[1]} features, first layer expects {specs[0].fan_in}"
-            )
-        h = samples
 
     for i, spec in enumerate(specs):
         shape = _layer_shape(spec)
@@ -202,18 +204,24 @@ def _run_layers(params, mask, samples, sample_shape, keep=None, spare=()):
         x = h
         cols = None
         if spec.kind == "dense":
-            h = h.reshape(n, -1)
-            if h.shape[1] != spec.fan_in:
+            if math.prod(h.shape[1:]) != spec.fan_in:
                 raise AlignmentError(
-                    f"layer {i}: dense expects {spec.fan_in} inputs, got {h.shape[1]}"
+                    f"layer {i}: dense expects {spec.fan_in} inputs, got {math.prod(h.shape[1:])}"
                 )
-            h = h @ w
         else:
-            if h.ndim != 4:
-                raise AlignmentError(f"layer {i}: conv needs an image-shaped input")
+            kh, kw = spec.kernel
+            if h.ndim != 4 or h.shape[1] != spec.fan_in or h.shape[2] < kh or h.shape[3] < kw:
+                raise AlignmentError(
+                    f"layer {i}: a {kh}x{kw} kernel on {spec.fan_in} channels "
+                    f"does not fit input {h.shape[1:]}"
+                )
             if keep is not None:
-                cols = []
-            h = _conv2d_forward(h, w, cols, (spare[i][3] if i < len(spare) else None) or ())
+                spent = (spare[i][3] if i < len(spare) else None) or ()
+                cols = [
+                    _im2col(h[b], kh, kw, spent[j] if j < len(spent) else None)
+                    for j, b in enumerate(_conv_blocks(n))
+                ]
+        h = _apply(h, w, cols)
         if keep is not None:
             keep.append((x, w, c, cols))
         if not spec.is_output:
@@ -221,17 +229,18 @@ def _run_layers(params, mask, samples, sample_shape, keep=None, spare=()):
     return h
 
 
-def _as_batch(samples, labels):
+def _as_batch(samples, labels=None):
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
         samples = samples[None, :]
     if samples.ndim != 2:
         raise AlignmentError(f"samples must be (n, features), got shape {samples.shape}")
-    labels = np.asarray(labels)
-    if labels.ndim == 0:
-        labels = labels[None]
-    if labels.shape[0] != samples.shape[0]:
-        raise AlignmentError(f"{samples.shape[0]} samples but {labels.shape[0]} labels")
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.ndim == 0:
+            labels = labels[None]
+        if labels.shape[0] != samples.shape[0]:
+            raise AlignmentError(f"{samples.shape[0]} samples but {labels.shape[0]} labels")
     if samples.shape[0] == 0:
         raise DomainError("empty batch")
     return samples, labels
@@ -239,12 +248,7 @@ def _as_batch(samples, labels):
 
 def forward_logits(params, mask, samples, *, sample_shape=None):
     """Forward pass without a loss head; returns the (n, classes) logits."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = samples[None, :]
-    if samples.shape[0] == 0:
-        raise DomainError("empty batch")
-    check_alignment(params, mask)
+    samples, _ = _as_batch(samples)
     return _run_layers(params, mask, samples, sample_shape)
 
 
@@ -259,7 +263,6 @@ def forward_loss(
     if head not in HEADS:
         raise DomainError(f"unknown loss head {head!r}")
     samples, labels = _as_batch(samples, labels)
-    check_alignment(params, mask)
     n = samples.shape[0]
     classes = params.specs[-1].fan_out
 
@@ -289,6 +292,17 @@ def forward_loss(
     return loss, ForwardPass(tuple(layers), z, head, target, probs)
 
 
+def _loss_grad(fp):
+    """The gradient of the pass's batch-mean loss at its logits."""
+    n = fp.logits.shape[0]
+    if fp.head == SOFTMAX_XENT:
+        g = fp.probs.copy()
+        g[np.arange(n), fp.target] -= 1.0
+        g *= 1.0 / n
+        return g
+    return (1.0 / n) * (fp.logits - fp.target)
+
+
 def backward(fp, out=None):
     """Per-layer flat weight gradients of the loss behind `fp`.
 
@@ -297,87 +311,60 @@ def backward(fp, out=None):
     arrays, the gradients are written into them and `out` is returned.  The
     pass is not changed, so calling this twice gives the same gradients.
     """
-    z = fp.logits
-    n = z.shape[0]
-    if fp.head == SOFTMAX_XENT:
-        g = fp.probs.copy()
-        g[np.arange(n), fp.target] -= 1.0
-        g *= 1.0 / n
-    else:
-        g = (1.0 / n) * (z - fp.target)
-
+    g = _loss_grad(fp)
     grads = [None] * len(fp.layers) if out is None else out
     for i in range(len(fp.layers) - 1, -1, -1):
         x, w, c, cols = fp.layers[i]
-        if w.ndim == 2:
-            gw = x.reshape(n, -1).T @ g
-            gx = (g @ w.T).reshape(x.shape) if i else None
-        else:
-            gx, gw = _conv2d_backward(cols, w, g, x.shape[2:] if i else None)
+        gw = _weight_grad(x, w, g, cols)
         grads[i] = np.multiply(gw.reshape(-1), c.reshape(-1), out=None if out is None else out[i])
         if i:
-            # x is relu(z) of the layer below, and relu(z) > 0 exactly where z > 0.
-            gx *= x > 0
-            g = gx
+            g = _grad_below(w, g, x)
     return grads
 
 
-def finite_diff_gradient(loss_fn: Callable[[Sequence[np.ndarray]], float], weights, epsilon):
-    """Central-difference gradient oracle.
+def hessian_vector_product(fp, v):
+    """H v, with H the Hessian of the loss behind `fp` in the flat weights.
 
-    `loss_fn` must map a list of per-layer flat weight arrays to a scalar and
-    must not cache the arrays it is handed (they are perturbed in place).
+    Exact (Pearlmutter's R-operator), not a finite difference: one tangent
+    pass runs forward along v, masked as the weights are, and one runs back
+    beside the gradient.  ReLU has zero second derivative, so fp's
+    activation pattern holds throughout.  `v` is a list of flat per-layer
+    arrays like `backward`'s result, and so is H v, which is zero at
+    masked-out weights.  The pass is not changed; a conv layer's tangent
+    patch blocks are built one at a time and not kept.
     """
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    work = [np.array(w, dtype=np.float64) for w in weights]
-    grads = []
-    for w in work:
-        g = np.zeros_like(w)
-        for j in range(w.size):
-            orig = w[j]
-            w[j] = orig + epsilon
-            lp = loss_fn(work)
-            w[j] = orig - epsilon
-            lm = loss_fn(work)
-            w[j] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise NumericsError(f"oracle hit a non-finite loss at coordinate {j}")
-            g[j] = (lp - lm) / (2.0 * epsilon)
-        grads.append(g)
-    return grads
-
-
-def hessian_vector_product(
-    params, mask, samples, labels, v, epsilon, *, sample_shape=None, head=SOFTMAX_XENT
-):
-    """Hv by central differences of gradients: (g(w + eps v) - g(w - eps v)) / (2 eps)."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    if len(v) != len(params.weights):
-        raise AlignmentError(f"direction has {len(v)} layers, params have {len(params.weights)}")
-    v = [np.asarray(vl, dtype=np.float64) for vl in v]
-    for i, (vl, w) in enumerate(zip(v, params.weights)):
-        if vl.shape != w.shape:
+    if len(v) != len(fp.layers):
+        raise AlignmentError(f"direction has {len(v)} layers, the pass has {len(fp.layers)}")
+    dws, tangents = [], []
+    r = None  # the tangent of the layer's input, None (zero) for the data
+    for i, ((x, w, c, cols), vl) in enumerate(zip(fp.layers, v)):
+        vl = np.asarray(vl, dtype=np.float64)
+        if vl.size != w.size:
             raise AlignmentError(f"layer {i}: direction length {vl.size} != {w.size}")
-    if max(float(np.abs(vl).max()) if vl.size else 0.0 for vl in v) == 0.0:
-        raise DegenerateStepError("direction vector is zero")
+        dws.append(vl.reshape(w.shape) * c)
+        tangents.append(r)
+        out = _apply(x, dws[i], cols)
+        if r is not None:
+            out += _apply(r, w)
+        if i + 1 < len(fp.layers):
+            out *= fp.layers[i + 1][0] > 0
+        r = out
 
-    plus = [w + epsilon * vl for w, vl in zip(params.weights, v)]
-    minus = [w - epsilon * vl for w, vl in zip(params.weights, v)]
-    if all(np.array_equal(p, w) for p, w in zip(plus, params.weights)):
-        raise DegenerateStepError("epsilon step underflowed to zero perturbation")
-
-    # Each pass is dropped once its gradient is taken; the minus pass
-    # refills the plus pass's patch buffers.
-    _, fp = forward_loss(
-        params.with_weights(plus), mask, samples, labels, sample_shape=sample_shape, head=head
-    )
-    gp = backward(fp)
-    _, fp = forward_loss(
-        params.with_weights(minus), mask, samples, labels,
-        sample_shape=sample_shape, head=head, reuse=fp,
-    )
-    gm = backward(fp)
-    del fp
-    return [(a - b) / (2.0 * epsilon) for a, b in zip(gp, gm)]
+    # The head's gradient is (p - y) / n or (z - t) / n; r is the logits' tangent.
+    g = _loss_grad(fp)
+    p = fp.probs
+    rg = r if p is None else p * (r - (p * r).sum(axis=1, keepdims=True))
+    rg *= 1.0 / len(r)
+    hv = [None] * len(fp.layers)
+    for i in range(len(fp.layers) - 1, -1, -1):
+        x, w, c, cols = fp.layers[i]
+        hw = _weight_grad(x, w, rg, cols)
+        r = tangents.pop()  # this layer's input tangent, dropped once used
+        if r is not None:
+            hw += _weight_grad(r, w, g)
+        hv[i] = hw.reshape(-1) * c.reshape(-1)
+        if i:
+            rg = _grad_below(w, rg, x)
+            rg += _grad_below(dws[i], g, x)
+            g = _grad_below(w, g, x)
+    return hv

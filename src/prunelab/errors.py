@@ -17,10 +17,6 @@ class NumericsError(PrunelabError):
     """A computation produced a non-finite value."""
 
 
-class DegenerateStepError(PrunelabError):
-    """A finite-difference probe had zero direction or vanishing step."""
-
-
 class DegenerateGradientError(PrunelabError):
     """A criterion needed a nonzero gradient but got none."""
 

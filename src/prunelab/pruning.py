@@ -175,30 +175,22 @@ def snip_scores(params, mask, samples, labels, *, sample_shape=None, head=engine
     return ScoreMap(tuple(np.abs(g * w) for g, w in zip(grads, params.weights)))
 
 
-GRASP_EPSILON = 1e-5  # finite-difference step of the Hessian-gradient product
-
-
 def grasp_scores(params, mask, samples, labels, *, sample_shape=None, head=engine.SOFTMAX_XENT):
     """Keep-priority w * (H g).
 
     The raw gradient-flow change for removing weight j is -w_j (Hg)_j; the
     most negative raw change should be kept first, so the stored score is its
-    negation.  H g comes from central differences along the unit gradient
-    direction, scaled back by the gradient norm.
+    negation.  H g is exact: `engine.hessian_vector_product` on the pass
+    that gave g.
     """
     _, fp = engine.forward_loss(
         params, mask, samples, labels, sample_shape=sample_shape, head=head
     )
     grads = engine.backward(fp)
-    del fp  # not alive through the two passes of the Hessian-vector product
-    gnorm = math.sqrt(sum(float(g @ g) for g in grads))
-    if gnorm == 0.0:
+    if not any(g.any() for g in grads):
         raise DegenerateGradientError("loss gradient is zero on the scoring batch")
-    unit = [g / gnorm for g in grads]
-    hu = engine.hessian_vector_product(
-        params, mask, samples, labels, unit, GRASP_EPSILON, sample_shape=sample_shape, head=head
-    )
-    return ScoreMap(tuple(w * (gnorm * h) for w, h in zip(params.weights, hu)))
+    hg = engine.hessian_vector_product(fp, grads)
+    return ScoreMap(tuple(w * h for w, h in zip(params.weights, hg)))
 
 
 def random_mask_from_schedule(schedule, sizes, rng) -> Mask:

@@ -5,17 +5,17 @@ import pytest
 
 from prunelab.engine import (
     CONV_BLOCK,
-    _conv2d_backward,
-    _conv2d_forward,
+    _apply,
+    _grad_below,
+    _im2col,
+    _weight_grad,
     backward,
-    finite_diff_gradient,
     forward_logits,
     forward_loss,
     hessian_vector_product,
 )
 from prunelab.errors import (
     AlignmentError,
-    DegenerateStepError,
     DomainError,
     NumericsError,
 )
@@ -23,6 +23,7 @@ from prunelab.models import LayerSpec, LayeredParams, build_network, layer_sizes
 from prunelab.pruning import Mask, full_mask
 
 from conftest import random_batch
+from oracles import finite_diff_gradient, finite_diff_hvp, relu_flips
 
 
 def single_unit():
@@ -196,22 +197,22 @@ def test_conv_kernels_match_explicit_loops_across_sample_blocks():
     x = rng.normal(size=(n, 2, 5, 7))
     k = rng.normal(size=(3, 2, 2, 3))
     want = conv_by_loops(x, k)
-    got = _conv2d_forward(x, k)
+    got = _apply(x, k)  # each block built in turn into one buffer
     assert got.shape == want.shape
     assert rel_error([got], [want]) <= 1e-12
 
-    cols = []
-    assert np.array_equal(_conv2d_forward(x, k, cols), got)
+    cols = [_im2col(x[s : s + CONV_BLOCK], 2, 3) for s in range(0, n, CONV_BLOCK)]
     assert len(cols) == 3
+    assert np.array_equal(_apply(x, k, cols), got)
 
     g = rng.normal(size=want.shape)
     want_gx, want_gk = conv_grads_by_loops(x, k, g)
-    gx, gk = _conv2d_backward(cols, k, g, x.shape[2:])
+    gx = _grad_below(k, g, np.abs(x) + 1.0)  # every ReLU open: the bare input gradient
+    gk = _weight_grad(x, k, g, cols).reshape(k.shape)
     assert rel_error([gx], [want_gx]) <= 1e-12
     assert rel_error([gk], [want_gk]) <= 1e-12
-    no_gx, same_gk = _conv2d_backward(cols, k, g)
-    assert no_gx is None
-    assert np.array_equal(same_gk, gk)
+    # without kept blocks, each block is built in turn into one buffer
+    assert np.array_equal(_weight_grad(x, k, g).reshape(k.shape), gk)
 
 
 def assert_masked_weights_get_zero_gradient(specs, seed, image_shape=None):
@@ -376,51 +377,91 @@ def quadratic_net():
     params = LayeredParams(specs, (np.array([0.7, -0.4]),))
     x = np.array([[2.0, 0.0], [0.0, 2.0 * np.sqrt(3.0)]])
     y = np.array([0.0, 0.0])
-    return params, full_mask([2]), x, y
+    _, fp = forward_loss(params, full_mask([2]), x, y, head="squared-error")
+    return fp
 
 
 def test_hvp_on_diagonal_quadratic():
-    params, mask, x, y = quadratic_net()
-    hv = hessian_vector_product(
-        params, mask, x, y, [np.array([1.0, 1.0])], 1e-4, head="squared-error"
-    )
+    hv = hessian_vector_product(quadratic_net(), [np.array([1.0, 1.0])])
     assert np.max(np.abs(hv[0] - np.array([2.0, 6.0]))) <= 1e-6
 
 
 def test_hvp_on_unit_curvature():
     specs = (LayerSpec("dense", 1, 1, is_output=True),)
     params = LayeredParams(specs, (np.array([1.3]),))
-    hv = hessian_vector_product(
-        params, full_mask([1]), [[1.0]], [0.0], [np.array([1.0])], 1e-4,
-        head="squared-error",
-    )
+    _, fp = forward_loss(params, full_mask([1]), [[1.0]], [0.0], head="squared-error")
+    hv = hessian_vector_product(fp, [np.array([1.0])])
     assert hv[0][0] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_hvp_rejects_zero_direction_and_bad_epsilon():
-    params, mask, x, y = quadratic_net()
-    with pytest.raises(DegenerateStepError):
-        hessian_vector_product(
-            params, mask, x, y, [np.zeros(2)], 1e-4, head="squared-error"
-        )
-    with pytest.raises(DomainError):
-        hessian_vector_product(
-            params, mask, x, y, [np.ones(2)], -1.0, head="squared-error"
-        )
-
-
 def test_hvp_is_linear_in_the_direction():
-    params, mask, x, y = quadratic_net()
-    hv1 = hessian_vector_product(
-        params, mask, x, y, [np.array([1.0, 0.0])], 1e-4, head="squared-error"
-    )
-    hv2 = hessian_vector_product(
-        params, mask, x, y, [np.array([0.0, 1.0])], 1e-4, head="squared-error"
-    )
-    hv12 = hessian_vector_product(
-        params, mask, x, y, [np.array([1.0, 1.0])], 1e-4, head="squared-error"
-    )
+    fp = quadratic_net()
+    hv1 = hessian_vector_product(fp, [np.array([1.0, 0.0])])
+    hv2 = hessian_vector_product(fp, [np.array([0.0, 1.0])])
+    hv12 = hessian_vector_product(fp, [np.array([1.0, 1.0])])
     assert np.allclose(hv1[0] + hv2[0], hv12[0], atol=1e-6)
+
+
+def test_hvp_rejects_a_misaligned_direction():
+    fp = quadratic_net()
+    with pytest.raises(AlignmentError):
+        hessian_vector_product(fp, [np.ones(2), np.ones(2)])
+    with pytest.raises(AlignmentError):
+        hessian_vector_product(fp, [np.ones(3)])
+
+
+def dot(a, b):
+    return sum(float(x @ y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("head", ["softmax-xent", "squared-error"])
+@pytest.mark.parametrize("preset, shape, n", [("conv-5", (1, 12, 12), 130), ("mlp-4", (16,), 40)])
+def test_hvp_is_symmetric_linear_and_leaves_the_pass_unchanged(preset, shape, n, head):
+    # conv-5 at n = 130 runs two full CONV_BLOCKs and a remainder.
+    specs = preset_specs(preset, shape, 4)
+    params = build_network(specs, seed=31)
+    rng = np.random.default_rng(32)
+    mask = Mask(tuple((rng.random(m) < 0.6).astype(float) for m in layer_sizes(specs)))
+    image = shape if preset == "conv-5" else None
+    x, y = random_batch(specs, n, seed=33, image_shape=image)
+    _, fp = forward_loss(params, mask, x, y, sample_shape=image, head=head)
+    before = [a.copy() for layer in fp.layers for a in (*layer[:3], *(layer[3] or ()))]
+    before += [fp.logits.copy(), fp.target.copy()] + ([] if fp.probs is None else [fp.probs.copy()])
+
+    u, v = ([rng.normal(size=m) for m in layer_sizes(specs)] for _ in range(2))
+    hu, hv = hessian_vector_product(fp, u), hessian_vector_product(fp, v)
+    scale = np.sqrt(dot(hu, hu) * dot(v, v))
+    assert abs(dot(u, hv) - dot(v, hu)) <= 1e-12 * scale
+    h_sum = hessian_vector_product(fp, [2.0 * a - 3.0 * b for a, b in zip(u, v)])
+    for s, a, b in zip(h_sum, hu, hv):
+        assert np.allclose(s, 2.0 * a - 3.0 * b, rtol=0.0, atol=1e-12 * np.abs(s).max())
+    for h, c in zip(hu, mask.layers):
+        assert np.any(h[c == 1.0] != 0.0)
+        assert np.all(h[c == 0.0] == 0.0)
+
+    after = [a for layer in fp.layers for a in (*layer[:3], *(layer[3] or ()))]
+    after += [fp.logits, fp.target] + ([] if fp.probs is None else [fp.probs])
+    assert len(after) == len(before)
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    assert all(np.array_equal(a, b) for a, b in zip(hessian_vector_product(fp, u), hu))
+
+
+@pytest.mark.parametrize("head", ["softmax-xent", "squared-error"])
+@pytest.mark.parametrize("preset, shape", [("conv-5", (1, 10, 9)), ("mlp-4", (16,))])
+def test_hvp_matches_the_finite_difference_oracle(preset, shape, head):
+    specs = preset_specs(preset, shape, 3)
+    params = build_network(specs, seed=41)
+    rng = np.random.default_rng(42)
+    mask = Mask(tuple((rng.random(m) < 0.7).astype(float) for m in layer_sizes(specs)))
+    image = shape if preset == "conv-5" else None
+    x, y = random_batch(specs, 70, seed=43, image_shape=image)
+    v = [rng.normal(size=m) for m in layer_sizes(specs)]
+    v = [a / np.sqrt(dot(v, v)) for a in v]
+    # the oracle holds only while no ReLU changes sign between its two passes
+    assert relu_flips(params, mask, x, y, v, 1e-6, sample_shape=image) == 0
+    _, fp = forward_loss(params, mask, x, y, sample_shape=image, head=head)
+    oracle = finite_diff_hvp(params, mask, x, y, v, 1e-6, sample_shape=image, head=head)
+    assert rel_error(hessian_vector_product(fp, v), oracle) <= 1e-7
 
 
 def test_forward_rejects_shape_mismatches(tiny_net):

@@ -12,7 +12,9 @@ from prunelab.errors import (
     DomainError,
     EmptyNetworkError,
 )
-from prunelab.models import LayerSpec, LayeredParams, build_network, layer_sizes
+from prunelab.data import synthetic_blobs
+from prunelab.models import LayerSpec, LayeredParams, build_network, layer_sizes, preset_specs
+from prunelab.pipelines import score_batch
 from prunelab.pruning import (
     Mask,
     ScoreMap,
@@ -30,6 +32,8 @@ from prunelab.pruning import (
     sparsity,
 )
 from prunelab.schedules import KeepRatioSchedule
+
+from oracles import finite_diff_hvp, relu_flips
 
 
 def test_round_half_up_rule():
@@ -276,6 +280,36 @@ def test_grasp_keep_order_matches_removal_enumeration():
     got = np.argsort(-keep, kind="stable")
     want = np.argsort(np.asarray(deltas), kind="stable")
     assert np.array_equal(got, want)
+
+
+def test_grasp_hg_is_exact_where_a_coarse_difference_step_crosses_a_relu():
+    # The scoring batch of a conv-5 GraSP cell on 1x12x12 blobs, with the
+    # dataset and cell seeds of the conv-grid benchmark workload at seed 4.
+    # A central difference along the unit gradient at step 1e-5 flips one
+    # ReLU between its two passes here, which threw H g off by 12.9x its
+    # largest entry; at step 1e-6 no ReLU flips and the difference is exact
+    # to rounding.
+    shape = (1, 12, 12)
+    data = synthetic_blobs(4, 144, 400, 1440266115, sample_shape=shape).train
+    specs = preset_specs("conv-5", shape, 4)
+    seed = 1046543613
+    params = build_network(specs, seed)
+    ones = full_mask(layer_sizes(specs))
+    x, y, _ = score_batch(data, seed)
+    _, fp = forward_loss(params, ones, x, y, sample_shape=shape)
+    grads = backward(fp)
+    gnorm = np.sqrt(sum(float(g @ g) for g in grads))
+    unit = [g / gnorm for g in grads]
+    assert relu_flips(params, ones, x, y, unit, 1e-5, sample_shape=shape) == 1
+    assert relu_flips(params, ones, x, y, unit, 1e-6, sample_shape=shape) == 0
+
+    oracle = finite_diff_hvp(params, ones, x, y, unit, 1e-6, sample_shape=shape)
+    oracle = [gnorm * h for h in oracle]
+    scores = grasp_scores(params, ones, x, y, sample_shape=shape)
+    assert all(np.all(w != 0.0) for w in params.weights)
+    hg = [s / w for s, w in zip(scores.layers, params.weights)]
+    scale = max(float(np.abs(h).max()) for h in oracle)
+    assert max(float(np.abs(a - b).max()) for a, b in zip(hg, oracle)) <= 1e-8 * scale
 
 
 def test_random_mask_fills_quotas_exactly():
