@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .checks import STRUCTURAL_CHECKS
 from .data import load_dataset
-from .errors import DatasetError, DomainError, PrunelabError
+from .errors import DomainError, PrunelabError
 from .harness import emit_report, load_config, parse_rows, run_experiment
 from .models import PRESET_NAMES, preset_specs
 from .pipelines import (
@@ -26,7 +26,6 @@ from .pipelines import (
     TrainConfig,
     apply_structural_check,
     build_ticket,
-    check_stream,
     load_ticket,
     save_ticket,
 )
@@ -114,18 +113,7 @@ def _cmd_ticket(args):
 
 
 def _cmd_check(args):
-    ticket = load_ticket(args.ticket)
-    prov = ticket.provenance
-    # A grid cell draws its checks from its own seed's stream; so does the default.
-    default = prov.get("check_seed", prov.get("seed", 0))
-    if not isinstance(default, int):
-        raise DatasetError(f"{args.ticket}: provenance seed {default!r} is not an integer")
-    seed = default if args.seed is None else args.seed
-    if prov.get("checks") and seed != default:
-        raise DomainError(f"{args.ticket} was checked under seed {default}, not {seed}; "
-                          "replay needs one check seed per ticket")
-    attacked = apply_structural_check(ticket, args.check, check_stream(seed, args.check))
-    attacked.provenance["check_seed"] = seed
+    attacked = apply_structural_check(load_ticket(args.ticket), args.check, args.seed)
     save_ticket(attacked, args.out)
     print(f"wrote {args.out}: applied {args.check} to {args.ticket}")
     return 0
@@ -196,7 +184,7 @@ def build_parser():
     p_check.add_argument("check", choices=STRUCTURAL_CHECKS)
     p_check.add_argument("--seed", type=int, default=None,
                          help="seed of the grid cell whose check stream to draw from "
-                              "(default: the ticket's seed)")
+                              "(default: the seed it was checked under, else its own)")
     p_check.add_argument("--out", default="ticket-checked.plab")
     p_check.set_defaults(fn=_cmd_check)
 

@@ -69,6 +69,8 @@ def synthetic_blobs(classes, dim, n, seed, *, noise=1.0, sample_shape=None) -> D
     """Gaussian class blobs, generated normalized; fixed 80/20 split."""
     if classes < 2 or dim < 1 or n < classes:
         raise DomainError("blobs need classes >= 2, dim >= 1, n >= classes")
+    if seed < 0:
+        raise DomainError(f"blobs seed {seed} is negative; seeds are integers >= 0")
     rng = np.random.default_rng([int(seed), 93])
     centers = rng.normal(0.0, 1.0, (classes, dim))
     labels = rng.permutation(np.arange(n) % classes)

@@ -46,8 +46,8 @@ class ExperimentConfig:
             if not (_is_number(s) and 0.0 <= s < 1.0):
                 raise ConfigError(f"sparsity {s!r} outside [0, 1)")
         for s in self.seeds:
-            if not _is_int(s):
-                raise ConfigError(f"seed {s!r} is not an integer")
+            if not (_is_int(s) and s >= 0):
+                raise ConfigError(f"seed {s!r} is not an integer >= 0")
         object.__setattr__(self, "dataset", dict(self.dataset))
         object.__setattr__(self, "pipelines", tuple(dict(p) for p in self.pipelines))
         object.__setattr__(self, "sparsities", tuple(float(s) for s in self.sparsities))
@@ -289,7 +289,6 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
             if progress:
                 progress(i + 1, len(cells), row)
 
-    emit_report(rows, "csv", os.path.join(out_dir, f"report-{digest[:12]}.csv"))
     emit_report(rows, "markdown-table", os.path.join(out_dir, f"report-{digest[:12]}.md"))
     return rows
 

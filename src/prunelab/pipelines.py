@@ -6,6 +6,9 @@ schedule-driven random tickets, score-at-init tickets (snip, grasp),
 magnitude tickets from a pretrained network (a table row per kind: reset to
 init, weight rewinding, fresh-schedule retraining of trained weights,
 layerwise schedule-constrained pruning), and iterative magnitude pruning.
+It also applies a ticket's sanity checks: at most one data check on the
+pruning data, then structural checks on the built ticket, all drawn from one
+check seed that provenance records, so `replay_ticket` rebuilds any ticket.
 
 Training is plain SGD with momentum and weight decay, stepped in place on
 one flat buffer each for the weights, velocity, mask and gradient of a run.
@@ -21,7 +24,6 @@ import numbers
 import struct
 import zlib
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -141,6 +143,8 @@ class TrainConfig:
         if not all(_is_number(v) for v in rates + pts):
             raise DomainError("learning rates, decay, momentum and drop points must be numbers")
         object.__setattr__(self, "lr_drop_points", tuple(float(p) for p in pts))
+        if self.seed < 0:
+            raise DomainError(f"seed {self.seed} is negative; seeds are integers >= 0")
         if self.epochs < 0 or self.batch_size < 1:
             raise DomainError("epochs must be >= 0 and batch_size >= 1")
         if self.initial_lr <= 0 or self.lr_drop_factor <= 0:
@@ -307,19 +311,22 @@ def _header(kind, specs, target_sparsity, seed, **fields):
             "arch": _arch_provenance(specs), **fields}
 
 
-def _resolve(data):
-    """`data`, or the Dataset that `data` derives when it is a zero-argument function."""
-    return data() if callable(data) else data
+def _pruning_data(data, check, check_seed):
+    """The train Dataset `data` under data check `check` ("none" leaves it clean)."""
+    if check == "none":
+        return data
+    return apply_data_check(check, data, check_stream(check_seed, check))
 
 
-def _pretrain(specs, data, cfg, seed, checkpoint_epochs, *, memo=None):
+def _pretrain(specs, pruning, cfg, seed, checkpoint_epochs, *, memo=None):
     """Dense pretraining; returns (run config, TrainResult).
 
-    `memo` is a dict of earlier runs on the same pruning data.  Pretraining
-    is deterministic in the key below, so a stored run is returned as is.
-    Stored weights are read-only, because every ticket built from them
-    shares the arrays.  `data` may be a function that derives the Dataset;
-    it is called only when the run is not in the memo.
+    `pruning` is the (train Dataset, data check, check seed) that
+    `_pruning_data` turns into the pretraining data.  `memo` is a dict of
+    earlier runs on the same pruning data.  Pretraining is deterministic in
+    the key below, so a stored run is returned as is, and its data is never
+    corrupted.  Stored weights are read-only, because every ticket built
+    from them shares the arrays.
     """
     key = (tuple(specs), cfg, seed, frozenset(checkpoint_epochs))
     if memo is not None and key in memo:
@@ -327,7 +334,7 @@ def _pretrain(specs, data, cfg, seed, checkpoint_epochs, *, memo=None):
     run_cfg = replace(cfg, seed=seeding.combine(seed, seeding.PRETRAIN))
     ones = full_mask(layer_sizes(specs))
     result = train(
-        build_network(specs, seed), ones, _resolve(data), run_cfg,
+        build_network(specs, seed), ones, _pruning_data(*pruning), run_cfg,
         checkpoint_epochs=checkpoint_epochs,
     )
     if memo is not None:
@@ -355,8 +362,8 @@ TRAINED_TICKETS = {
 }
 
 
-def _trained_ticket(kind, specs, data, target_sparsity, cfg, seed, opts, *, memo=None) -> Ticket:
-    """Pretrain densely, prune by trained magnitude as `kind`'s row says.
+def _trained_ticket(kind, specs, pruning, target_sparsity, cfg, seed, opts, *, memo=None) -> Ticket:
+    """Pretrain densely on `pruning` data, prune by trained magnitude as `kind`'s row says.
 
     `opts` are the kind's filled options (see `pipeline_options`).
     """
@@ -370,7 +377,7 @@ def _trained_ticket(kind, specs, data, target_sparsity, cfg, seed, opts, *, memo
             raise DomainError(f"rewind epoch {kept} outside [0, {cfg.epochs}]")
         epochs.add(kept)
         prov.update(rewind_epoch=kept, rewound_to_epoch=kept)
-    run_cfg, result = _pretrain(specs, data, cfg, seed, epochs, memo=memo)
+    run_cfg, result = _pretrain(specs, pruning, cfg, seed, epochs, memo=memo)
     if rule == "smart":
         schedule = smart_ratio(layer_sizes(specs), specs, target_sparsity, opts["family"])
         mask = mask_from_scores_layerwise(magnitude_scores(result.params), schedule)
@@ -462,28 +469,46 @@ def _imp_ticket(specs, data, target_sparsity, cfg, seed, opts) -> Ticket:
 
 
 def build_ticket(
-    kind, specs, split, target_sparsity, seed, cfg, params=None, *, memo=None
+    kind, specs, data, target_sparsity, seed, cfg, params=None, checks=(), *,
+    check_seed=None, memo=None,
 ) -> Ticket:
-    """Construct a ticket by pipeline kind; `params` carries kind options.
+    """Construct a ticket by pipeline kind under sanity `checks`.
 
-    `split` may be a DataSplit, a train Dataset, or a zero-argument function
-    that derives the train Dataset when a ticket first needs it; data-free
-    kinds accept None.  `params` are checked and filled by `pipeline_options`,
-    and provenance records the filled options.  `memo` shares pretraining
-    runs among tickets built from the same data (see `_pretrain`).
+    `data` is a DataSplit or its train Dataset; data-free kinds accept None.
+    `params` carries kind options, checked and filled by `pipeline_options`,
+    and provenance records the filled options.  Each check draws from
+    `check_stream(check_seed, check)`; `check_seed` defaults to the ticket
+    seed, as in a grid cell.  A data check corrupts the pruning data, and
+    runs only when the ticket reads its data; structural checks then attack
+    the built ticket in order (see `apply_structural_check`).  Provenance
+    lists the checks applied under "checks" and, when there are any, their
+    seed under "check_seed", so `replay_ticket` rebuilds the ticket exactly.
+    `memo` shares pretraining runs among tickets built from the same data
+    (see `_pretrain`): it holds only weights, keyed by the (data check,
+    check seed) that names the pruning data.
     """
     opts = pipeline_options(kind, params or {})
-    data = split.train if isinstance(split, DataSplit) else split
+    data = data.train if isinstance(data, DataSplit) else data
     if kind not in DATA_FREE_KINDS and data is None:
         raise DomainError(f"pipeline {kind!r} needs data")
-    if kind in TRAINED_TICKETS:
-        return _trained_ticket(kind, specs, data, target_sparsity, cfg, seed, opts, memo=memo)
-    if kind == "imp":
-        return _imp_ticket(specs, _resolve(data), target_sparsity, cfg, seed, opts)
+    if not set(checks) <= set(CHECK_NAMES):
+        raise DomainError(f"unknown check in {list(checks)}; choose from {CHECK_NAMES}")
+    data_checks = [c for c in checks if c in DATA_CHECKS and kind not in DATA_FREE_KINDS]
+    if len(data_checks) > 1:
+        raise DomainError("a ticket takes at most one data check")
+    check_seed = seed if check_seed is None else check_seed
+    data_check = data_checks[0] if data_checks else "none"
+    pruning = (data, data_check, check_seed)
+    if memo is not None:
+        memo = memo.setdefault((data_check, check_seed), {})
     sizes = layer_sizes(specs)
-    if kind == "dense":
-        return Ticket(full_mask(sizes), build_network(specs, seed), _header(kind, specs, 0, seed))
-    if kind == "random":
+    if kind in TRAINED_TICKETS:
+        ticket = _trained_ticket(kind, specs, pruning, target_sparsity, cfg, seed, opts, memo=memo)
+    elif kind == "imp":
+        ticket = _imp_ticket(specs, _pruning_data(*pruning), target_sparsity, cfg, seed, opts)
+    elif kind == "dense":
+        ticket = Ticket(full_mask(sizes), build_network(specs, seed), _header(kind, specs, 0, seed))
+    elif kind == "random":
         schedule = schedule_by_name(
             opts["schedule"], sizes, specs, target_sparsity, opts["family"]
         )
@@ -491,80 +516,68 @@ def build_ticket(
         rng = seeding.stream(seed, seeding.RANDOM_MASK)
         mask = random_mask_from_schedule(schedule, sizes, rng)
         prov = _header(kind, specs, target_sparsity, seed, criterion=kind, **opts)
-        return Ticket(mask, init, prov)
-    # Score a fresh initialization on one batch and prune globally.
-    data = _resolve(data)
-    init = build_network(specs, seed)
-    samples, labels, idx = score_batch(data, seed)
-    score = snip_scores if kind == "snip" else grasp_scores
-    shape = data.sample_shape_for_net()
-    scores = score(init, full_mask(sizes), samples, labels, sample_shape=shape)
-    return Ticket(mask_from_scores_global(scores, target_sparsity), init, _header(
-        kind, specs, target_sparsity, seed, criterion=kind, score_batch=[int(i) for i in idx]
-    ))
-
-
-def checked_ticket(
-    kind, specs, data, target_sparsity, seed, cfg, params, checks, *, check_seed=None, memo=None
-) -> Ticket:
-    """`build_ticket` under sanity checks, each drawn from `check_stream(check_seed, check)`.
-
-    A data check corrupts the pruning data, and runs only when the ticket
-    reads its data; structural checks then attack the built ticket in order.
-    Provenance lists the checks applied under "checks".  `check_seed`
-    defaults to the ticket seed, as in a grid cell.  `memo` is a dict of
-    pretraining runs shared as in `run_cell`: it holds only weights, and the
-    pruning data is named by the (check, seed) it derives from.
-    """
-    check_seed = seed if check_seed is None else check_seed
-    rngs = [check_stream(check_seed, c) for c in checks]
-    applied = [
-        (c, rng) for c, rng in zip(checks, rngs) if c in DATA_CHECKS and kind not in DATA_FREE_KINDS
-    ]
-    if len(applied) > 1:
-        raise DomainError("a ticket takes at most one data check")
-    data_check = "none"
-    if applied:
-        data_check, rng = applied[0]
-        data = partial(apply_data_check, data_check, data, rng)
-    if memo is not None:
-        memo = memo.setdefault((data_check, check_seed), {})
-    ticket = build_ticket(
-        kind, specs, data, target_sparsity, seed, cfg, params=params, memo=memo
-    )
-    if applied:
-        ticket = Ticket(ticket.mask, ticket.weights, {**ticket.provenance, "checks": [data_check]})
-    for c, rng in zip(checks, rngs):
+        ticket = Ticket(mask, init, prov)
+    else:
+        # Score a fresh initialization on one batch and prune globally.
+        data = _pruning_data(*pruning)
+        init = build_network(specs, seed)
+        samples, labels, idx = score_batch(data, seed)
+        score = snip_scores if kind == "snip" else grasp_scores
+        shape = data.sample_shape_for_net()
+        scores = score(init, full_mask(sizes), samples, labels, sample_shape=shape)
+        ticket = Ticket(mask_from_scores_global(scores, target_sparsity), init, _header(
+            kind, specs, target_sparsity, seed, criterion=kind, score_batch=[int(i) for i in idx]
+        ))
+    if data_checks:
+        prov = {**ticket.provenance, "checks": data_checks, "check_seed": int(check_seed)}
+        ticket = Ticket(ticket.mask, ticket.weights, prov)
+    for c in checks:
         if c in STRUCTURAL_CHECKS:
-            ticket = apply_structural_check(ticket, c, rng)
+            ticket = apply_structural_check(ticket, c, check_seed)
     return ticket
 
 
-def replay_ticket(provenance, specs, split) -> Ticket:
-    """Rebuild a ticket, sanity checks included, from its provenance record."""
+def replay_ticket(provenance, specs, data) -> Ticket:
+    """Rebuild a ticket from its provenance record and the `data` it was built on.
+
+    `data` is as for `build_ticket`.  The recorded checks run again from the
+    recorded check seed, so a checked ticket replays bit for bit.
+    """
     kind = provenance["kind"]
     cfg = TrainConfig()
     if "pretrain" in provenance:
         # build_ticket re-derives the pretraining seed from the ticket seed.
         cfg = replace(TrainConfig.from_dict(provenance["pretrain"]), seed=0)
-    return checked_ticket(
-        kind, specs, split.train if isinstance(split, DataSplit) else split,
-        provenance.get("sparsity", 0.0), provenance["seed"], cfg,
+    return build_ticket(
+        kind, specs, data, provenance.get("sparsity", 0.0), provenance["seed"], cfg,
         {k: provenance[k] for k in PIPELINE_OPTIONS.get(kind, ()) if k in provenance},
         provenance.get("checks", ()), check_seed=provenance.get("check_seed"),
     )
 
 
-def apply_structural_check(ticket, check, rng) -> Ticket:
-    """Attack a finished ticket's mask placement or weight values."""
-    prov = {**ticket.provenance, "checks": [*ticket.provenance.get("checks", ()), check]}
+def apply_structural_check(ticket, check, check_seed=None) -> Ticket:
+    """Attack a finished ticket's mask placement or weight values.
+
+    The check draws from `check_stream(check_seed, check)`, the stream of the
+    grid cell with that seed.  `check_seed` defaults to the seed the ticket
+    was checked under, else to the ticket's seed.  A ticket checked under one
+    seed refuses another, because replay takes one check seed per ticket.
+    Provenance appends the check to "checks" and records "check_seed".
+    """
+    prov = ticket.provenance
+    recorded = prov.get("check_seed", prov.get("seed", 0))
+    if check_seed is None:
+        check_seed = recorded
+    elif prov.get("checks") and check_seed != recorded:
+        raise DomainError(f"the ticket was checked under seed {recorded}, not {check_seed}; "
+                          "replay needs one check seed per ticket")
+    if check not in STRUCTURAL_CHECKS:
+        raise DomainError(f"unknown structural check {check!r}; choose from {STRUCTURAL_CHECKS}")
+    rng = check_stream(check_seed, check)
+    prov = {**prov, "checks": [*prov.get("checks", ()), check], "check_seed": int(check_seed)}
     if check == "rearrange":
         return Ticket(rearrange_mask_layerwise(ticket.mask, rng), ticket.weights, prov)
-    if check == "shuffle-weights":
-        return Ticket(
-            ticket.mask, shuffle_unmasked_weights(ticket.weights, ticket.mask, rng), prov
-        )
-    raise DomainError(f"unknown structural check {check!r}; choose from {STRUCTURAL_CHECKS}")
+    return Ticket(ticket.mask, shuffle_unmasked_weights(ticket.weights, ticket.mask, rng), prov)
 
 
 def check_stream(seed, check):
@@ -592,8 +605,8 @@ def run_cell(
     `memo` is a dict that grid cells on the same `split` share: the cells
     that prune on the same data reuse one pretraining run.
     """
-    ticket = checked_ticket(
-        kind, specs, split.train, target_sparsity, seed, train_cfg, pipeline_params,
+    ticket = build_ticket(
+        kind, specs, split, target_sparsity, seed, train_cfg, pipeline_params,
         [check or "none"], memo=memo,
     )
     rcfg = replace(train_cfg, seed=seeding.combine(seed, seeding.RETRAIN))
@@ -685,6 +698,12 @@ def load_ticket(path) -> Ticket:
     prov, offset = _unpack_json(buf, offset, path)
     if not isinstance(prov, dict):
         raise DatasetError(f"{path}: provenance is not a JSON object")
+    for key in ("seed", "check_seed"):
+        if key in prov and not (_is_int(prov[key]) and prov[key] >= 0):
+            raise DatasetError(f"{path}: provenance {key} {prov[key]!r} is not an integer >= 0")
+    checks = prov.get("checks", [])
+    if not (isinstance(checks, list) and all(c in CHECK_NAMES for c in checks)):
+        raise DatasetError(f"{path}: provenance checks {checks!r} is not a list of check names")
     try:
         specs = tuple(
             LayerSpec(

@@ -8,6 +8,8 @@ invalidates stored reproducibility, so the constants below are frozen.
 
 import numpy as np
 
+from .errors import DomainError
+
 INIT = 1
 SCORE_BATCH = 2
 RANDOM_MASK = 3
@@ -18,12 +20,18 @@ PRETRAIN = 7
 IMP_ROUND = 8
 
 
+def _key(seed, tags):
+    if int(seed) < 0:
+        raise DomainError(f"seed {seed} is negative; seeds are integers >= 0")
+    return [int(seed), *[int(t) for t in tags]]
+
+
 def stream(seed, *tags):
-    """Return a fresh Generator keyed by (seed, *tags)."""
-    return np.random.default_rng([int(seed), *[int(t) for t in tags]])
+    """Return a fresh Generator keyed by (seed, *tags); `seed` is an integer >= 0."""
+    return np.random.default_rng(_key(seed, tags))
 
 
 def combine(seed, *tags):
-    """Collapse (seed, *tags) into one derived integer seed."""
-    ss = np.random.SeedSequence([int(seed), *[int(t) for t in tags]])
+    """Collapse (seed, *tags) into one derived integer seed; `seed` is an integer >= 0."""
+    ss = np.random.SeedSequence(_key(seed, tags))
     return int(ss.generate_state(1, dtype=np.uint64)[0])

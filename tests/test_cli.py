@@ -11,7 +11,7 @@ from prunelab.models import LayerSpec, build_network, layer_sizes, preset_specs
 from prunelab.pipelines import (
     Ticket,
     TrainConfig,
-    checked_ticket,
+    build_ticket,
     load_ticket,
     replay_ticket,
     save_ticket,
@@ -183,7 +183,7 @@ def test_check_rewrites_a_ticket(tmp_path, capsys):
     assert after.provenance["checks"] == ["rearrange"]
     # the check drew from the stream of a grid cell with the ticket's seed
     specs = preset_specs("mlp-4", (16,), 3)
-    cell = checked_ticket("random", specs, None, 0.8, 0, TrainConfig(), {}, ["rearrange"])
+    cell = build_ticket("random", specs, None, 0.8, 0, TrainConfig(), {}, ["rearrange"])
     for a, b in zip(after.mask.layers, cell.mask.layers):
         assert np.array_equal(a, b)
 
@@ -207,16 +207,46 @@ def test_check_under_another_seed_replays_from_its_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: DomainError:")
 
 
+def test_negative_seeds_exit_one_before_any_output(tmp_path, capsys):
+    original = tmp_path / "t.plab"
+    assert main(["ticket", "random", "--out", str(original)]) == 0
+    out = tmp_path / "out.plab"
+    for argv in (["ticket", "random", "--seed", "-1"],
+                 ["check", str(original), "rearrange", "--seed", "-2"]):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: DomainError: seed -")
+        assert not out.exists()
+
+
+def tiny_ticket(**provenance):
+    specs = (LayerSpec("dense", 2, 3), LayerSpec("dense", 3, 2, is_output=True))
+    prov = {"kind": "dense", "seed": 1, **provenance}
+    return Ticket(full_mask([6, 6]), build_network(specs, seed=1), prov)
+
+
+@pytest.mark.parametrize("bad", [
+    {"checks": 5}, {"checks": "ab"}, {"checks": ["mirror"]}, {"check_seed": -1},
+    {"check_seed": True}, {"check_seed": 2.0}, {"seed": "4"}, {"seed": -1},
+])
+def test_check_refuses_a_bad_provenance_record_with_one_line(tmp_path, capsys, bad):
+    path, out = tmp_path / "t.plab", tmp_path / "out.plab"
+    save_ticket(tiny_ticket(**bad), str(path))
+    assert main(["check", str(path), "rearrange", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: DatasetError: {path}: provenance")
+    assert not out.exists()
+
+
 def test_check_missing_ticket_exits_one(tmp_path, capsys):
     assert main(["check", str(tmp_path / "ghost.plab"), "rearrange"]) == 1
     assert capsys.readouterr().err.startswith("error: FileNotFound:")
 
 
 def test_check_torn_ticket_exits_one_with_one_line(tmp_path, capsys):
-    specs = (LayerSpec("dense", 2, 3), LayerSpec("dense", 3, 2, is_output=True))
-    ticket = Ticket(full_mask([6, 6]), build_network(specs, seed=1), {"kind": "dense", "seed": 1})
     whole = tmp_path / "t.plab"
-    save_ticket(ticket, str(whole))
+    save_ticket(tiny_ticket(), str(whole))
     raw = whole.read_bytes()
     torn, out = tmp_path / "torn.plab", tmp_path / "out.plab"
     for cut in range(len(raw)):

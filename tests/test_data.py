@@ -65,6 +65,8 @@ def test_blobs_argument_validation():
         synthetic_blobs(3, 8, 2, seed=0)
     with pytest.raises(DomainError):
         synthetic_blobs(3, 8, 100, seed=0, sample_shape=(3, 3))
+    with pytest.raises(DomainError, match="seed -3 is negative"):
+        synthetic_blobs(3, 8, 100, seed=-3)
 
 
 def test_blobs_image_shape_override():
@@ -216,6 +218,8 @@ def test_load_dataset_dispatch(tmp_path):
         load_dataset({})
     with pytest.raises(DatasetError):
         load_dataset({"kind": "idx-files", "train_images": "x"})
+    with pytest.raises(DomainError, match="seed -3 is negative"):
+        load_dataset({"kind": "synthetic-blobs", "seed": -3})
 
 
 def test_load_dataset_rejects_keys_its_kind_does_not_read(tmp_path):

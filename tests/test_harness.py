@@ -258,7 +258,7 @@ def test_run_experiment_covers_the_grid(tmp_path, monkeypatch):
     digest = config_hash(cfg)[:12]
     out = tmp_path / "grid"
     assert (out / f"rows-{digest}.csv").exists()
-    assert (out / f"report-{digest}.csv").exists()
+    assert not (out / f"report-{digest}.csv").exists()  # it would copy the rows file
     assert (out / f"report-{digest}.md").exists()
     assert parse_rows(str(out / f"rows-{digest}.csv")) == rows
 
@@ -337,6 +337,22 @@ def test_a_bad_config_leaves_no_output_directory(tmp_path, monkeypatch, override
     with pytest.raises((ConfigError, DatasetError)):
         run_experiment(cfg)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("negative", [
+    {"seeds": [0, -1]},
+    {"train": {**TINY["train"], "seed": -1}},
+    {"dataset": {**TINY["dataset"], "seed": -3}},
+])
+def test_negative_seeds_exit_one_before_any_output(tmp_path, capsys, negative):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**TINY, **negative}))
+    out = tmp_path / "results"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ConfigError:", "error: DomainError:")) and "seed" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def strip_seconds(path):

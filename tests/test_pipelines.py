@@ -1,12 +1,18 @@
 """Training loop, ticket constructors, IMP, grid cells, binary containers."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from prunelab import pipelines, seeding
-from prunelab.checks import CHECK_NAMES, STRUCTURAL_CHECKS
+from prunelab.checks import (
+    CHECK_NAMES,
+    DATA_CHECKS,
+    STRUCTURAL_CHECKS,
+    rearrange_mask_layerwise,
+)
 from prunelab.engine import backward, forward_loss
 from prunelab.errors import (
     AlignmentError,
@@ -80,6 +86,18 @@ def test_train_config_validation_and_round_trip():
                 {"lr_drop_points": (0.5, True)}):
         with pytest.raises(DomainError):
             TrainConfig(**bad)
+
+
+def test_negative_seeds_are_refused_by_name():
+    for make in (
+        lambda: seeding.stream(-1, seeding.INIT),
+        lambda: seeding.combine(-1, seeding.RETRAIN),
+        lambda: TrainConfig(seed=-1),
+        lambda: build_ticket("random", SPECS, None, 0.5, -1, FAST),
+        lambda: build_ticket("random", SPECS, None, 0.5, 1, FAST, {}, ["rearrange"], check_seed=-1),
+    ):
+        with pytest.raises(DomainError, match="seed -1 is negative"):
+            make()
 
 
 def assert_train_matches_manual_sgd_loop(specs, split):
@@ -272,7 +290,7 @@ def test_weight_rewind_ticket_takes_the_checkpoint_weights():
     ticket = build_ticket("weight-rewind", SPECS, SPLIT.train, 0.5, 5, FAST, {"rewind_epoch": 2})
     assert ticket.provenance["rewound_to_epoch"] == 2
     assert ticket.provenance["schedule_offset"] == 2
-    _, run = pipelines._pretrain(SPECS, SPLIT.train, FAST, 5, {0, 2, FAST.epochs})
+    _, run = pipelines._pretrain(SPECS, (SPLIT.train, "none", 5), FAST, 5, {0, 2, FAST.epochs})
     assert ticket.provenance["source_checkpoint_epochs"] == [0, 2, FAST.epochs]
     for w, wc in zip(ticket.weights.weights, run.checkpoints[2].weights):
         assert np.array_equal(w, wc)
@@ -283,7 +301,7 @@ def test_weight_rewind_ticket_takes_the_checkpoint_weights():
 def test_lr_rewind_ticket_keeps_trained_weights_and_fresh_schedule():
     ticket = build_ticket("lr-rewind", SPECS, SPLIT, 0.5, 7, FAST)
     assert ticket.provenance["schedule_offset"] == 0
-    _, run = pipelines._pretrain(SPECS, SPLIT.train, FAST, 7, {0, FAST.epochs})
+    _, run = pipelines._pretrain(SPECS, (SPLIT.train, "none", 7), FAST, 7, {0, FAST.epochs})
     for w, wc in zip(ticket.weights.weights, run.params.weights):
         assert np.array_equal(w, wc)
 
@@ -420,45 +438,84 @@ def test_build_ticket_rejects_bad_option_values(kind, params):
         build_ticket(kind, SPECS, SPLIT, 0.5, 1, FAST, params)
 
 
+def same_arrays(a, b):
+    """Whether two tickets have equal masks and equal weights."""
+    pairs = [*zip(a.mask.layers, b.mask.layers), *zip(a.weights.weights, b.weights.weights)]
+    return all(np.array_equal(x, y) for x, y in pairs)
+
+
 def test_replay_ticket_reproduces_mask_and_weights():
     for kind in ("random", "snip", "lt"):
         ticket = build_ticket(kind, SPECS, SPLIT, 0.5, 3, FAST)
-        again = replay_ticket(ticket.provenance, SPECS, SPLIT)
-        for ca, cb in zip(ticket.mask.layers, again.mask.layers):
-            assert np.array_equal(ca, cb)
-        for wa, wb in zip(ticket.weights.weights, again.weights.weights):
-            assert np.array_equal(wa, wb)
+        assert same_arrays(ticket, replay_ticket(ticket.provenance, SPECS, SPLIT))
+
+
+@pytest.mark.parametrize("kind", [k for k in TICKET_KINDS if k not in pipelines.DATA_FREE_KINDS])
+@pytest.mark.parametrize("check", DATA_CHECKS)
+def test_build_ticket_takes_a_split_or_its_train_set_under_a_data_check(kind, check):
+    whole = build_ticket(kind, SPECS, SPLIT, 0.5, 19, FAST, {}, [check])
+    train_only = build_ticket(kind, SPECS, SPLIT.train, 0.5, 19, FAST, {}, [check])
+    assert whole.provenance == train_only.provenance
+    assert whole.provenance["checks"] == [check]
+    assert same_arrays(whole, train_only)
+
+
+# Each single check, and a data check with a structural one.
+CHECK_LISTS = [[c] for c in CHECK_NAMES] + [["corrupt-both", "shuffle-weights"]]
 
 
 def test_replay_rebuilds_every_checked_ticket_from_its_file(tmp_path):
-    memo = {}
-    for kind in TICKET_KINDS:
-        for check in CHECK_NAMES:
-            cell = run_cell(kind, {}, check, SPLIT, SPECS, 0.5, 18, FAST, memo=memo)
-            reads_data = kind not in pipelines.DATA_FREE_KINDS
-            applied = check in STRUCTURAL_CHECKS or (check != "none" and reads_data)
-            assert cell.ticket.provenance.get("checks", []) == ([check] if applied else [])
-            path = tmp_path / f"{kind}-{check}.plab"
-            save_ticket(cell.ticket, str(path))
-            loaded = load_ticket(str(path)).provenance
-            assert loaded == cell.ticket.provenance, (kind, check)
-            again = replay_ticket(loaded, SPECS, SPLIT)
-            for a, b in zip(cell.ticket.mask.layers, again.mask.layers):
-                assert np.array_equal(a, b), (kind, check)
-            for a, b in zip(cell.ticket.weights.weights, again.weights.weights):
-                assert np.array_equal(a, b), (kind, check)
+    memo, moved = {}, []
+    for check_seed, kind, checks in itertools.product((None, 9), TICKET_KINDS, CHECK_LISTS):
+        ticket = build_ticket(
+            kind, SPECS, SPLIT, 0.5, 18, FAST, {}, checks, check_seed=check_seed, memo=memo
+        )
+        if check_seed is None and len(checks) == 1:  # the grid cell's ticket
+            cell = run_cell(kind, {}, checks[0], SPLIT, SPECS, 0.5, 18, FAST, memo=memo)
+            assert same_arrays(ticket, cell.ticket), (kind, checks)
+            assert cell.ticket.provenance == ticket.provenance, (kind, checks)
+        reads_data = kind not in pipelines.DATA_FREE_KINDS
+        applied = [c for c in checks if c in STRUCTURAL_CHECKS or (c != "none" and reads_data)]
+        assert ticket.provenance.get("checks", []) == applied
+        if applied:
+            assert ticket.provenance["check_seed"] == (check_seed or 18)
+        else:
+            assert "check_seed" not in ticket.provenance
+        path = tmp_path / f"{kind}-{'+'.join(checks)}-{check_seed}.plab"
+        save_ticket(ticket, str(path))
+        loaded = load_ticket(str(path)).provenance
+        assert loaded == ticket.provenance, (kind, checks, check_seed)
+        again = replay_ticket(loaded, SPECS, SPLIT)
+        assert same_arrays(ticket, again), (kind, checks, check_seed)
+        if applied and check_seed is not None:
+            unseeded = {k: v for k, v in loaded.items() if k != "check_seed"}
+            moved.append(not same_arrays(ticket, replay_ticket(unseeded, SPECS, SPLIT)))
+    # Without the recorded check seed most checks would draw from other streams.  Some
+    # land on the same arrays: rearranging a dense mask, say, changes nothing.
+    assert sum(moved) > len(moved) / 2
 
 
 def test_apply_structural_check_records_provenance():
     ticket = build_ticket("random", SPECS, SPLIT, 0.5, 4, FAST)
-    rng = np.random.default_rng(0)
-    rearranged = apply_structural_check(ticket, "rearrange", rng)
+    # by default the check draws from the stream of the grid cell with the ticket's seed
+    rearranged = apply_structural_check(ticket, "rearrange")
     assert rearranged.mask.counts() == ticket.mask.counts()
     assert rearranged.provenance["checks"] == ["rearrange"]
-    shuffled = apply_structural_check(rearranged, "shuffle-weights", rng)
+    assert rearranged.provenance["check_seed"] == 4
+    want = rearrange_mask_layerwise(ticket.mask, pipelines.check_stream(4, "rearrange"))
+    for a, b in zip(rearranged.mask.layers, want.layers):
+        assert np.array_equal(a, b)
+    shuffled = apply_structural_check(rearranged, "shuffle-weights", 4)
     assert shuffled.provenance["checks"] == ["rearrange", "shuffle-weights"]
+    assert shuffled.provenance["check_seed"] == 4
+    with pytest.raises(DomainError, match="one check seed"):
+        apply_structural_check(rearranged, "shuffle-weights", 9)
     with pytest.raises(DomainError):
-        apply_structural_check(ticket, "random-labels", rng)
+        apply_structural_check(ticket, "random-labels")
+    # an explicit seed is recorded, and later checks default to it
+    nine = apply_structural_check(ticket, "rearrange", 9)
+    assert nine.provenance["check_seed"] == 9
+    assert apply_structural_check(nine, "shuffle-weights").provenance["check_seed"] == 9
 
 
 def test_run_cell_reports_percent_accuracy_and_keep():
