@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeding
 from .errors import DatasetError, DomainError
 
 
@@ -16,9 +17,9 @@ from .errors import DatasetError, DomainError
 class Dataset:
     """Flat float64 samples with integer class labels.
 
-    sample_shape records the natural shape of one sample (for example
-    (1, 8, 8) for single-channel images); its product always equals the
-    feature count.
+    sample_shape records the natural shape of one sample, for example
+    (1, 8, 8) for single-channel images; a 2-D (h, w) is stored as (1, h, w).
+    Its product always equals the feature count.
     """
 
     samples: np.ndarray
@@ -29,7 +30,8 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        object.__setattr__(self, "sample_shape", tuple(int(d) for d in self.sample_shape))
+        shape = tuple(int(d) for d in self.sample_shape)
+        object.__setattr__(self, "sample_shape", (1, *shape) if len(shape) == 2 else shape)
         if self.samples.ndim != 2:
             raise DatasetError(f"samples must be 2-D, got shape {self.samples.shape}")
         if self.labels.shape != (self.samples.shape[0],):
@@ -69,9 +71,7 @@ def synthetic_blobs(classes, dim, n, seed, *, noise=1.0, sample_shape=None) -> D
     """Gaussian class blobs, generated normalized; fixed 80/20 split."""
     if classes < 2 or dim < 1 or n < classes:
         raise DomainError("blobs need classes >= 2, dim >= 1, n >= classes")
-    if seed < 0:
-        raise DomainError(f"blobs seed {seed} is negative; seeds are integers >= 0")
-    rng = np.random.default_rng([int(seed), 93])
+    rng = seeding.stream(seed, seeding.BLOBS)
     centers = rng.normal(0.0, 1.0, (classes, dim))
     labels = rng.permutation(np.arange(n) % classes)
     samples = centers[labels] + rng.normal(0.0, noise, (n, dim))
@@ -123,8 +123,7 @@ def _idx_pair(images_path, labels_path):
             f"{labels_path} holds {labels.shape[0]} labels"
         )
     flat = images.reshape(images.shape[0], -1).astype(np.float64)
-    shape = (1, *images.shape[1:]) if images.ndim == 3 else images.shape[1:]
-    return flat, labels.astype(np.int64), tuple(int(d) for d in shape)
+    return flat, labels.astype(np.int64), images.shape[1:]
 
 
 def load_idx_split(train_images, train_labels, test_images, test_labels) -> DataSplit:

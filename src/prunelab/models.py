@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in ("dense", "conv"):
             raise DomainError(f"unknown layer kind {self.kind!r}")
+        dims = (self.fan_in, self.fan_out, *(self.kernel or ()))
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
+            raise DomainError(f"fan_in, fan_out and kernel dims must be integers, got {dims}")
         if self.fan_in < 1 or self.fan_out < 1:
             raise DomainError("fan_in and fan_out must be positive")
         if self.kind == "conv":

@@ -18,7 +18,6 @@ masked weights are bit-exactly inert.
 
 from __future__ import annotations
 
-import io
 import json
 import numbers
 import struct
@@ -622,68 +621,25 @@ def run_cell(
     return CellResult(100.0 * best, tuple(ratios), any(r == 0.0 for r in ratios), ticket)
 
 
-# Layout: magic, version, arch JSON, provenance JSON, layer count, then each
-# layer's weights and mask; a little-endian CRC32 of every earlier byte ends it.
+# Layout: magic, little-endian u32 version, u64 header length, the JSON header
+# {"arch": ..., "provenance": ...}, then each layer's weights and mask as <f8
+# (the arch fixes their lengths); a little-endian CRC32 of every earlier byte
+# ends it.
 TICKET_MAGIC = b"PLTCKT01"
-CONTAINER_VERSION = 2
-
-
-def _pack_array(arr):
-    data = np.asarray(arr, dtype="<f8").tobytes()
-    return struct.pack("<Q", len(data)) + data
-
-
-def _take(buf, offset, nbytes, path):
-    end = offset + nbytes
-    if end > len(buf):
-        raise DatasetError(
-            f"{path}: truncated: {nbytes} bytes needed at byte {offset}, file has {len(buf)}"
-        )
-    return buf[offset:end], end
-
-
-def _unpack(fmt, buf, offset, path):
-    raw, offset = _take(buf, offset, struct.calcsize(fmt), path)
-    return struct.unpack(fmt, raw), offset
-
-
-def _unpack_array(buf, offset, count, path):
-    (nbytes,), offset = _unpack("<Q", buf, offset, path)
-    if nbytes != 8 * count:
-        raise DatasetError(
-            f"{path}: array at byte {offset - 8} holds {nbytes} bytes, its layer needs {8 * count}"
-        )
-    raw, offset = _take(buf, offset, nbytes, path)
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64), offset
-
-
-def _pack_json(obj):
-    data = json.dumps(obj, sort_keys=True).encode("utf-8")
-    return struct.pack("<Q", len(data)) + data
-
-
-def _unpack_json(buf, offset, path):
-    (nbytes,), offset = _unpack("<Q", buf, offset, path)
-    raw, end = _take(buf, offset, nbytes, path)
-    try:
-        return json.loads(raw.decode("utf-8")), end
-    except ValueError as exc:
-        raise DatasetError(f"{path}: bad JSON at byte {offset}: {exc}") from None
+CONTAINER_VERSION = 3
+_PREFIX = struct.Struct("<8sIQ")  # magic, version, header length
 
 
 def save_ticket(ticket, path):
-    buf = io.BytesIO()
-    buf.write(TICKET_MAGIC)
-    buf.write(struct.pack("<I", CONTAINER_VERSION))
-    buf.write(_pack_json(_arch_provenance(ticket.weights.specs)))
-    buf.write(_pack_json(ticket.provenance))
-    buf.write(struct.pack("<I", len(ticket.weights.weights)))
-    for w, c in zip(ticket.weights.weights, ticket.mask.layers):
-        buf.write(_pack_array(w))
-        buf.write(_pack_array(c))
-    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
+    header = json.dumps(
+        {"arch": _arch_provenance(ticket.weights.specs), "provenance": ticket.provenance},
+        sort_keys=True,
+    ).encode("utf-8")
+    pairs = zip(ticket.weights.weights, ticket.mask.layers)
+    arrays = np.concatenate([a for pair in pairs for a in pair], dtype="<f8")
+    body = _PREFIX.pack(TICKET_MAGIC, CONTAINER_VERSION, len(header)) + header + arrays.tobytes()
     with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        f.write(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def load_ticket(path) -> Ticket:
@@ -691,20 +647,17 @@ def load_ticket(path) -> Ticket:
         buf = f.read()
     if buf[:8] != TICKET_MAGIC:
         raise DatasetError(f"{path}: bad ticket magic at byte 0")
-    (version,), offset = _unpack("<I", buf, 8, path)
+    if len(buf) < _PREFIX.size:
+        raise DatasetError(f"{path}: truncated: {_PREFIX.size} bytes needed, file has {len(buf)}")
+    _, version, nbytes = _PREFIX.unpack_from(buf)
     if version != CONTAINER_VERSION:
         raise DatasetError(f"{path}: unsupported ticket version {version}")
-    arch, offset = _unpack_json(buf, offset, path)
-    prov, offset = _unpack_json(buf, offset, path)
-    if not isinstance(prov, dict):
-        raise DatasetError(f"{path}: provenance is not a JSON object")
-    for key in ("seed", "check_seed"):
-        if key in prov and not (_is_int(prov[key]) and prov[key] >= 0):
-            raise DatasetError(f"{path}: provenance {key} {prov[key]!r} is not an integer >= 0")
-    checks = prov.get("checks", [])
-    if not (isinstance(checks, list) and all(c in CHECK_NAMES for c in checks)):
-        raise DatasetError(f"{path}: provenance checks {checks!r} is not a list of check names")
+    start = _PREFIX.size + nbytes
+    if start > len(buf):
+        raise DatasetError(f"{path}: truncated: {start} bytes needed, file has {len(buf)}")
     try:
+        header = json.loads(buf[_PREFIX.size : start].decode("utf-8"))
+        arch, prov = header["arch"], header["provenance"]
         specs = tuple(
             LayerSpec(
                 a["kind"], a["fan_in"], a["fan_out"],
@@ -714,22 +667,28 @@ def load_ticket(path) -> Ticket:
             for a in arch
         )
     except (KeyError, TypeError, ValueError, PrunelabError) as exc:
-        raise DatasetError(f"{path}: bad architecture record: {exc}") from None
-    (n_layers,), offset = _unpack("<I", buf, offset, path)
-    if n_layers != len(specs):
-        raise DatasetError(f"{path}: {n_layers} layers stored for {len(specs)} specs")
-    weights, layers = [], []
-    for spec in specs:
-        w, offset = _unpack_array(buf, offset, spec.weight_count, path)
-        c, offset = _unpack_array(buf, offset, spec.weight_count, path)
-        weights.append(w)
-        layers.append(c)
-    (crc,), end = _unpack("<I", buf, offset, path)
-    if crc != zlib.crc32(buf[:offset]):
-        raise DatasetError(f"{path}: checksum mismatch over bytes 0-{offset - 1}")
-    if end != len(buf):
-        raise DatasetError(f"{path}: {len(buf) - end} trailing bytes after byte {end}")
+        raise DatasetError(f"{path}: bad header: {type(exc).__name__}: {exc}") from None
+    # Each layer's weights, then its mask; the CRC follows them.
+    counts = [s.weight_count for s in specs for _ in range(2)]
+    crc_at = start + 8 * sum(counts)
+    extra = len(buf) - crc_at - 4
+    if extra < 0:
+        raise DatasetError(f"{path}: truncated: {crc_at + 4} bytes needed, file has {len(buf)}")
+    if extra > 0:
+        raise DatasetError(f"{path}: {extra} trailing bytes after byte {crc_at + 4}")
+    if struct.unpack_from("<I", buf, crc_at)[0] != zlib.crc32(buf[:crc_at]):
+        raise DatasetError(f"{path}: checksum mismatch over bytes 0-{crc_at - 1}")
+    if not isinstance(prov, dict):
+        raise DatasetError(f"{path}: provenance is not a JSON object")
+    for key in ("seed", "check_seed"):
+        if key in prov and not (_is_int(prov[key]) and prov[key] >= 0):
+            raise DatasetError(f"{path}: provenance {key} {prov[key]!r} is not an integer >= 0")
+    checks = prov.get("checks", [])
+    if not (isinstance(checks, list) and all(c in CHECK_NAMES for c in checks)):
+        raise DatasetError(f"{path}: provenance checks {checks!r} is not a list of check names")
+    values = np.frombuffer(buf, dtype="<f8", count=sum(counts), offset=start)
+    arrays = np.split(values.astype(np.float64), np.cumsum(counts[:-1]))
     try:
-        return Ticket(Mask(tuple(layers)), LayeredParams(specs, tuple(weights)), prov)
+        return Ticket(Mask(tuple(arrays[1::2])), LayeredParams(specs, tuple(arrays[0::2])), prov)
     except PrunelabError as exc:
         raise DatasetError(f"{path}: {exc}") from None

@@ -6,6 +6,8 @@ batches, corruptions, ...) never share a generator.  Changing a tag value
 invalidates stored reproducibility, so the constants below are frozen.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import DomainError
@@ -18,10 +20,13 @@ CHECK = 5
 RETRAIN = 6
 PRETRAIN = 7
 IMP_ROUND = 8
+BLOBS = 93
 
 
 def _key(seed, tags):
-    if int(seed) < 0:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise DomainError(f"seed {seed!r} is not an integer; seeds are integers >= 0")
+    if seed < 0:
         raise DomainError(f"seed {seed} is negative; seeds are integers >= 0")
     return [int(seed), *[int(t) for t in tags]]
 

@@ -1,14 +1,19 @@
 """Command-line interface: every subcommand end to end via main()."""
 
 import json
+import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from prunelab.cli import main
+from prunelab.errors import DatasetError
 from prunelab.harness import CSV_COLUMNS, ResultRow, emit_rows
 from prunelab.models import LayerSpec, build_network, layer_sizes, preset_specs
 from prunelab.pipelines import (
+    TICKET_MAGIC,
     Ticket,
     TrainConfig,
     build_ticket,
@@ -133,6 +138,19 @@ def test_ticket_builds_a_conv_ticket_from_shaped_blobs(tmp_path, capsys):
     assert sizes == layer_sizes(preset_specs("conv-5", (1, 12, 12), 4))
 
 
+def test_ticket_reads_a_two_dimensional_data_shape_as_one_channel(tmp_path, capsys):
+    written = []
+    for shape in ("12x12", "1x12x12"):
+        out = tmp_path / f"{shape}.plab"
+        code = main([
+            "ticket", "snip", "--arch", "conv-5", "--epochs", "1",
+            "--data", f"synthetic-blobs:classes=4,dim=144,n=400,shape={shape}", "--out", str(out),
+        ])
+        assert code == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("shape", ["[1", "1x12xq", "1x0x144", "", "1x-12x12"])
 def test_ticket_malformed_data_shape_exits_one_with_one_line(tmp_path, capsys, shape):
     out = tmp_path / "c.plab"
@@ -236,6 +254,39 @@ def test_check_refuses_a_bad_provenance_record_with_one_line(tmp_path, capsys, b
     assert main(["check", str(path), "rearrange", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: DatasetError: {path}: provenance")
+    assert not out.exists()
+
+
+TINY_ARCH = [
+    {"kind": "dense", "fan_in": 2, "fan_out": 3, "kernel": None, "is_output": False},
+    {"kind": "dense", "fan_in": 3, "fan_out": 2, "kernel": None, "is_output": True},
+]
+
+
+@pytest.mark.parametrize("header, error", [
+    ([TINY_ARCH, {}], "bad header"),  # not an object
+    ({"arch": TINY_ARCH[0], "provenance": {}}, "bad header"),  # arch not a list
+    ({"arch": TINY_ARCH}, "bad header"),  # no provenance
+    ({"arch": [{**TINY_ARCH[0], "fan_in": 10**12}, TINY_ARCH[1]], "provenance": {}},
+     "truncated"),
+], ids=["header-not-object", "arch-not-list", "no-provenance", "huge-fan-in"])
+def test_a_crafted_ticket_file_with_a_valid_checksum_fails_typed(tmp_path, capsys, header, error):
+    # A header the arrays do not fit fails before any array is allocated.
+    path, out = tmp_path / "t.plab", tmp_path / "out.plab"
+    head = json.dumps(header).encode("utf-8")
+    # Room for TINY_ARCH's 12 weights and 12 mask entries.
+    body = TICKET_MAGIC + struct.pack("<IQ", 3, len(head)) + head + bytes(16 * 12)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DatasetError, match=error):
+            load_ticket(str(path))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert main(["check", str(path), "rearrange", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: DatasetError: {path}: {error}")
     assert not out.exists()
 
 

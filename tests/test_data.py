@@ -69,6 +69,11 @@ def test_blobs_argument_validation():
         synthetic_blobs(3, 8, 100, seed=-3)
 
 
+def test_blobs_refuse_a_non_integer_seed():
+    with pytest.raises(DomainError, match="seed 1.5 is not an integer"):
+        synthetic_blobs(3, 16, 100, seed=1.5)
+
+
 def test_blobs_image_shape_override():
     split = synthetic_blobs(2, 64, 50, seed=1, sample_shape=(1, 8, 8))
     assert split.train.sample_shape == (1, 8, 8)

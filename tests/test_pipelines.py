@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -98,6 +100,16 @@ def test_negative_seeds_are_refused_by_name():
     ):
         with pytest.raises(DomainError, match="seed -1 is negative"):
             make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_ticket("random", SPECS, None, 0.5, 1.5, TrainConfig()),
+    lambda: build_ticket("random", SPECS, None, 0.5, True, TrainConfig()),
+    lambda: run_cell("random", {}, "none", SPLIT, SPECS, 0.5, 2.7, FAST),
+], ids=["build_ticket-1.5", "build_ticket-True", "run_cell-2.7"])
+def test_non_integer_seeds_are_refused_not_truncated(make):
+    with pytest.raises(DomainError, match="is not an integer; seeds are integers >= 0"):
+        make()
 
 
 def assert_train_matches_manual_sgd_loop(specs, split):
@@ -656,6 +668,34 @@ def test_ticket_container_round_trips_bit_for_bit(tmp_path):
         load_ticket(str(bad))
 
 
+def test_ticket_file_stores_one_header_then_the_arrays(tmp_path):
+    shape = (1, 12, 12)
+    specs = preset_specs("conv-5", shape, 4)
+    split = synthetic_blobs(4, 144, 100, seed=3, sample_shape=shape)
+    ticket = build_ticket("snip", specs, split, 0.9, 5, FAST, {}, ["rearrange"])
+    path = tmp_path / "c5.plab"
+    save_ticket(ticket, str(path))
+    raw = path.read_bytes()
+    version, header_bytes = struct.unpack_from("<IQ", raw, 8)
+    header = json.loads(raw[20 : 20 + header_bytes])
+    assert version == 3 and header["provenance"] == ticket.provenance
+    assert len(header["arch"]) == len(specs)
+    assert len(raw) == 20 + header_bytes + 16 * sum(layer_sizes(specs)) + 4
+    loaded = load_ticket(str(path))
+    assert same_arrays(ticket, loaded) and loaded.provenance == ticket.provenance
+    assert loaded.weights.specs == specs
+
+
+def test_a_version_2_ticket_file_is_refused_by_its_version(tmp_path):
+    path = tmp_path / "t.plab"
+    save_ticket(tiny_ticket(), str(path))
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", 2)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DatasetError, match="unsupported ticket version 2$"):
+        load_ticket(str(path))
+
+
 def tiny_ticket():
     specs = (LayerSpec("dense", 2, 3), LayerSpec("dense", 3, 2, is_output=True))
     mask = Mask((np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0]), np.ones(6)))
@@ -694,3 +734,15 @@ def test_ticket_rejects_per_layer_size_mismatch():
     ticket = tiny_ticket()
     with pytest.raises(AlignmentError):
         Ticket(Mask((np.ones(5), np.ones(6))), ticket.weights, {})
+
+
+def test_a_two_dimensional_sample_shape_is_one_channel():
+    specs = preset_specs("conv-5", (12, 12), 4)
+    cells = []
+    for shape in ((12, 12), (1, 12, 12)):
+        split = synthetic_blobs(4, 144, 100, seed=3, sample_shape=shape)
+        assert split.train.sample_shape == split.test.sample_shape == (1, 12, 12)
+        cells.append(run_cell("snip", {}, "none", split, specs, 0.9, 5, FAST))
+    flat, shaped = cells
+    assert (flat.accuracy, flat.keep) == (shaped.accuracy, shaped.keep)
+    assert same_arrays(flat.ticket, shaped.ticket)
