@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -138,7 +139,7 @@ def _cmd_ratios(args):
 
 def _cmd_report(args):
     rows = parse_rows(args.rows)
-    out = args.out or (args.rows.rsplit(".", 1)[0] +
+    out = args.out or (os.path.splitext(args.rows)[0] +
                        (".md" if args.format == "markdown-table" else ".out.csv"))
     emit_report(rows, args.format, out)
     print(f"wrote {out} ({len(rows)} detail rows)")

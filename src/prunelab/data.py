@@ -122,7 +122,7 @@ def _idx_pair(images_path, labels_path):
             f"{images_path} holds {images.shape[0]} images but "
             f"{labels_path} holds {labels.shape[0]} labels"
         )
-    flat = images.reshape(images.shape[0], -1).astype(np.float64)
+    flat = images.reshape(images.shape[0], int(np.prod(images.shape[1:]))).astype(np.float64)
     return flat, labels.astype(np.int64), images.shape[1:]
 
 
@@ -132,6 +132,7 @@ def load_idx_split(train_images, train_labels, test_images, test_labels) -> Data
     xte, yte, shape_te = _idx_pair(test_images, test_labels)
     if shape != shape_te:
         raise DatasetError(f"train shape {shape} differs from test shape {shape_te}")
+    _refuse_empty_split(f"{train_images}, {test_images}", len(xtr), len(xte))
     classes = int(max(ytr.max(), yte.max())) + 1
     mu = xtr.mean(axis=0)
     sd = xtr.std(axis=0)
@@ -180,11 +181,19 @@ def load_csv(path) -> DataSplit:
     order = np.random.default_rng(2_000_003).permutation(len(rows))
     split = int(round((1.0 - CSV_TEST_FRACTION) * len(rows)))
     tr, te = order[:split], order[split:]
+    _refuse_empty_split(path, len(tr), len(te))
     shape = (features.shape[1],)
     return DataSplit(
         Dataset(features[tr], labels[tr], classes, shape),
         Dataset(features[te], labels[te], classes, shape),
     )
+
+
+def _refuse_empty_split(where, n_train, n_test):
+    """A split without samples can neither train a ticket nor measure one."""
+    for name, n in (("train", n_train), ("test", n_test)):
+        if n == 0:
+            raise DatasetError(f"{where}: the {name} split is empty")
 
 
 def _looks_like_header(row):

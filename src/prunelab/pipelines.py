@@ -337,11 +337,26 @@ def _pretrain(specs, pruning, cfg, seed, checkpoint_epochs, *, memo=None):
         checkpoint_epochs=checkpoint_epochs,
     )
     if memo is not None:
-        for p in [result.params, *result.checkpoints.values()]:
-            for w in p.weights:
-                w.setflags(write=False)
+        _freeze(w for p in [result.params, *result.checkpoints.values()] for w in p.weights)
         memo[key] = (run_cfg, result)
     return run_cfg, result
+
+
+def _freeze(arrays):
+    """Mark memo-held arrays read-only: every ticket built from them shares them."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _held(memo, slot, group):
+    """The entries `memo[slot]` holds for `group`, after dropping another group's.
+
+    A grid runs the cells of one group together and never returns to it, so
+    a slot holds only what later cells of the current group can use.
+    """
+    if memo.get(slot, (None,))[0] != group:
+        memo[slot] = (group, {})
+    return memo[slot][1]
 
 
 # Trained-magnitude tickets all pretrain densely and prune by trained
@@ -482,9 +497,12 @@ def build_ticket(
     the built ticket in order (see `apply_structural_check`).  Provenance
     lists the checks applied under "checks" and, when there are any, their
     seed under "check_seed", so `replay_ticket` rebuilds the ticket exactly.
-    `memo` shares pretraining runs among tickets built from the same data
-    (see `_pretrain`): it holds only weights, keyed by the (data check,
-    check seed) that names the pruning data.
+    `memo` shares work among tickets built from the same data.  Under each
+    (data check, check seed), the name of the pruning data, it keeps
+    pretraining runs (see `_pretrain`).  Under "scores" it keeps the snip or
+    grasp scores of the latest (kind, specs), one per pruning data and seed,
+    which serve every sparsity.  It holds read-only arrays only, and a hit
+    never corrupts the data again.
     """
     opts = pipeline_options(kind, params or {})
     data = data.train if isinstance(data, DataSplit) else data
@@ -498,7 +516,9 @@ def build_ticket(
     check_seed = seed if check_seed is None else check_seed
     data_check = data_checks[0] if data_checks else "none"
     pruning = (data, data_check, check_seed)
+    scored = None
     if memo is not None:
+        scored = _held(memo, "scores", (kind, tuple(specs)))
         memo = memo.setdefault((data_check, check_seed), {})
     sizes = layer_sizes(specs)
     if kind in TRAINED_TICKETS:
@@ -517,13 +537,21 @@ def build_ticket(
         prov = _header(kind, specs, target_sparsity, seed, criterion=kind, **opts)
         ticket = Ticket(mask, init, prov)
     else:
-        # Score a fresh initialization on one batch and prune globally.
-        data = _pruning_data(*pruning)
-        init = build_network(specs, seed)
-        samples, labels, idx = score_batch(data, seed)
-        score = snip_scores if kind == "snip" else grasp_scores
-        shape = data.sample_shape_for_net()
-        scores = score(init, full_mask(sizes), samples, labels, sample_shape=shape)
+        # Score a fresh initialization on one batch and prune globally.  The
+        # scores do not depend on the sparsity, so the memo keeps them.
+        key = (data_check, check_seed, seed)
+        if scored is not None and key in scored:
+            init, scores, idx = scored[key]
+        else:
+            data = _pruning_data(*pruning)
+            init = build_network(specs, seed)
+            samples, labels, idx = score_batch(data, seed)
+            score = snip_scores if kind == "snip" else grasp_scores
+            shape = data.sample_shape_for_net()
+            scores = score(init, full_mask(sizes), samples, labels, sample_shape=shape)
+            if scored is not None:
+                _freeze([*init.weights, *scores.layers, idx])
+                scored[key] = (init, scores, idx)
         ticket = Ticket(mask_from_scores_global(scores, target_sparsity), init, _header(
             kind, specs, target_sparsity, seed, criterion=kind, score_batch=[int(i) for i in idx]
         ))
@@ -601,14 +629,43 @@ def run_cell(
 ) -> CellResult:
     """Build one ticket under one check, retrain on clean data, measure.
 
-    `memo` is a dict that grid cells on the same `split` share: the cells
-    that prune on the same data reuse one pretraining run.
+    `memo` is a dict that the cells of one grid on the same `split` share, in
+    grid order.  Besides what `build_ticket` shares through it, it holds the
+    clean tickets of one (kind, options, sparsity) group, one per seed; a
+    later group replaces them.  A structural-check cell attacks its clean
+    ticket with `apply_structural_check`, as `build_ticket` would after
+    building it again.  A data-free kind ignores data checks, so its cell
+    under one is the clean cell and returns the clean cell's result.
     """
-    ticket = build_ticket(
-        kind, specs, split, target_sparsity, seed, train_cfg, pipeline_params,
-        [check or "none"], memo=memo,
-    )
+    check = check or "none"
     rcfg = replace(train_cfg, seed=seeding.combine(seed, seeding.RETRAIN))
+    clean = check == "none" or (kind in DATA_FREE_KINDS and check in DATA_CHECKS)
+    if memo is None or not (clean or check in STRUCTURAL_CHECKS):
+        ticket = build_ticket(
+            kind, specs, split, target_sparsity, seed, train_cfg, pipeline_params, [check],
+            memo=memo,
+        )
+        return _retrain(ticket, split, rcfg)
+    opts = pipeline_options(kind, pipeline_params or {})
+    group = (kind, tuple(opts.items()), tuple(specs), target_sparsity, train_cfg)
+    # seed -> clean ticket; ("cell", seed) -> the clean cell's CellResult
+    held = _held(memo, "clean", group)
+    if clean and ("cell", seed) in held:
+        return held["cell", seed]
+    if seed not in held:
+        ticket = build_ticket(
+            kind, specs, split, target_sparsity, seed, train_cfg, pipeline_params, memo=memo
+        )
+        _freeze([*ticket.mask.layers, *ticket.weights.weights])
+        held[seed] = ticket
+    if clean:
+        held["cell", seed] = _retrain(held[seed], split, rcfg)
+        return held["cell", seed]
+    return _retrain(apply_structural_check(held[seed], check, seed), split, rcfg)
+
+
+def _retrain(ticket, split, rcfg) -> CellResult:
+    """Retrain `ticket` on the clean train set under the cell's retraining config."""
     offset = int(ticket.provenance.get("schedule_offset", 0))
     result = train(
         ticket.weights, ticket.mask, split.train, rcfg,

@@ -22,6 +22,7 @@ from prunelab.pipelines import (
     save_ticket,
 )
 from prunelab.pruning import full_mask, round_half_up
+from test_data import idx_quartet
 
 TINY = {
     "arch": "mlp-4",
@@ -94,6 +95,23 @@ def test_run_missing_config_reports_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["csv-two-rows", "idx-no-test-images"])
+def test_run_on_an_empty_split_exits_one_with_one_line(tmp_path, capsys, source):
+    if source == "csv-two-rows":  # round(0.8 * 2) rows train, none test
+        (tmp_path / "d.csv").write_text("1.0,2.0,0\n3.0,4.0,1\n")
+        dataset = {"kind": "csv", "path": str(tmp_path / "d.csv")}
+    else:
+        dataset = {"kind": "idx-files", **idx_quartet(tmp_path, n_test=0)}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**TINY, "dataset": dataset}))
+    out = tmp_path / "results"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DatasetError:")
+    assert err[0].endswith("the test split is empty")
+    assert not out.exists()
 
 
 def test_ticket_random_is_data_free(tmp_path, capsys):
@@ -338,6 +356,17 @@ def test_report_reformats_rows(tmp_path, capsys):
     text = out.read_text()
     assert "## a" in text
     assert "92.00±2.83" in text
+
+
+@pytest.mark.parametrize("fmt, name", [("csv", "rows.out.csv"), ("markdown-table", "rows.md")])
+def test_report_writes_beside_its_rows_in_a_dotted_directory(tmp_path, capsys, fmt, name):
+    rows_dir = tmp_path / "my.dir"
+    rows_dir.mkdir()
+    emit_rows([ResultRow("a", "none", 0.5, 0, 90.0, (0.5,), 0.1)], str(rows_dir / "rows"))
+    assert main(["report", str(rows_dir / "rows"), "--format", fmt]) == 0
+    assert f"wrote {rows_dir / name} (1 detail rows)" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["my.dir"]
+    assert sorted(p.name for p in rows_dir.iterdir()) == sorted(["rows", name])
 
 
 # Each turns two good rows into a malformed rows file.

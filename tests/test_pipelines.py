@@ -106,7 +106,10 @@ def test_negative_seeds_are_refused_by_name():
     lambda: build_ticket("random", SPECS, None, 0.5, 1.5, TrainConfig()),
     lambda: build_ticket("random", SPECS, None, 0.5, True, TrainConfig()),
     lambda: run_cell("random", {}, "none", SPLIT, SPECS, 0.5, 2.7, FAST),
-], ids=["build_ticket-1.5", "build_ticket-True", "run_cell-2.7"])
+    # True == 1, so a memo holding seed 1's clean cell must not answer for it
+    lambda memo={}: [run_cell("random", {}, "none", SPLIT, SPECS, 0.5, s, FAST, memo=memo)
+                     for s in (1, True)],
+], ids=["build_ticket-1.5", "build_ticket-True", "run_cell-2.7", "run_cell-True-after-1"])
 def test_non_integer_seeds_are_refused_not_truncated(make):
     with pytest.raises(DomainError, match="is not an integer; seeds are integers >= 0"):
         make()
@@ -628,17 +631,106 @@ def test_a_shared_memo_gives_standalone_cells_with_one_pretraining_per_data(monk
     # (none, corrupt-both) pruning data x ({0, E}, {0, 1, E}) checkpoint sets
     assert sum(c.seed == pretrain_seed for c in cfgs) == 4
     assert len(cfgs) == 4 + len(PRETRAINED_KINDS) * len(MEMO_CHECKS)
-    assert sorted(memo) == [("corrupt-both", seed), ("none", seed)]
+    assert memo.keys() == {("corrupt-both", seed), ("none", seed), "scores", "clean"}
     # Cells whose pretraining is a memo hit never read their pruning data.
     assert checked == ["corrupt-both"] * 2
 
     reached = list(walk(memo))
     assert not any(isinstance(x, Dataset) for x in reached)
-    arrays = [x for x in reached if isinstance(x, np.ndarray)]
-    assert len(arrays) == 2 * len(SIZES) * (3 + 4)  # params plus 3 or 4 checkpoints each
+    arrays = list({id(x): x for x in reached if isinstance(x, np.ndarray)}.values())
+    # params plus 3 or 4 checkpoints each, and the mask of the last group's clean ticket
+    assert len(arrays) == 2 * len(SIZES) * (3 + 4) + len(SIZES)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def run_grid(kinds, checks, sparsities, seeds, memo):
+    """run_cell over kinds x sparsities x checks x seeds in grid order, sharing `memo`."""
+    return {
+        (kind, p, check, seed): run_cell(kind, {}, check, SPLIT, SPECS, p, seed, FAST, memo=memo)
+        for kind in kinds for p in sparsities for check in checks for seed in seeds
+    }
+
+
+def test_a_memo_shared_grid_equals_standalone_cells():
+    cells = run_grid(TICKET_KINDS, CHECK_NAMES, (0.5, 0.8), (3, 4), {})
+    assert len(cells) == len(TICKET_KINDS) * len(CHECK_NAMES) * 2 * 2
+    for (kind, p, check, seed), cell in cells.items():
+        want = run_cell(kind, {}, check, SPLIT, SPECS, p, seed, FAST)
+        where = (kind, p, check, seed)
+        assert (cell.accuracy, cell.keep, cell.collapsed) == (
+            want.accuracy, want.keep, want.collapsed), where
+        assert same_arrays(cell.ticket, want.ticket), where
+        assert cell.ticket.provenance == want.ticket.provenance, where
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls `module.name` gets from here on; returns the list of their args."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_a_memo_builds_each_clean_ticket_and_each_score_once(monkeypatch):
+    imp = count_calls(monkeypatch, pipelines, "_imp_ticket")
+    snip = count_calls(monkeypatch, pipelines, "snip_scores")
+    grasp = count_calls(monkeypatch, pipelines, "grasp_scores")
+    corrupted = count_calls(monkeypatch, pipelines, "apply_data_check")
+    clean_checks = ("none", "rearrange", "shuffle-weights")
+    run_grid(("imp", "snip", "grasp"), clean_checks, (0.5, 0.8), (3, 4), {})
+    # One clean ticket per (sparsity, seed); snip and grasp score once per seed.
+    assert (len(imp), len(snip), len(grasp)) == (2 * 2, 2, 2)
+
+    imp.clear(), snip.clear(), grasp.clear()
+    run_grid(("snip", "grasp"), ("none", "corrupt-both", "rearrange"), (0.5, 0.8), (3, 4), {})
+    # Scores once per (seed, pruning data) across sparsities; a hit corrupts nothing.
+    assert (len(snip), len(grasp)) == (2 * 2, 2 * 2)
+    assert [c[0] for c in corrupted] == ["corrupt-both"] * 2 * 2
+    assert imp == []
+
+
+def test_a_data_free_cell_under_a_data_check_returns_the_clean_cell(monkeypatch):
+    trained = count_calls(monkeypatch, pipelines, "train")
+    checks = ("corrupt-both", "none", "random-labels", "rearrange")
+    cells = run_grid(("random", "dense"), checks, (0.5,), (3, 4), {})
+    # The first of corrupt-both and none retrains; rearrange retrains its own ticket.
+    assert len(trained) == 2 * 2 * 2
+    for kind, seed in itertools.product(("random", "dense"), (3, 4)):
+        clean = cells[kind, 0.5, "none", seed]
+        assert cells[kind, 0.5, "corrupt-both", seed] is clean
+        assert cells[kind, 0.5, "random-labels", seed] is clean
+        assert cells[kind, 0.5, "rearrange", seed] is not clean
+
+
+def test_a_memo_holds_one_group_of_read_only_clean_tickets():
+    memo = {}
+    checks = ("none", "corrupt-both", "shuffle-weights")
+    run_grid(("snip",), checks, (0.5, 0.8), (3, 4), memo)
+    # One score per pruning data and seed, kept until the next pipeline.
+    group, scored = memo["scores"]
+    assert group == ("snip", SPECS)
+    assert sorted(scored) == [("corrupt-both", s, s) for s in (3, 4)] + [
+        ("none", s, s) for s in (3, 4)]
+    arrays = [x for x in walk(scored) if isinstance(x, np.ndarray)]
+    assert len(arrays) == 4 * (2 * len(SIZES) + 1)  # init, scores and batch index each
+    assert not any(arr.flags.writeable for arr in arrays)
+    cells = run_grid(("lt",), checks, (0.5, 0.8), (3, 4), memo)
+    assert memo["scores"] == (("lt", SPECS), {})
+    group, held = memo["clean"]
+    assert group[0] == "lt" and group[3] == 0.8
+    assert sorted(k for k in held if not isinstance(k, tuple)) == [3, 4]
+    for seed in (3, 4):
+        assert held[seed] is cells["lt", 0.8, "none", seed].ticket
+    reached = list(walk(memo))
+    assert not any(isinstance(x, Dataset) for x in reached)
+    # The last group's tickets and the pretraining runs.
+    arrays = [x for x in reached if isinstance(x, np.ndarray)]
+    assert arrays and not any(arr.flags.writeable for arr in arrays)
+    # An attacked ticket is the cell's own, not the held one.
+    attacked = cells["lt", 0.8, "shuffle-weights", 3].ticket
+    assert attacked.provenance == {**held[3].provenance, "checks": ["shuffle-weights"],
+                                   "check_seed": 3}
 
 
 def test_ticket_container_round_trips_bit_for_bit(tmp_path):
