@@ -256,9 +256,10 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
         done = {row.key(): row for row in _resume_rows(rows_path)}
 
     rows = []
-    # Work shared by the cells of this grid (see run_cell): pretraining runs per
-    # pruning data, the current pipeline's snip/grasp scores, and the current
-    # (pipeline, sparsity) group's clean tickets.
+    # Work shared by the cells of this grid (see run_cell): each data check's
+    # corrupted train set per seed, pretraining runs per pruning data, the
+    # current pipeline's snip/grasp scores, and the current (pipeline,
+    # sparsity) group's clean tickets.
     memo = {}
     fresh = not done
     with open(rows_path, "w" if fresh else "a", newline="", encoding="utf-8") as f:

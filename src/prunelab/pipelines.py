@@ -23,6 +23,7 @@ import numbers
 import struct
 import zlib
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -310,21 +311,33 @@ def _header(kind, specs, target_sparsity, seed, **fields):
             "arch": _arch_provenance(specs), **fields}
 
 
-def _pruning_data(data, check, check_seed):
-    """The train Dataset `data` under data check `check` ("none" leaves it clean)."""
+def _pruning_data(data, check, check_seed, held):
+    """The train Dataset `data` under data check `check` ("none" leaves it clean).
+
+    `held` is the memo bucket of this pruning data, or None.  It keeps the
+    corrupted set under "data", so a grid corrupts each (check, check seed)
+    once.  Only the arrays the check created are frozen: random labels share
+    the clean samples, and the caller's data stays writable.
+    """
     if check == "none":
         return data
-    return apply_data_check(check, data, check_stream(check_seed, check))
+    if held is not None and "data" in held:
+        return held["data"]
+    out = apply_data_check(check, data, check_stream(check_seed, check))
+    if held is not None:
+        _freeze(a for a in (out.samples, out.labels)
+                if a is not data.samples and a is not data.labels)
+        held["data"] = out
+    return out
 
 
 def _pretrain(specs, pruning, cfg, seed, checkpoint_epochs, *, memo=None):
     """Dense pretraining; returns (run config, TrainResult).
 
-    `pruning` is the (train Dataset, data check, check seed) that
-    `_pruning_data` turns into the pretraining data.  `memo` is a dict of
-    earlier runs on the same pruning data.  Pretraining is deterministic in
-    the key below, so a stored run is returned as is, and its data is never
-    corrupted.  Stored weights are read-only, because every ticket built
+    `pruning()` returns the pretraining data, and only a miss calls it.
+    `memo` is the memo bucket of that pruning data (see `build_ticket`).
+    Pretraining is deterministic in the key below, so a stored run is
+    returned as is.  Stored weights are read-only, because every ticket built
     from them shares the arrays.
     """
     key = (tuple(specs), cfg, seed, frozenset(checkpoint_epochs))
@@ -333,7 +346,7 @@ def _pretrain(specs, pruning, cfg, seed, checkpoint_epochs, *, memo=None):
     run_cfg = replace(cfg, seed=seeding.combine(seed, seeding.PRETRAIN))
     ones = full_mask(layer_sizes(specs))
     result = train(
-        build_network(specs, seed), ones, _pruning_data(*pruning), run_cfg,
+        build_network(specs, seed), ones, pruning(), run_cfg,
         checkpoint_epochs=checkpoint_epochs,
     )
     if memo is not None:
@@ -497,12 +510,14 @@ def build_ticket(
     the built ticket in order (see `apply_structural_check`).  Provenance
     lists the checks applied under "checks" and, when there are any, their
     seed under "check_seed", so `replay_ticket` rebuilds the ticket exactly.
-    `memo` shares work among tickets built from the same data.  Under each
-    (data check, check seed), the name of the pruning data, it keeps
-    pretraining runs (see `_pretrain`).  Under "scores" it keeps the snip or
-    grasp scores of the latest (kind, specs), one per pruning data and seed,
-    which serve every sparsity.  It holds read-only arrays only, and a hit
-    never corrupts the data again.
+    `memo` shares work among tickets built from the same data.  It files
+    each pruning data under its name, (data check, check seed), with clean
+    data under ("none", None) for every check seed.  That bucket keeps the
+    corrupted train set (see `_pruning_data`), which snip, grasp, pretraining
+    and every imp sparsity read, and pretraining runs (see `_pretrain`).
+    Under "scores" it keeps the snip or grasp scores of the latest (kind,
+    specs), one per pruning data and seed, which serve every sparsity.  Every
+    array it creates is read-only, and a hit never corrupts the data again.
     """
     opts = pipeline_options(kind, params or {})
     data = data.train if isinstance(data, DataSplit) else data
@@ -515,16 +530,18 @@ def build_ticket(
         raise DomainError("a ticket takes at most one data check")
     check_seed = seed if check_seed is None else check_seed
     data_check = data_checks[0] if data_checks else "none"
-    pruning = (data, data_check, check_seed)
+    # The pruning data's name: clean data is the same under every check seed.
+    name = (data_check, None if data_check == "none" else check_seed)
     scored = None
     if memo is not None:
         scored = _held(memo, "scores", (kind, tuple(specs)))
-        memo = memo.setdefault((data_check, check_seed), {})
+        memo = memo.setdefault(name, {})
+    pruning = partial(_pruning_data, data, data_check, check_seed, memo)
     sizes = layer_sizes(specs)
     if kind in TRAINED_TICKETS:
         ticket = _trained_ticket(kind, specs, pruning, target_sparsity, cfg, seed, opts, memo=memo)
     elif kind == "imp":
-        ticket = _imp_ticket(specs, _pruning_data(*pruning), target_sparsity, cfg, seed, opts)
+        ticket = _imp_ticket(specs, pruning(), target_sparsity, cfg, seed, opts)
     elif kind == "dense":
         ticket = Ticket(full_mask(sizes), build_network(specs, seed), _header(kind, specs, 0, seed))
     elif kind == "random":
@@ -539,11 +556,11 @@ def build_ticket(
     else:
         # Score a fresh initialization on one batch and prune globally.  The
         # scores do not depend on the sparsity, so the memo keeps them.
-        key = (data_check, check_seed, seed)
+        key = (*name, seed)
         if scored is not None and key in scored:
             init, scores, idx = scored[key]
         else:
-            data = _pruning_data(*pruning)
+            data = pruning()
             init = build_network(specs, seed)
             samples, labels, idx = score_batch(data, seed)
             score = snip_scores if kind == "snip" else grasp_scores

@@ -47,7 +47,7 @@ from prunelab.pruning import (
     sparsity,
 )
 from prunelab.schedules import smart_ratio
-from prunelab.data import Dataset, synthetic_blobs
+from prunelab.data import Dataset, DataSplit, synthetic_blobs
 
 SPECS = (
     LayerSpec("dense", 4, 6),
@@ -305,7 +305,7 @@ def test_weight_rewind_ticket_takes_the_checkpoint_weights():
     ticket = build_ticket("weight-rewind", SPECS, SPLIT.train, 0.5, 5, FAST, {"rewind_epoch": 2})
     assert ticket.provenance["rewound_to_epoch"] == 2
     assert ticket.provenance["schedule_offset"] == 2
-    _, run = pipelines._pretrain(SPECS, (SPLIT.train, "none", 5), FAST, 5, {0, 2, FAST.epochs})
+    _, run = pipelines._pretrain(SPECS, lambda: SPLIT.train, FAST, 5, {0, 2, FAST.epochs})
     assert ticket.provenance["source_checkpoint_epochs"] == [0, 2, FAST.epochs]
     for w, wc in zip(ticket.weights.weights, run.checkpoints[2].weights):
         assert np.array_equal(w, wc)
@@ -316,7 +316,7 @@ def test_weight_rewind_ticket_takes_the_checkpoint_weights():
 def test_lr_rewind_ticket_keeps_trained_weights_and_fresh_schedule():
     ticket = build_ticket("lr-rewind", SPECS, SPLIT, 0.5, 7, FAST)
     assert ticket.provenance["schedule_offset"] == 0
-    _, run = pipelines._pretrain(SPECS, (SPLIT.train, "none", 7), FAST, 7, {0, FAST.epochs})
+    _, run = pipelines._pretrain(SPECS, lambda: SPLIT.train, FAST, 7, {0, FAST.epochs})
     for w, wc in zip(ticket.weights.weights, run.params.weights):
         assert np.array_equal(w, wc)
 
@@ -603,6 +603,25 @@ def walk(obj):
             yield from walk(getattr(obj, f.name))
 
 
+def assert_holds_corrupted_sets(memo, names):
+    """`memo` reaches no Dataset but the corrupted set under each name in `names`.
+
+    Every array a check created is read-only.  Of the caller's arrays only
+    the train samples, which random labels keep, are reachable, and they
+    stay writable.
+    """
+    reached = list(walk(memo))
+    held = [memo[name]["data"] for name in names]
+    assert {id(x) for x in reached if isinstance(x, Dataset)} == {id(d) for d in held}
+    caller = (SPLIT.train, SPLIT.test, SPLIT.train.samples, SPLIT.train.labels,
+              SPLIT.test.samples, SPLIT.test.labels)
+    shared = [SPLIT.train.samples] if any(n[0] == "random-labels" for n in names) else []
+    assert {id(x) for x in reached if any(x is c for c in caller)} == {id(c) for c in shared}
+    for d in held:
+        for arr in (d.samples, d.labels):
+            assert arr.flags.writeable == any(arr is c for c in shared)
+
+
 def test_a_shared_memo_gives_standalone_cells_with_one_pretraining_per_data(monkeypatch):
     seed = 17
     alone = {
@@ -631,15 +650,17 @@ def test_a_shared_memo_gives_standalone_cells_with_one_pretraining_per_data(monk
     # (none, corrupt-both) pruning data x ({0, E}, {0, 1, E}) checkpoint sets
     assert sum(c.seed == pretrain_seed for c in cfgs) == 4
     assert len(cfgs) == 4 + len(PRETRAINED_KINDS) * len(MEMO_CHECKS)
-    assert memo.keys() == {("corrupt-both", seed), ("none", seed), "scores", "clean"}
-    # Cells whose pretraining is a memo hit never read their pruning data.
-    assert checked == ["corrupt-both"] * 2
+    # Clean data is one pruning data under every check seed.
+    assert memo.keys() == {("corrupt-both", seed), ("none", None), "scores", "clean"}
+    # The first read of the corrupted data corrupts it; every later cell reads the held set.
+    assert checked == ["corrupt-both"]
 
+    assert_holds_corrupted_sets(memo, [("corrupt-both", seed)])
     reached = list(walk(memo))
-    assert not any(isinstance(x, Dataset) for x in reached)
     arrays = list({id(x): x for x in reached if isinstance(x, np.ndarray)}.values())
-    # params plus 3 or 4 checkpoints each, and the mask of the last group's clean ticket
-    assert len(arrays) == 2 * len(SIZES) * (3 + 4) + len(SIZES)
+    # params plus 3 or 4 checkpoints each, the mask of the last group's clean
+    # ticket, and the corrupted set's samples and labels
+    assert len(arrays) == 2 * len(SIZES) * (3 + 4) + len(SIZES) + 2
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -684,10 +705,62 @@ def test_a_memo_builds_each_clean_ticket_and_each_score_once(monkeypatch):
 
     imp.clear(), snip.clear(), grasp.clear()
     run_grid(("snip", "grasp"), ("none", "corrupt-both", "rearrange"), (0.5, 0.8), (3, 4), {})
-    # Scores once per (seed, pruning data) across sparsities; a hit corrupts nothing.
+    # Scores once per (seed, pruning data) across sparsities; snip's first
+    # cell per seed corrupts the set, and grasp reads the held one.
     assert (len(snip), len(grasp)) == (2 * 2, 2 * 2)
-    assert [c[0] for c in corrupted] == ["corrupt-both"] * 2 * 2
+    assert [c[0] for c in corrupted] == ["corrupt-both"] * 2
     assert imp == []
+
+
+def test_a_memo_grid_corrupts_each_train_set_once_per_data_check_and_seed(monkeypatch):
+    kinds = ("snip", "grasp", "lt", "imp")
+    alone = run_grid(kinds, DATA_CHECKS, (0.5, 0.8), (3, 4), None)
+    corrupted = count_calls(monkeypatch, pipelines, "apply_data_check")
+    streams = count_calls(monkeypatch, pipelines, "check_stream")
+    memo = {}
+    cells = run_grid(kinds, DATA_CHECKS, (0.5, 0.8), (3, 4), memo)
+    # snip's cells at the first sparsity corrupt; every later cell reads the held set.
+    assert [a[0] for a in corrupted] == [c for c in DATA_CHECKS for _ in (3, 4)]
+    assert [a[::-1] for a in streams] == [(c, s) for c in DATA_CHECKS for s in (3, 4)]
+    for where, cell in cells.items():
+        want = alone[where]
+        assert (cell.accuracy, cell.keep, cell.collapsed) == (
+            want.accuracy, want.keep, want.collapsed), where
+        assert same_arrays(cell.ticket, want.ticket), where
+        assert cell.ticket.provenance == want.ticket.provenance, where
+    assert_holds_corrupted_sets(memo, [(c, s) for c in DATA_CHECKS for s in (3, 4)])
+
+
+def test_a_memo_grid_leaves_the_callers_train_set_as_it_was():
+    before = SPLIT.train.samples.copy(), SPLIT.train.labels.copy()
+    checks = ("random-labels", "corrupt-both")
+    memo = {}
+    run_grid(("snip", "lt", "imp"), checks, (0.5, 0.8), (3, 4), memo)
+    for arr, copy in zip((SPLIT.train.samples, SPLIT.train.labels), before):
+        assert arr.flags.writeable and np.array_equal(arr, copy)
+    assert_holds_corrupted_sets(memo, [(c, s) for c in checks for s in (3, 4)])
+
+    # A check that raises holds nothing, so every cell raises again.
+    one = DataSplit(SPLIT.train.take([0]), SPLIT.test)
+    memo = {}
+    for kind, p in itertools.product(("snip", "grasp", "lt", "imp"), (0.5, 0.8)):
+        with pytest.raises(DomainError, match="at least two samples"):
+            run_cell(kind, {}, "half-data", one, SPECS, p, 3, FAST, memo=memo)
+    assert not any(isinstance(x, Dataset) for x in walk(memo))
+
+
+def test_clean_data_pretrains_once_under_every_check_seed(monkeypatch):
+    alone = {s: build_ticket("lt", SPECS, SPLIT, 0.5, 18, FAST, {}, ["rearrange"], check_seed=s)
+             for s in (None, 9)}
+    trained = count_calls(monkeypatch, pipelines, "train")
+    memo = {}
+    for s in (None, 9):
+        ticket = build_ticket(
+            "lt", SPECS, SPLIT, 0.5, 18, FAST, {}, ["rearrange"], check_seed=s, memo=memo
+        )
+        assert same_arrays(ticket, alone[s]) and ticket.provenance == alone[s].provenance
+    assert len(trained) == 1
+    assert memo.keys() == {("none", None), "scores"}
 
 
 def test_a_data_free_cell_under_a_data_check_returns_the_clean_cell(monkeypatch):
@@ -711,7 +784,7 @@ def test_a_memo_holds_one_group_of_read_only_clean_tickets():
     group, scored = memo["scores"]
     assert group == ("snip", SPECS)
     assert sorted(scored) == [("corrupt-both", s, s) for s in (3, 4)] + [
-        ("none", s, s) for s in (3, 4)]
+        ("none", None, s) for s in (3, 4)]
     arrays = [x for x in walk(scored) if isinstance(x, np.ndarray)]
     assert len(arrays) == 4 * (2 * len(SIZES) + 1)  # init, scores and batch index each
     assert not any(arr.flags.writeable for arr in arrays)
@@ -722,10 +795,9 @@ def test_a_memo_holds_one_group_of_read_only_clean_tickets():
     assert sorted(k for k in held if not isinstance(k, tuple)) == [3, 4]
     for seed in (3, 4):
         assert held[seed] is cells["lt", 0.8, "none", seed].ticket
-    reached = list(walk(memo))
-    assert not any(isinstance(x, Dataset) for x in reached)
-    # The last group's tickets and the pretraining runs.
-    arrays = [x for x in reached if isinstance(x, np.ndarray)]
+    assert_holds_corrupted_sets(memo, [("corrupt-both", s) for s in (3, 4)])
+    # The last group's tickets, the pretraining runs and the corrupted sets.
+    arrays = [x for x in walk(memo) if isinstance(x, np.ndarray)]
     assert arrays and not any(arr.flags.writeable for arr in arrays)
     # An attacked ticket is the cell's own, not the held one.
     attacked = cells["lt", 0.8, "shuffle-weights", 3].ticket
