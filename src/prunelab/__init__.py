@@ -47,7 +47,6 @@ from .models import (
     accuracy,
     build_network,
     layer_sizes,
-    predict,
     preset_specs,
 )
 from .pipelines import (

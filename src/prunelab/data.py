@@ -3,14 +3,32 @@
 from __future__ import annotations
 
 import csv as csv_module
+import math
 import numbers
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeding
 from .errors import DatasetError, DomainError
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _finite(text):
+    """The number a text field holds; ValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -156,7 +174,7 @@ def load_csv(path) -> DataSplit:
             if not row or (lineno == 1 and _looks_like_header(row)):
                 continue
             try:
-                rows.append([float(v) for v in row])
+                rows.append([_finite(v) for v in row])
             except ValueError as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from None
     if len(rows) < 2:
@@ -229,14 +247,15 @@ def load_dataset(source: dict) -> DataSplit:
         defaults = {"classes": 3, "dim": 16, "n": 600, "seed": 0}
         counts = {k: source.get(k, d) for k, d in defaults.items()}
         for k, v in counts.items():
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            if not _is_int(v):
                 raise DatasetError(f"synthetic-blobs {k} must be an integer, not {v!r}")
-        try:
-            return synthetic_blobs(
-                **counts, noise=float(source.get("noise", 1.0)), sample_shape=source.get("shape")
-            )
-        except (TypeError, ValueError) as exc:
-            raise DatasetError(f"synthetic-blobs: bad noise or shape: {exc}") from None
+        noise, shape = source.get("noise", 1.0), source.get("shape")
+        if not (_is_number(noise) and 0 <= noise <= sys.float_info.max):  # NaN fails it too
+            raise DatasetError(f"synthetic-blobs noise must be a finite number >= 0, not {noise!r}")
+        if shape is not None and not (isinstance(shape, (list, tuple)) and shape
+                                      and all(_is_int(d) and d > 0 for d in shape)):
+            raise DatasetError(f"synthetic-blobs shape must list positive integers, not {shape!r}")
+        return synthetic_blobs(**counts, noise=float(noise), sample_shape=shape)
     # idx-files and csv read only paths, and need each of them.
     for key in DATASET_KEYS[kind]:
         if not isinstance(source.get(key), str):

@@ -19,12 +19,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .checks import CHECK_NAMES
-from .data import load_dataset
+from .data import _finite, _is_int, _is_number, load_dataset
 from .engine import NUMERICS_VERSION
 from .errors import ConfigError, DomainError, PrunelabError
 from .models import PRESET_NAMES, preset_specs
 from .pipelines import TICKET_KINDS, TrainConfig, pipeline_options, run_cell
-from .pipelines import _is_int, _is_number
 
 
 @dataclass(frozen=True)
@@ -178,11 +177,11 @@ def _record_to_row(rec):
     return ResultRow(
         pipeline=rec["pipeline"],
         check=rec["check"],
-        sparsity=float(rec["sparsity"]),
+        sparsity=_finite(rec["sparsity"]),
         seed=int(rec["seed"]),
-        accuracy=None if rec["accuracy"] == "" else float(rec["accuracy"]),
-        keep=tuple(float(x) for x in rec["keep"].split("|")) if rec["keep"] else (),
-        seconds=float(rec["seconds"]),
+        accuracy=None if rec["accuracy"] == "" else _finite(rec["accuracy"]),
+        keep=tuple(_finite(x) for x in rec["keep"].split("|")) if rec["keep"] else (),
+        seconds=_finite(rec["seconds"]),
         flags=rec["flags"],
     )
 
@@ -256,10 +255,8 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
         done = {row.key(): row for row in _resume_rows(rows_path)}
 
     rows = []
-    # Work shared by the cells of this grid (see run_cell): each data check's
-    # corrupted train set per seed, pretraining runs per pruning data, the
-    # current pipeline's snip/grasp scores, and the current (pipeline,
-    # sparsity) group's clean tickets.
+    # Deterministic ticket work shared by the cells of this grid; the
+    # docstring of pipelines.build_ticket lists what it keeps.
     memo = {}
     fresh = not done
     with open(rows_path, "w" if fresh else "a", newline="", encoding="utf-8") as f:

@@ -124,13 +124,6 @@ def build_network(specs, seed) -> LayeredParams:
     return LayeredParams(specs, tuple(weights))
 
 
-def predict(params, mask, x, *, sample_shape=None) -> int:
-    """Predicted class of one sample; argmax ties go to the lowest index."""
-    logits = engine.forward_logits(params, mask, np.asarray(x, dtype=np.float64)[None, :],
-                                   sample_shape=sample_shape)
-    return int(np.argmax(logits[0]))
-
-
 def accuracy(params, mask, data, *, batch_size=512) -> float:
     """Fraction of `data` classified correctly, in [0, 1]."""
     n = data.samples.shape[0]

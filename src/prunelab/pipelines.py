@@ -19,7 +19,6 @@ masked weights are bit-exactly inert.
 from __future__ import annotations
 
 import json
-import numbers
 import struct
 import zlib
 from dataclasses import asdict, dataclass, replace
@@ -28,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from . import seeding
-from .data import DataSplit
+from .data import DataSplit, _is_int, _is_number
 from .engine import backward, check_alignment, forward_loss
 from .errors import (
     DatasetError,
@@ -67,14 +66,6 @@ from .schedules import SCHEDULE_KINDS, _largest_remainder, schedule_by_name, sma
 
 SCORE_BATCH_SIZE = 128
 IMP_MODES = ("reset", "lr-rewind", "hybrid")
-
-
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 # Each pipeline option: its default, the values it takes, and a test for them.
@@ -292,6 +283,16 @@ def score_batch(data, seed):
     return data.samples[idx], data.labels[idx], idx
 
 
+def _init_scores(kind, specs, data, seed):
+    """(init, its snip or grasp scores on `data`'s scoring batch, that batch's indices)."""
+    init = build_network(specs, seed)
+    samples, labels, idx = score_batch(data, seed)
+    score = snip_scores if kind == "snip" else grasp_scores
+    scores = score(init, full_mask(layer_sizes(specs)), samples, labels,
+                   sample_shape=data.sample_shape_for_net())
+    return init, scores, idx
+
+
 def _arch_provenance(specs):
     return [
         {
@@ -311,54 +312,21 @@ def _header(kind, specs, target_sparsity, seed, **fields):
             "arch": _arch_provenance(specs), **fields}
 
 
-def _pruning_data(data, check, check_seed, held):
-    """The train Dataset `data` under data check `check` ("none" leaves it clean).
+def _shared(memo, key, make, frozen=lambda value: ()):
+    """`memo[key]`, which a miss sets to `make()`; without a memo, just `make()`.
 
-    `held` is the memo bucket of this pruning data, or None.  It keeps the
-    corrupted set under "data", so a grid corrupts each (check, check seed)
-    once.  Only the arrays the check created are frozen: random labels share
-    the clean samples, and the caller's data stays writable.
+    Every later hit shares the kept value, so the arrays `frozen(value)`
+    lists are made read-only before it is kept.  A `make()` that raises
+    keeps nothing.  `build_ticket` describes the memo's layout.
     """
-    if check == "none":
-        return data
-    if held is not None and "data" in held:
-        return held["data"]
-    out = apply_data_check(check, data, check_stream(check_seed, check))
-    if held is not None:
-        _freeze(a for a in (out.samples, out.labels)
-                if a is not data.samples and a is not data.labels)
-        held["data"] = out
-    return out
-
-
-def _pretrain(specs, pruning, cfg, seed, checkpoint_epochs, *, memo=None):
-    """Dense pretraining; returns (run config, TrainResult).
-
-    `pruning()` returns the pretraining data, and only a miss calls it.
-    `memo` is the memo bucket of that pruning data (see `build_ticket`).
-    Pretraining is deterministic in the key below, so a stored run is
-    returned as is.  Stored weights are read-only, because every ticket built
-    from them shares the arrays.
-    """
-    key = (tuple(specs), cfg, seed, frozenset(checkpoint_epochs))
-    if memo is not None and key in memo:
-        return memo[key]
-    run_cfg = replace(cfg, seed=seeding.combine(seed, seeding.PRETRAIN))
-    ones = full_mask(layer_sizes(specs))
-    result = train(
-        build_network(specs, seed), ones, pruning(), run_cfg,
-        checkpoint_epochs=checkpoint_epochs,
-    )
-    if memo is not None:
-        _freeze(w for p in [result.params, *result.checkpoints.values()] for w in p.weights)
-        memo[key] = (run_cfg, result)
-    return run_cfg, result
-
-
-def _freeze(arrays):
-    """Mark memo-held arrays read-only: every ticket built from them shares them."""
-    for a in arrays:
-        a.setflags(write=False)
+    if memo is None:
+        return make()
+    if key not in memo:
+        value = make()
+        for a in frozen(value):
+            a.setflags(write=False)
+        memo[key] = value
+    return memo[key]
 
 
 def _held(memo, slot, group):
@@ -366,10 +334,45 @@ def _held(memo, slot, group):
 
     A grid runs the cells of one group together and never returns to it, so
     a slot holds only what later cells of the current group can use.
+    Without a memo there is no slot, and the result is None.
     """
+    if memo is None:
+        return None
     if memo.get(slot, (None,))[0] != group:
         memo[slot] = (group, {})
     return memo[slot][1]
+
+
+def _pruning_data(data, check, check_seed, held):
+    """The train Dataset `data` under data check `check` ("none" leaves it clean).
+
+    `held` is the memo bucket of this pruning data, or None.  Only the arrays
+    the check created are frozen: random labels share the clean samples, and
+    the caller's data stays writable.
+    """
+    if check == "none":
+        return data
+    return _shared(
+        held, "data", lambda: apply_data_check(check, data, check_stream(check_seed, check)),
+        lambda out: [a for a in (out.samples, out.labels)
+                     if a is not data.samples and a is not data.labels],
+    )
+
+
+def _pretrain(specs, pruning, cfg, seed, checkpoint_epochs, *, memo=None):
+    """Dense pretraining; returns (run config, TrainResult).
+
+    `pruning()` returns the pretraining data, and only a miss calls it.
+    `memo` is the memo bucket of that pruning data.
+    """
+    run_cfg = replace(cfg, seed=seeding.combine(seed, seeding.PRETRAIN))
+    result = _shared(
+        memo, (tuple(specs), cfg, seed, frozenset(checkpoint_epochs)),
+        lambda: train(build_network(specs, seed), full_mask(layer_sizes(specs)), pruning(),
+                      run_cfg, checkpoint_epochs=checkpoint_epochs),
+        lambda run: [w for p in [run.params, *run.checkpoints.values()] for w in p.weights],
+    )
+    return run_cfg, result
 
 
 # Trained-magnitude tickets all pretrain densely and prune by trained
@@ -389,10 +392,11 @@ TRAINED_TICKETS = {
 }
 
 
-def _trained_ticket(kind, specs, pruning, target_sparsity, cfg, seed, opts, *, memo=None) -> Ticket:
+def _trained_ticket(kind, specs, pruning, target_sparsity, cfg, seed, opts, memo) -> Ticket:
     """Pretrain densely on `pruning` data, prune by trained magnitude as `kind`'s row says.
 
-    `opts` are the kind's filled options (see `pipeline_options`).
+    `opts` are the kind's filled options (see `pipeline_options`), and `memo`
+    is the pruning data's memo bucket, or None.
     """
     rule, kept, offset = TRAINED_TICKETS[kind]
     epochs = {0, cfg.epochs}
@@ -510,14 +514,21 @@ def build_ticket(
     the built ticket in order (see `apply_structural_check`).  Provenance
     lists the checks applied under "checks" and, when there are any, their
     seed under "check_seed", so `replay_ticket` rebuilds the ticket exactly.
-    `memo` shares work among tickets built from the same data.  It files
-    each pruning data under its name, (data check, check seed), with clean
-    data under ("none", None) for every check seed.  That bucket keeps the
-    corrupted train set (see `_pruning_data`), which snip, grasp, pretraining
-    and every imp sparsity read, and pretraining runs (see `_pretrain`).
-    Under "scores" it keeps the snip or grasp scores of the latest (kind,
-    specs), one per pruning data and seed, which serve every sparsity.  Every
-    array it creates is read-only, and a hit never corrupts the data again.
+
+    `memo` is a dict shared by tickets built from the same data, or None.
+    Every value it keeps is deterministic in its key, and its arrays are
+    read-only (see `_shared`).  Its layout:
+      - (data check, check seed), or ("none", None) for clean data under any
+        check seed: that pruning data's bucket, with its corrupted train set
+        under "data" and pretraining runs under (specs, train config, seed,
+        checkpoint epochs);
+      - "scores": (kind, specs), and per (*pruning data name, seed) the snip
+        or grasp (init, scores, batch index) that serve every sparsity;
+      - "clean": (kind, options, specs, sparsity, train config), and per seed
+        the ticket built on clean data, which structural checks attack, and
+        per ("cell", seed) `run_cell`'s result for that ticket.
+    A grid runs each "scores" and "clean" group together, so a new group
+    replaces the old one (see `_held`).
     """
     opts = pipeline_options(kind, params or {})
     data = data.train if isinstance(data, DataSplit) else data
@@ -529,52 +540,50 @@ def build_ticket(
     if len(data_checks) > 1:
         raise DomainError("a ticket takes at most one data check")
     check_seed = seed if check_seed is None else check_seed
+    for s in (seed, check_seed):
+        seeding._key(s, ())  # refuses a non-integer seed before a memo takes True for 1
     data_check = data_checks[0] if data_checks else "none"
     # The pruning data's name: clean data is the same under every check seed.
     name = (data_check, None if data_check == "none" else check_seed)
-    scored = None
-    if memo is not None:
-        scored = _held(memo, "scores", (kind, tuple(specs)))
-        memo = memo.setdefault(name, {})
-    pruning = partial(_pruning_data, data, data_check, check_seed, memo)
+    scored = _held(memo, "scores", (kind, tuple(specs)))
+    held = None if memo is None else memo.setdefault(name, {})
+    pruning = partial(_pruning_data, data, data_check, check_seed, held)
     sizes = layer_sizes(specs)
-    if kind in TRAINED_TICKETS:
-        ticket = _trained_ticket(kind, specs, pruning, target_sparsity, cfg, seed, opts, memo=memo)
-    elif kind == "imp":
-        ticket = _imp_ticket(specs, pruning(), target_sparsity, cfg, seed, opts)
-    elif kind == "dense":
-        ticket = Ticket(full_mask(sizes), build_network(specs, seed), _header(kind, specs, 0, seed))
-    elif kind == "random":
-        schedule = schedule_by_name(
-            opts["schedule"], sizes, specs, target_sparsity, opts["family"]
-        )
-        init = build_network(specs, seed)
-        rng = seeding.stream(seed, seeding.RANDOM_MASK)
-        mask = random_mask_from_schedule(schedule, sizes, rng)
-        prov = _header(kind, specs, target_sparsity, seed, criterion=kind, **opts)
-        ticket = Ticket(mask, init, prov)
-    else:
+
+    def build():
+        if kind in TRAINED_TICKETS:
+            return _trained_ticket(kind, specs, pruning, target_sparsity, cfg, seed, opts, held)
+        if kind == "imp":
+            return _imp_ticket(specs, pruning(), target_sparsity, cfg, seed, opts)
+        if kind == "dense":
+            prov = _header(kind, specs, 0, seed)
+            return Ticket(full_mask(sizes), build_network(specs, seed), prov)
+        if kind == "random":
+            schedule = schedule_by_name(
+                opts["schedule"], sizes, specs, target_sparsity, opts["family"]
+            )
+            init = build_network(specs, seed)
+            rng = seeding.stream(seed, seeding.RANDOM_MASK)
+            mask = random_mask_from_schedule(schedule, sizes, rng)
+            prov = _header(kind, specs, target_sparsity, seed, criterion=kind, **opts)
+            return Ticket(mask, init, prov)
         # Score a fresh initialization on one batch and prune globally.  The
         # scores do not depend on the sparsity, so the memo keeps them.
-        key = (*name, seed)
-        if scored is not None and key in scored:
-            init, scores, idx = scored[key]
-        else:
-            data = pruning()
-            init = build_network(specs, seed)
-            samples, labels, idx = score_batch(data, seed)
-            score = snip_scores if kind == "snip" else grasp_scores
-            shape = data.sample_shape_for_net()
-            scores = score(init, full_mask(sizes), samples, labels, sample_shape=shape)
-            if scored is not None:
-                _freeze([*init.weights, *scores.layers, idx])
-                scored[key] = (init, scores, idx)
-        ticket = Ticket(mask_from_scores_global(scores, target_sparsity), init, _header(
+        init, scores, idx = _shared(
+            scored, (*name, seed), lambda: _init_scores(kind, specs, pruning(), seed),
+            lambda kept: [*kept[0].weights, *kept[1].layers, kept[2]],
+        )
+        return Ticket(mask_from_scores_global(scores, target_sparsity), init, _header(
             kind, specs, target_sparsity, seed, criterion=kind, score_batch=[int(i) for i in idx]
         ))
+
+    # Only a ticket built on clean data is kept: structural checks attack it.
+    group = (kind, tuple(opts.items()), tuple(specs), target_sparsity, cfg)
+    clean = _held(memo, "clean", group) if data_check == "none" else None
+    ticket = _shared(clean, seed, build, lambda t: [*t.mask.layers, *t.weights.weights])
     if data_checks:
-        prov = {**ticket.provenance, "checks": data_checks, "check_seed": int(check_seed)}
-        ticket = Ticket(ticket.mask, ticket.weights, prov)
+        ticket = replace(ticket, provenance={
+            **ticket.provenance, "checks": data_checks, "check_seed": int(check_seed)})
     for c in checks:
         if c in STRUCTURAL_CHECKS:
             ticket = apply_structural_check(ticket, c, check_seed)
@@ -647,38 +656,20 @@ def run_cell(
     """Build one ticket under one check, retrain on clean data, measure.
 
     `memo` is a dict that the cells of one grid on the same `split` share, in
-    grid order.  Besides what `build_ticket` shares through it, it holds the
-    clean tickets of one (kind, options, sparsity) group, one per seed; a
-    later group replaces them.  A structural-check cell attacks its clean
-    ticket with `apply_structural_check`, as `build_ticket` would after
-    building it again.  A data-free kind ignores data checks, so its cell
-    under one is the clean cell and returns the clean cell's result.
+    grid order; `build_ticket` describes what it keeps.  A ticket that no
+    check touched is the clean ticket (a data-free kind ignores data
+    checks), so its cell is the clean cell, whose result the memo keeps.
     """
     check = check or "none"
     rcfg = replace(train_cfg, seed=seeding.combine(seed, seeding.RETRAIN))
-    clean = check == "none" or (kind in DATA_FREE_KINDS and check in DATA_CHECKS)
-    if memo is None or not (clean or check in STRUCTURAL_CHECKS):
-        ticket = build_ticket(
-            kind, specs, split, target_sparsity, seed, train_cfg, pipeline_params, [check],
-            memo=memo,
-        )
-        return _retrain(ticket, split, rcfg)
-    opts = pipeline_options(kind, pipeline_params or {})
-    group = (kind, tuple(opts.items()), tuple(specs), target_sparsity, train_cfg)
-    # seed -> clean ticket; ("cell", seed) -> the clean cell's CellResult
-    held = _held(memo, "clean", group)
-    if clean and ("cell", seed) in held:
-        return held["cell", seed]
-    if seed not in held:
-        ticket = build_ticket(
-            kind, specs, split, target_sparsity, seed, train_cfg, pipeline_params, memo=memo
-        )
-        _freeze([*ticket.mask.layers, *ticket.weights.weights])
-        held[seed] = ticket
-    if clean:
-        held["cell", seed] = _retrain(held[seed], split, rcfg)
-        return held["cell", seed]
-    return _retrain(apply_structural_check(held[seed], check, seed), split, rcfg)
+    ticket = build_ticket(
+        kind, specs, split, target_sparsity, seed, train_cfg, pipeline_params, [check], memo=memo
+    )
+    retrain = partial(_retrain, ticket, split, rcfg)
+    if memo is None or "checks" in ticket.provenance:
+        return retrain()
+    # build_ticket took this ticket from the clean slot of the cell's group.
+    return _shared(memo["clean"][1], ("cell", seed), retrain)
 
 
 def _retrain(ticket, split, rcfg) -> CellResult:

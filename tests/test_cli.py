@@ -114,6 +114,49 @@ def test_run_on_an_empty_split_exits_one_with_one_line(tmp_path, capsys, source)
     assert not out.exists()
 
 
+# Each dataset spec with a non-finite or boolean number, and the error it gets.
+BAD_NUMBERS = {
+    "noise-nan": ({"noise": float("nan")}, "synthetic-blobs noise must be a finite number"),
+    "noise-true": ({"noise": True}, "synthetic-blobs noise must be a finite number"),
+    "shape-bool": ({"shape": [True, 4]}, "synthetic-blobs shape must list positive integers"),
+    "shape-fraction": ({"shape": [2.5, 1.6]}, "synthetic-blobs shape must list positive integers"),
+    "csv-nan": ("1.0,2.0,0\n3.0,nan,1\n" * 5, "line 2: 'nan' is not a finite number"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS)
+def test_run_refuses_non_finite_or_boolean_dataset_numbers_with_one_line(tmp_path, capsys, case):
+    bad, message = BAD_NUMBERS[case]
+    if isinstance(bad, str):
+        (tmp_path / "d.csv").write_text(bad)
+        dataset = {"kind": "csv", "path": str(tmp_path / "d.csv")}
+    else:
+        dataset = {**TINY["dataset"], **bad}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**TINY, "dataset": dataset}))
+    out = tmp_path / "results"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DatasetError:") and message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, spec", [
+    ("random", "noise=Infinity"), ("snip", "noise=NaN"), ("random", "noise=true"),
+])
+def test_ticket_refuses_a_non_finite_or_boolean_noise_with_one_line(tmp_path, capsys, kind, spec):
+    out = tmp_path / "t.plab"
+    code = main([
+        "ticket", kind, "--epochs", "1", "--data", f"synthetic-blobs:n=60,{spec}",
+        "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: DatasetError: synthetic-blobs noise must be a finite number")
+    assert not out.exists()
+
+
 def test_ticket_random_is_data_free(tmp_path, capsys):
     out = tmp_path / "r.plab"
     code = main([
@@ -374,6 +417,8 @@ MALFORMED_ROWS = {
     "bad-value": lambda raw: raw.replace(b",94.0,", b",abc,"),
     "short-row": lambda raw: raw + b"a,none,0.5\r\n",
     "not-utf8": lambda raw: raw.replace(b"a,none,0.5,1", b"\xff,none,0.5,1"),
+    "nan-accuracy": lambda raw: raw.replace(b",94.0,", b",nan,"),
+    "inf-sparsity": lambda raw: raw.replace(b"a,none,0.5,1", b"a,none,inf,1"),
 }
 
 

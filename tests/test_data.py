@@ -206,6 +206,13 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(DatasetError, match="at least two data rows"):
         load_csv(str(tiny))
 
+    # One non-finite field would turn its whole column non-finite once standardised.
+    for value in ("nan", "inf", "-Infinity"):
+        nonfinite = tmp_path / "nonfinite.csv"
+        nonfinite.write_text(f"1.0,2.0,0\n3.0,{value},1\n4.0,1.0,0\n")
+        with pytest.raises(DatasetError, match=f"line 2: '{value}' is not a finite number"):
+            load_csv(str(nonfinite))
+
 
 def test_load_dataset_dispatch(tmp_path):
     split = load_dataset({"kind": "synthetic-blobs", "classes": 2, "dim": 4, "n": 40, "seed": 3})
@@ -225,6 +232,21 @@ def test_load_dataset_dispatch(tmp_path):
         load_dataset({"kind": "idx-files", "train_images": "x"})
     with pytest.raises(DomainError, match="seed -3 is negative"):
         load_dataset({"kind": "synthetic-blobs", "seed": -3})
+
+
+@pytest.mark.parametrize("bad", [
+    {"noise": float("inf")}, {"noise": float("nan")}, {"noise": True}, {"noise": -0.5},
+    {"noise": "1.0"}, {"noise": 10**400}, {"shape": [True, 4]}, {"shape": [2.5, 1.6]}, {"shape": [4, 0]},
+    {"shape": []}, {"shape": 4},
+])
+def test_load_dataset_refuses_a_bad_noise_or_shape(bad):
+    blobs = {"kind": "synthetic-blobs", "dim": 4, "n": 40}
+    (key,) = bad
+    with pytest.raises(DatasetError, match=f"synthetic-blobs {key} must "):
+        load_dataset({**blobs, **bad})
+    # a finite noise >= 0 of any real type, and a shape of positive integers, load
+    for good in ({"noise": 0}, {"noise": 0.5}, {"shape": [2, 2]}, {"shape": (1, 2, 2)}):
+        load_dataset({**blobs, **good})
 
 
 def test_load_dataset_rejects_keys_its_kind_does_not_read(tmp_path):

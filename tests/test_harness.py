@@ -195,6 +195,23 @@ def test_rows_round_trip_through_csv(tmp_path):
         parse_rows(str(tmp_path / "mangled.csv"))
 
 
+@pytest.mark.parametrize("field", ["sparsity", "accuracy", "keep", "seconds"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rows_refuses_a_non_finite_number_by_line(tmp_path, field, value):
+    path = tmp_path / "rows.csv"
+    emit_rows([ResultRow("snip", "none", 0.5, s, 91.25, (0.625, 0.3), 1.5) for s in (0, 1)],
+              str(path))
+    with open(path, newline="", encoding="utf-8") as f:
+        records = list(csv.DictReader(f))
+    records[1][field] = f"0.625|{value}" if field == "keep" else value
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.DictWriter(f, CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerows(records)
+    with pytest.raises(ConfigError, match=f"line 3: '{value}' is not a finite number"):
+        parse_rows(str(path))
+
+
 def test_load_config_reads_json(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(TINY))

@@ -1,4 +1,4 @@
-"""Layer specs, network construction, presets, prediction."""
+"""Layer specs, network construction, presets, accuracy."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from prunelab.models import (
     accuracy,
     build_network,
     layer_sizes,
-    predict,
     preset_specs,
     validate_specs,
 )
@@ -105,28 +104,6 @@ def test_kaiming_scale_conv_uses_kernel_area():
     std = float(np.std(params.weights[0]))
     target = np.sqrt(2.0 / (2 * 9))
     assert abs(std - target) / target < 0.05
-
-
-def test_predict_identity_network_maps_one_hots():
-    specs = (
-        LayerSpec("dense", 3, 3),
-        LayerSpec("dense", 3, 3, is_output=True),
-    )
-    eye = np.eye(3).reshape(-1)
-    params = LayeredParams(specs, (eye.copy(), eye.copy()))
-    mask = full_mask(layer_sizes(specs))
-    for k in range(3):
-        assert predict(params, mask, np.eye(3)[k]) == k
-
-
-def test_predict_breaks_ties_toward_lowest_class():
-    specs = (
-        LayerSpec("dense", 3, 3),
-        LayerSpec("dense", 3, 3, is_output=True),
-    )
-    params = LayeredParams(specs, (np.zeros(9), np.zeros(9)))
-    mask = full_mask(layer_sizes(specs))
-    assert predict(params, mask, np.ones(3)) == 0
 
 
 def test_accuracy_batching_is_invisible():

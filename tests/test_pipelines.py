@@ -109,7 +109,12 @@ def test_negative_seeds_are_refused_by_name():
     # True == 1, so a memo holding seed 1's clean cell must not answer for it
     lambda memo={}: [run_cell("random", {}, "none", SPLIT, SPECS, 0.5, s, FAST, memo=memo)
                      for s in (1, True)],
-], ids=["build_ticket-1.5", "build_ticket-True", "run_cell-2.7", "run_cell-True-after-1"])
+    lambda memo={}: [build_ticket("snip", SPECS, SPLIT, 0.5, s, FAST, memo=memo)
+                     for s in (1, True)],
+    lambda memo={}: [build_ticket("snip", SPECS, SPLIT, 0.5, 1, FAST, {}, ["corrupt-both"],
+                                  check_seed=s, memo=memo) for s in (1, True)],
+], ids=["build_ticket-1.5", "build_ticket-True", "run_cell-2.7", "run_cell-True-after-1",
+        "build_ticket-True-after-1", "build_ticket-check-seed-True-after-1"])
 def test_non_integer_seeds_are_refused_not_truncated(make):
     with pytest.raises(DomainError, match="is not an integer; seeds are integers >= 0"):
         make()
@@ -712,6 +717,21 @@ def test_a_memo_builds_each_clean_ticket_and_each_score_once(monkeypatch):
     assert imp == []
 
 
+def test_build_ticket_with_a_memo_builds_each_clean_imp_ticket_once(monkeypatch):
+    checks = ("none", "rearrange", "shuffle-weights")
+    # In grid order: sparsities, then checks, then seeds.
+    alone = {(p, c, s): build_ticket("imp", SPECS, SPLIT, p, s, FAST, {}, [c])
+             for p in (0.5, 0.8) for c in checks for s in (3, 4)}
+    imp = count_calls(monkeypatch, pipelines, "_imp_ticket")
+    memo = {}
+    for (p, c, s), want in alone.items():
+        ticket = build_ticket("imp", SPECS, SPLIT, p, s, FAST, {}, [c], memo=memo)
+        assert same_arrays(ticket, want), (p, c, s)
+        assert ticket.provenance == want.provenance, (p, c, s)
+    # The structural checks attack the clean ticket of their (sparsity, seed).
+    assert [(a[2], a[4]) for a in imp] == [(p, s) for p in (0.5, 0.8) for s in (3, 4)]
+
+
 def test_a_memo_grid_corrupts_each_train_set_once_per_data_check_and_seed(monkeypatch):
     kinds = ("snip", "grasp", "lt", "imp")
     alone = run_grid(kinds, DATA_CHECKS, (0.5, 0.8), (3, 4), None)
@@ -750,17 +770,19 @@ def test_a_memo_grid_leaves_the_callers_train_set_as_it_was():
 
 
 def test_clean_data_pretrains_once_under_every_check_seed(monkeypatch):
-    alone = {s: build_ticket("lt", SPECS, SPLIT, 0.5, 18, FAST, {}, ["rearrange"], check_seed=s)
-             for s in (None, 9)}
+    # Two sparsities, so the second ticket is not the first one's held clean ticket.
+    runs = {None: 0.5, 9: 0.8}
+    alone = {s: build_ticket("lt", SPECS, SPLIT, p, 18, FAST, {}, ["rearrange"], check_seed=s)
+             for s, p in runs.items()}
     trained = count_calls(monkeypatch, pipelines, "train")
     memo = {}
-    for s in (None, 9):
+    for s, p in runs.items():
         ticket = build_ticket(
-            "lt", SPECS, SPLIT, 0.5, 18, FAST, {}, ["rearrange"], check_seed=s, memo=memo
+            "lt", SPECS, SPLIT, p, 18, FAST, {}, ["rearrange"], check_seed=s, memo=memo
         )
         assert same_arrays(ticket, alone[s]) and ticket.provenance == alone[s].provenance
     assert len(trained) == 1
-    assert memo.keys() == {("none", None), "scores"}
+    assert memo.keys() == {("none", None), "scores", "clean"}
 
 
 def test_a_data_free_cell_under_a_data_check_returns_the_clean_cell(monkeypatch):
