@@ -48,7 +48,10 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        shape = tuple(int(d) for d in self.sample_shape)
+        shape = tuple(self.sample_shape)
+        if not all(_is_int(d) and d >= 0 for d in shape):
+            raise DatasetError(f"sample_shape {shape} must list integers >= 0")
+        shape = tuple(int(d) for d in shape)
         object.__setattr__(self, "sample_shape", (1, *shape) if len(shape) == 2 else shape)
         if self.samples.ndim != 2:
             raise DatasetError(f"samples must be 2-D, got shape {self.samples.shape}")
@@ -89,6 +92,8 @@ def synthetic_blobs(classes, dim, n, seed, *, noise=1.0, sample_shape=None) -> D
     """Gaussian class blobs, generated normalized; fixed 80/20 split."""
     if classes < 2 or dim < 1 or n < classes:
         raise DomainError("blobs need classes >= 2, dim >= 1, n >= classes")
+    if not (_is_number(noise) and 0 <= noise <= sys.float_info.max):  # NaN fails it too
+        raise DomainError(f"blob noise must be a finite number >= 0, not {noise!r}")
     rng = seeding.stream(seed, seeding.BLOBS)
     centers = rng.normal(0.0, 1.0, (classes, dim))
     labels = rng.permutation(np.arange(n) % classes)
@@ -144,6 +149,14 @@ def _idx_pair(images_path, labels_path):
     return flat, labels.astype(np.int64), images.shape[1:]
 
 
+def _standardize(fit, *arrays):
+    """`arrays` scaled per feature by the mean and std of the rows of `fit`."""
+    mu = fit.mean(axis=0)
+    sd = fit.std(axis=0)
+    sd[sd < 1e-12] = 1.0
+    return [(a - mu) / sd for a in arrays]
+
+
 def load_idx_split(train_images, train_labels, test_images, test_labels) -> DataSplit:
     """Two IDX pairs, normalized per feature with train statistics."""
     xtr, ytr, shape = _idx_pair(train_images, train_labels)
@@ -152,11 +165,7 @@ def load_idx_split(train_images, train_labels, test_images, test_labels) -> Data
         raise DatasetError(f"train shape {shape} differs from test shape {shape_te}")
     _refuse_empty_split(f"{train_images}, {test_images}", len(xtr), len(xte))
     classes = int(max(ytr.max(), yte.max())) + 1
-    mu = xtr.mean(axis=0)
-    sd = xtr.std(axis=0)
-    sd[sd < 1e-12] = 1.0
-    xtr = (xtr - mu) / sd
-    xte = (xte - mu) / sd
+    xtr, xte = _standardize(xtr, xtr, xte)
     return DataSplit(
         Dataset(xtr, ytr, classes, shape), Dataset(xte, yte, classes, shape)
     )
@@ -191,10 +200,7 @@ def load_csv(path) -> DataSplit:
     classes = int(labels.max()) + 1
     if classes < 2:
         raise DatasetError(f"{path}: needs at least two classes")
-    mu = features.mean(axis=0)
-    sd = features.std(axis=0)
-    sd[sd < 1e-12] = 1.0
-    features = (features - mu) / sd
+    (features,) = _standardize(features, features)
 
     order = np.random.default_rng(2_000_003).permutation(len(rows))
     split = int(round((1.0 - CSV_TEST_FRACTION) * len(rows)))

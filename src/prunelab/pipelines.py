@@ -428,6 +428,8 @@ def _global_magnitude_mask(params, target_sparsity, preserve_output_layer):
     scores = magnitude_scores(params)
     if not preserve_output_layer:
         return mask_from_scores_global(scores, target_sparsity)
+    if not (0.0 <= target_sparsity < 1.0):
+        raise DomainError("target sparsity must lie in [0, 1)")
     sizes = layer_sizes(params)
     budget = retained_budget(sizes, target_sparsity)
     if budget < sizes[-1]:
@@ -597,10 +599,7 @@ def replay_ticket(provenance, specs, data) -> Ticket:
     recorded check seed, so a checked ticket replays bit for bit.
     """
     kind = provenance["kind"]
-    cfg = TrainConfig()
-    if "pretrain" in provenance:
-        # build_ticket re-derives the pretraining seed from the ticket seed.
-        cfg = replace(TrainConfig.from_dict(provenance["pretrain"]), seed=0)
+    cfg = TrainConfig.from_dict(provenance.get("pretrain", {}))
     return build_ticket(
         kind, specs, data, provenance.get("sparsity", 0.0), provenance["seed"], cfg,
         {k: provenance[k] for k in PIPELINE_OPTIONS.get(kind, ()) if k in provenance},

@@ -65,19 +65,6 @@ def smart_raw_weights(total_layers, family) -> list[float]:
     return raws
 
 
-def _validate_inputs(sizes, specs, target_sparsity):
-    sizes = [int(m) for m in sizes]
-    if len(sizes) < 2:
-        raise DomainError("schedules need at least two layers")
-    if any(m < 1 for m in sizes):
-        raise DomainError("layer sizes must be positive")
-    if specs is not None and len(specs) != len(sizes):
-        raise AlignmentError(f"{len(specs)} specs but {len(sizes)} sizes")
-    if not (0.0 < target_sparsity < 1.0):
-        raise DomainError("target sparsity must lie in (0, 1)")
-    return sizes
-
-
 def _real_retained(raws, sizes, target_sparsity):
     """Real-valued retained counts per layer after scaling and cap cascade."""
     budget = retained_budget(sizes, target_sparsity)
@@ -123,18 +110,13 @@ def _real_retained(raws, sizes, target_sparsity):
 
 
 def _largest_remainder(reals, caps, total) -> list[int]:
-    """Integer quotas summing to `total`, each at most its cap."""
+    """Integer quotas summing to `total`, each at most its cap.
+
+    The reals must sum to `total` up to float dust, so their floors never
+    exceed it and only ever need raising.
+    """
     floors = [min(int(math.floor(k)), c) for k, c in zip(reals, caps)]
     rem = total - sum(floors)
-    if rem < 0:
-        # Floating dust pushed a floor past the budget; trim smallest fractions first.
-        order = sorted(range(len(reals)), key=lambda i: (reals[i] - math.floor(reals[i]), -i))
-        for i in order:
-            if rem == 0:
-                break
-            if floors[i] > 0:
-                floors[i] -= 1
-                rem += 1
     by_fraction = sorted(
         range(len(reals)), key=lambda i: (-(reals[i] - math.floor(reals[i])), i)
     )
@@ -154,22 +136,13 @@ def _largest_remainder(reals, caps, total) -> list[int]:
     return floors
 
 
-def _finalize(raws, sizes, target_sparsity) -> KeepRatioSchedule:
-    reals, budget = _real_retained(raws, sizes, target_sparsity)
-    quotas = _largest_remainder(reals, sizes, budget)
-    ratios = tuple(q / m for q, m in zip(quotas, sizes))
-    return KeepRatioSchedule(ratios, tuple(quotas), target_sparsity)
-
-
 def smart_ratio(sizes, specs, target_sparsity, family=ArchFamily.PLAIN) -> KeepRatioSchedule:
     """Depth-weighted schedule: most retained near the input, 30% at the output."""
-    sizes = _validate_inputs(sizes, specs, target_sparsity)
-    raws = smart_raw_weights(len(sizes), family)
-    return _finalize(raws, sizes, target_sparsity)
+    return schedule_by_name("smart", sizes, specs, target_sparsity, family)
 
 
 def schedule_by_name(kind, sizes, specs, target_sparsity, family=ArchFamily.PLAIN):
-    """Dispatch on the schedule-kind names; every profile shares scale-cap-finalize.
+    """Dispatch on the schedule-kind names; every profile shares scale-cap-round.
 
     smart: the main schedule (`smart_ratio`).
     balanced: flat raw, so every hidden layer gets the same keep-ratio.
@@ -178,18 +151,29 @@ def schedule_by_name(kind, sizes, specs, target_sparsity, family=ArchFamily.PLAI
     """
     if kind not in SCHEDULE_KINDS:
         raise DomainError(f"unknown schedule kind {kind!r}; choose from {SCHEDULE_KINDS}")
-    _family(family)
-    if kind == "smart":
-        return smart_ratio(sizes, specs, target_sparsity, family)
-    sizes = _validate_inputs(sizes, specs, target_sparsity)
+    sizes = [int(m) for m in sizes]
+    if len(sizes) < 2:
+        raise DomainError("schedules need at least two layers")
+    if any(m < 1 for m in sizes):
+        raise DomainError("layer sizes must be positive")
+    if specs is not None and len(specs) != len(sizes):
+        raise AlignmentError(f"{len(specs)} specs but {len(sizes)} sizes")
+    if not (0.0 < target_sparsity < 1.0):
+        raise DomainError("target sparsity must lie in (0, 1)")
     n = len(sizes)
-    if kind == "balanced":
+    smart = smart_raw_weights(n, family)  # also refuses an unknown family
+    if kind == "smart":
+        raws = smart
+    elif kind == "balanced":
         raws = [1.0] * (n - 1)
     elif kind == "linear":
         raws = [float(n - l + 1) for l in range(1, n)]
     elif kind == "cubic":
         raws = [float((n - l + 1) ** 3) for l in range(1, n)]
     else:
-        reals, _ = _real_retained(smart_raw_weights(n, family), sizes, target_sparsity)
+        reals, _ = _real_retained(smart, sizes, target_sparsity)
         raws = [k / m for k, m in zip(reals[:-1], sizes[:-1])][::-1]
-    return _finalize(raws, sizes, target_sparsity)
+    reals, budget = _real_retained(raws, sizes, target_sparsity)
+    quotas = _largest_remainder(reals, sizes, budget)
+    ratios = tuple(q / m for q, m in zip(quotas, sizes))
+    return KeepRatioSchedule(ratios, tuple(quotas), target_sparsity)

@@ -30,6 +30,18 @@ def test_dataset_validation():
         Dataset(np.zeros((4, 6)), np.array([0, 1, 2, 1]), 2, (6,))
 
 
+@pytest.mark.parametrize("shape", [(True, 4), (2.5, 1.6), (4.0,), ("2", 2), (-1, -4), (1, 2, 2.0)])
+def test_dataset_refuses_a_dimension_that_is_not_an_integer_at_least_zero(shape):
+    with pytest.raises(DatasetError, match="must list integers >= 0"):
+        Dataset(np.zeros((1, 4)), [0], 2, shape)
+
+
+def test_dataset_takes_numpy_integer_dimensions():
+    data = Dataset(np.zeros((1, 4)), [0], 2, np.array([2, 2]))
+    assert data.sample_shape == (1, 2, 2)
+    assert all(type(d) is int for d in data.sample_shape)
+
+
 def test_dataset_take_and_net_shape():
     data = Dataset(np.arange(12, dtype=float).reshape(3, 4), [0, 1, 0], 2, (1, 2, 2))
     sub = data.take([2, 0])
@@ -67,6 +79,12 @@ def test_blobs_argument_validation():
         synthetic_blobs(3, 8, 100, seed=0, sample_shape=(3, 3))
     with pytest.raises(DomainError, match="seed -3 is negative"):
         synthetic_blobs(3, 8, 100, seed=-3)
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0, True, "1"])
+def test_blobs_refuse_a_noise_that_is_not_a_finite_number_at_least_zero(noise):
+    with pytest.raises(DomainError, match="noise must be a finite number >= 0"):
+        synthetic_blobs(3, 4, 30, 1, noise=noise)
 
 
 def test_blobs_refuse_a_non_integer_seed():

@@ -306,6 +306,14 @@ def test_lt_preserve_output_layer_keeps_it_dense():
         )
 
 
+@pytest.mark.parametrize("kind", ["lt", "weight-rewind", "lr-rewind"])
+@pytest.mark.parametrize("p", [-0.5, 1.0, 1.5])
+def test_a_preserved_output_layer_keeps_the_sparsity_domain(kind, p):
+    for params in ({}, {"preserve_output_layer": True}):
+        with pytest.raises(DomainError, match=r"target sparsity must lie in \[0, 1\)"):
+            build_ticket(kind, SPECS, SPLIT, p, 4, FAST, params)
+
+
 def test_weight_rewind_ticket_takes_the_checkpoint_weights():
     ticket = build_ticket("weight-rewind", SPECS, SPLIT.train, 0.5, 5, FAST, {"rewind_epoch": 2})
     assert ticket.provenance["rewound_to_epoch"] == 2
@@ -468,6 +476,15 @@ def test_replay_ticket_reproduces_mask_and_weights():
     for kind in ("random", "snip", "lt"):
         ticket = build_ticket(kind, SPECS, SPLIT, 0.5, 3, FAST)
         assert same_arrays(ticket, replay_ticket(ticket.provenance, SPECS, SPLIT))
+
+
+@pytest.mark.parametrize("kind", ["imp", "lt", "hybrid"])
+def test_replay_returns_the_provenance_a_ticket_was_built_with(kind):
+    # Training seeds come from the ticket seed, so the config's own seed is only recorded.
+    ticket = build_ticket(kind, SPECS, SPLIT, 0.5, 3, TrainConfig(epochs=2, batch_size=16, seed=5))
+    again = replay_ticket(ticket.provenance, SPECS, SPLIT)
+    assert again.provenance == ticket.provenance
+    assert same_arrays(ticket, again)
 
 
 @pytest.mark.parametrize("kind", [k for k in TICKET_KINDS if k not in pipelines.DATA_FREE_KINDS])

@@ -1,10 +1,13 @@
 """Keep-ratio schedules: raw profiles, scaling, caps, quota rounding."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prunelab import schedules
 from prunelab.errors import AlignmentError, DomainError, InfeasibleSparsityError
 from prunelab.models import ArchFamily, LayerSpec
 from prunelab.pruning import round_half_up
@@ -12,6 +15,7 @@ from prunelab.schedules import (
     OUTPUT_KEEP_RATIO,
     SCHEDULE_KINDS,
     KeepRatioSchedule,
+    _largest_remainder,
     retained_budget,
     schedule_by_name,
     smart_ratio,
@@ -158,3 +162,35 @@ def test_every_schedule_kind_hits_the_budget_exactly(data):
             q == pytest.approx(r * m, abs=1e-9)
             for q, r, m in zip(sched.quotas, sched.ratios, sizes)
         )
+
+
+def test_largest_remainder_fills_in_layer_order_once_the_fractions_run_out():
+    # The three large fractions sit at their caps: the fraction pass gives the last layer
+    # one weight, and the fill loop gives it the other two.
+    assert _largest_remainder([2.9, 2.9, 2.9, 0.3], [2, 2, 2, 10], 9) == [2, 2, 2, 3]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_every_profile_scales_to_reals_that_sum_to_the_budget(data):
+    # _largest_remainder relies on this: the floors of such reals never exceed the budget.
+    depth = data.draw(st.integers(min_value=2, max_value=7))
+    sizes = data.draw(
+        st.lists(st.integers(min_value=1, max_value=5000), min_size=depth, max_size=depth)
+    )
+    p = data.draw(st.floats(min_value=0.01, max_value=0.99))
+    real_retained, seen = schedules._real_retained, []
+
+    def spy(*args):
+        seen.append(real_retained(*args))
+        return seen[-1]
+
+    with mock.patch.object(schedules, "_real_retained", spy):
+        for kind in SCHEDULE_KINDS:
+            for family in ArchFamily:
+                try:
+                    schedule_by_name(kind, sizes, None, p, family)
+                except InfeasibleSparsityError:  # the budget is below the output pin
+                    assert retained_budget(sizes, p) < OUTPUT_KEEP_RATIO * sizes[-1]
+    for reals, budget in seen:
+        assert sum(reals) == pytest.approx(budget, abs=1e-6), (sizes, p)
