@@ -442,7 +442,20 @@ def _global_magnitude_mask(params, target_sparsity, preserve_output_layer):
     return Mask(hidden.layers + (np.ones(sizes[-1]),))
 
 
-def _imp_ticket(specs, data, target_sparsity, cfg, seed, opts) -> Ticket:
+@dataclass(frozen=True)
+class _ImpState:
+    """A point on an IMP path: after `rounds` rounds `mask` keeps `survivors`
+    weights, and the next round trains `weights`; `trained` is that
+    training's result once it has run."""
+
+    rounds: int
+    survivors: int
+    mask: Mask
+    weights: LayeredParams
+    trained: LayeredParams | None = None
+
+
+def _imp_ticket(specs, pruning, target_sparsity, cfg, seed, opts, paths=None, key=None) -> Ticket:
     """Train-prune rounds until the target sparsity is reached.
 
     Each round removes `round_fraction` of the surviving weights (globally by
@@ -451,7 +464,16 @@ def _imp_ticket(specs, data, target_sparsity, cfg, seed, opts) -> Ticket:
     depth-weighted schedule).  reset restarts every round from the epoch-0
     weights, the other modes continue from the trained weights.  Masks are
     nested: pruning only ever removes.  `opts` are the kind's filled options
-    (see `pipeline_options`).
+    (see `pipeline_options`).  `pruning()` returns the pruning data, and only
+    a round that trains calls it.
+
+    `paths` is the memo's IMP slot, or None.  Under `key`, the pruning data
+    and seed, it holds the deepest target-free state of the reset or
+    lr-rewind path reached so far, with the training run from it once one
+    has: no budget clamped a round before it, so every target reaches it the
+    same way.  A target whose budget is at most the held survivors resumes
+    there; any other target walks from the init.  Hybrid rounds interpolate
+    toward the target's own schedule, so hybrid holds nothing.
     """
     if not (0.0 < target_sparsity < 1.0):
         raise DomainError("target sparsity must lie in (0, 1)")
@@ -463,40 +485,50 @@ def _imp_ticket(specs, data, target_sparsity, cfg, seed, opts) -> Ticket:
     budget = retained_budget(sizes, target_sparsity)
     if budget == 0:
         raise InfeasibleSparsityError("target sparsity would empty the whole network")
+    if mode == "hybrid":
+        paths = None
+        final_schedule = smart_ratio(sizes, specs, target_sparsity, opts["family"])
+        prev_quotas = list(sizes)
 
-    init = build_network(specs, seed)
-    mask = full_mask(sizes)
-    weights = init
-    survivors = total
-    final_schedule = (
-        smart_ratio(sizes, specs, target_sparsity, opts["family"]) if mode == "hybrid" else None
-    )
-    prev_quotas = list(sizes)
-    rounds = 0
+    def hold(state):
+        """Keep `state` read-only as the frontier, unless the held one is deeper."""
+        if paths is None or (key in paths and paths[key].survivors < state.survivors):
+            return
+        trained = state.trained.weights if state.trained else ()
+        for a in [*state.mask.layers, *state.weights.weights, *trained]:
+            a.setflags(write=False)
+        paths[key] = state
 
-    while survivors > budget:
-        rounds += 1
-        run_cfg = replace(cfg, seed=seeding.combine(seed, seeding.IMP_ROUND, rounds))
-        result = train(weights, mask, data, run_cfg)
-        trained = result.params
+    state = None if paths is None else paths.get(key)
+    if state is None or budget > state.survivors:
+        state = _ImpState(0, total, full_mask(sizes), build_network(specs, seed))
+    while state.survivors > budget:
+        trained = state.trained
+        if trained is None:
+            run_cfg = replace(cfg, seed=seeding.combine(seed, seeding.IMP_ROUND, state.rounds + 1))
+            trained = train(state.weights, state.mask, pruning(), run_cfg).params
+            hold(replace(state, trained=trained))
         # Each round removes at least one weight, even where rounding would keep all.
-        next_n = max(min(round_half_up((1.0 - round_fraction) * survivors), survivors - 1), budget)
+        free_n = min(round_half_up((1.0 - round_fraction) * state.survivors), state.survivors - 1)
+        next_n = max(free_n, budget)
         scores = magnitude_scores(trained)
         if mode == "hybrid":
             t = (total - next_n) / (total - budget)
             reals = [m - t * (m - q) for m, q in zip(sizes, final_schedule.quotas)]
             prev_quotas = _largest_remainder(reals, prev_quotas, next_n)
-            new_mask = _select_layerwise(scores, mask, prev_quotas)
+            mask = _select_layerwise(scores, state.mask, prev_quotas)
         else:
-            new_mask = _select_global(scores, np.concatenate(mask.layers) > 0, next_n)
-        for old, new in zip(mask.layers, new_mask.layers):
+            mask = _select_global(scores, np.concatenate(state.mask.layers) > 0, next_n)
+        for old, new in zip(state.mask.layers, mask.layers):
             assert not ((new == 1.0) & (old == 0.0)).any(), "pruning must only remove"
-        mask = new_mask
-        survivors = next_n
-        weights = init if mode == "reset" else trained
+        # reset's weights are the init in every state.
+        weights = state.weights if mode == "reset" else trained
+        state = _ImpState(state.rounds + 1, next_n, mask, weights)
+        if next_n == free_n:
+            hold(state)
 
-    return Ticket(mask, weights, _header(
-        "imp", specs, target_sparsity, seed, criterion="magnitude", **opts, rounds=rounds,
+    return Ticket(state.mask, state.weights, _header(
+        "imp", specs, target_sparsity, seed, criterion="magnitude", **opts, rounds=state.rounds,
         pretrain=cfg.to_dict(), schedule_offset=0,
     ))
 
@@ -526,11 +558,14 @@ def build_ticket(
         checkpoint epochs);
       - "scores": (kind, specs), and per (*pruning data name, seed) the snip
         or grasp (init, scores, batch index) that serve every sparsity;
+      - "imp": (kind, options, specs, train config), and per (*pruning data
+        name, seed) the frontier of the IMP path that every sparsity stops
+        on (see `_imp_ticket`);
       - "clean": (kind, options, specs, sparsity, train config), and per seed
         the ticket built on clean data, which structural checks attack, and
         per ("cell", seed) `run_cell`'s result for that ticket.
-    A grid runs each "scores" and "clean" group together, so a new group
-    replaces the old one (see `_held`).
+    A grid runs each "scores", "imp" and "clean" group together, so a new
+    group replaces the old one (see `_held`).
     """
     opts = pipeline_options(kind, params or {})
     data = data.train if isinstance(data, DataSplit) else data
@@ -556,7 +591,8 @@ def build_ticket(
         if kind in TRAINED_TICKETS:
             return _trained_ticket(kind, specs, pruning, target_sparsity, cfg, seed, opts, held)
         if kind == "imp":
-            return _imp_ticket(specs, pruning(), target_sparsity, cfg, seed, opts)
+            paths = _held(memo, "imp", (kind, tuple(opts.items()), tuple(specs), cfg))
+            return _imp_ticket(specs, pruning, target_sparsity, cfg, seed, opts, paths, (*name, seed))
         if kind == "dense":
             prov = _header(kind, specs, 0, seed)
             return Ticket(full_mask(sizes), build_network(specs, seed), prov)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
+from .data import _is_int, _is_number
 from .errors import (
     AlignmentError,
     DegenerateGradientError,
@@ -27,7 +28,16 @@ def round_half_up(x) -> int:
 
 
 def retained_budget(sizes, target_sparsity) -> int:
-    """round((1 - p) * N): the weights every ticket at sparsity p keeps."""
+    """round((1 - p) * N): the weights every ticket at sparsity p keeps.
+
+    A size that is not an integer, or a p that is not a real number, raises
+    DomainError.
+    """
+    sizes = list(sizes)
+    if not all(_is_int(m) for m in sizes):
+        raise DomainError(f"layer sizes must be integers, not {sizes}")
+    if not _is_number(target_sparsity):
+        raise DomainError(f"target sparsity must be a real number, not {target_sparsity!r}")
     return round_half_up((1.0 - target_sparsity) * sum(int(m) for m in sizes))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .data import _is_int, _is_number
 from .errors import AlignmentError, DomainError, InfeasibleSparsityError
 from .models import FAMILIES, ArchFamily
 from .pruning import retained_budget
@@ -151,6 +152,9 @@ def schedule_by_name(kind, sizes, specs, target_sparsity, family=ArchFamily.PLAI
     """
     if kind not in SCHEDULE_KINDS:
         raise DomainError(f"unknown schedule kind {kind!r}; choose from {SCHEDULE_KINDS}")
+    sizes = list(sizes)
+    if not all(_is_int(m) for m in sizes):
+        raise DomainError(f"layer sizes must be integers, not {sizes}")
     sizes = [int(m) for m in sizes]
     if len(sizes) < 2:
         raise DomainError("schedules need at least two layers")
@@ -158,7 +162,7 @@ def schedule_by_name(kind, sizes, specs, target_sparsity, family=ArchFamily.PLAI
         raise DomainError("layer sizes must be positive")
     if specs is not None and len(specs) != len(sizes):
         raise AlignmentError(f"{len(specs)} specs but {len(sizes)} sizes")
-    if not (0.0 < target_sparsity < 1.0):
+    if not (_is_number(target_sparsity) and 0.0 < target_sparsity < 1.0):
         raise DomainError("target sparsity must lie in (0, 1)")
     n = len(sizes)
     smart = smart_raw_weights(n, family)  # also refuses an unknown family

@@ -749,6 +749,126 @@ def test_build_ticket_with_a_memo_builds_each_clean_imp_ticket_once(monkeypatch)
     assert [(a[2], a[4]) for a in imp] == [(p, s) for p in (0.5, 0.8) for s in (3, 4)]
 
 
+# At round_fraction 0.5, IMP_SPECS's 112 weights go 112 -> 56 -> 28 -> 14 -> 7 -> 4, and
+# sparsities 0.5/0.8/0.9/0.95 keep 56/22/11/6: walked alone, 1 + 3 + 4 + 5 = 13 rounds.
+IMP_SPECS = (LayerSpec("dense", 4, 16), LayerSpec("dense", 16, 3, is_output=True))
+# Each order lists the rounds each sparsity trains per pruning data and seed:
+# 5 in all when ascending, not 13.
+IMP_PATH_ORDERS = {
+    "ascending": ((0.5, 0.8, 0.9, 0.95), [[1], [2, 3], [4], [5]]),
+    "descending": ((0.95, 0.9, 0.8, 0.5), [[1, 2, 3, 4, 5], [1, 2, 3, 4], [1, 2, 3], [1]]),
+    # 0.5 keeps more than the held 14 survivors, so it walks from the init.
+    "shuffled": ((0.8, 0.9, 0.5, 0.95), [[1, 2, 3], [4], [1], [5]]),
+}
+
+
+def imp_path_grid(mode, sparsities, memo):
+    """run_cell over imp in `mode` x sparsities x MEMO_CHECKS x seeds 3 and 4, in grid order."""
+    params = {"mode": mode, "round_fraction": 0.5}
+    return {
+        (p, check, seed): run_cell("imp", params, check, SPLIT, IMP_SPECS, p, seed, FAST,
+                                   memo=memo)
+        for p in sparsities for check in MEMO_CHECKS for seed in (3, 4)
+    }
+
+
+def imp_rounds(monkeypatch):
+    """A function listing, from here on, each IMP round's training by sparsity, data and seed.
+
+    It returns {(sparsity, data, seed): [round, ...]} for the pruning data
+    "none" or "corrupt-both" and the cell seeds 3 and 4.
+    """
+    rounds = {seeding.combine(s, seeding.IMP_ROUND, r): (s, r) for s in (3, 4) for r in range(9)}
+    sparsity, trained = [], []
+    real_imp, real_train = pipelines._imp_ticket, pipelines.train
+
+    def imp(*a, **k):
+        sparsity.append(a[2])
+        return real_imp(*a, **k)
+
+    def train(*a, **k):
+        if a[3].seed in rounds:
+            seed, r = rounds[a[3].seed]
+            data = "none" if a[2] is SPLIT.train else "corrupt-both"
+            trained.append(((sparsity[-1], data, seed), r))
+        return real_train(*a, **k)
+
+    monkeypatch.setattr(pipelines, "_imp_ticket", imp)
+    monkeypatch.setattr(pipelines, "train", train)
+
+    def listed():
+        out = {}
+        for where, r in trained:
+            out.setdefault(where, []).append(r)
+        return out
+    return listed
+
+
+def assert_cells_stand_alone(cells, mode):
+    """Each cell of an imp_path_grid equals its standalone cell, and its ticket replays."""
+    params = {"mode": mode, "round_fraction": 0.5}
+    for (p, check, seed), cell in cells.items():
+        want = run_cell("imp", params, check, SPLIT, IMP_SPECS, p, seed, FAST)
+        where = (mode, p, check, seed)
+        assert (cell.accuracy, cell.keep, cell.collapsed) == (
+            want.accuracy, want.keep, want.collapsed), where
+        assert same_arrays(cell.ticket, want.ticket), where
+        assert cell.ticket.provenance == want.ticket.provenance, where
+        again = replay_ticket(cell.ticket.provenance, IMP_SPECS, SPLIT)
+        assert same_arrays(again, cell.ticket), where
+
+
+@pytest.mark.parametrize("order", IMP_PATH_ORDERS)
+@pytest.mark.parametrize("mode", ["reset", "lr-rewind"])
+def test_a_memo_grid_walks_each_imp_path_once(monkeypatch, mode, order):
+    sparsities, walked = IMP_PATH_ORDERS[order]
+    listed = imp_rounds(monkeypatch)
+    memo = {}
+    cells = imp_path_grid(mode, sparsities, memo)
+    # Each sparsity trains the rounds no earlier one ran, once per pruning data and seed.
+    assert listed() == {(p, data, seed): rounds for p, rounds in zip(sparsities, walked)
+                        for data in ("none", "corrupt-both") for seed in (3, 4)}
+    assert_cells_stand_alone(cells, mode)
+    # The slot holds the frontier per pruning data and seed: read-only arrays, no Dataset.
+    group, paths = memo["imp"]
+    assert group == ("imp", (("round_fraction", 0.5), ("mode", mode), ("family", "plain")),
+                     IMP_SPECS, FAST)
+    assert sorted(paths) == [("corrupt-both", s, s) for s in (3, 4)] + [
+        ("none", None, s) for s in (3, 4)]
+    assert all(isinstance(state, pipelines._ImpState) for state in paths.values())
+    # The deepest unclamped state, with the training 0.95's clamped last round ran from it.
+    assert {(state.rounds, state.survivors) for state in paths.values()} == {(4, 7)}
+    assert all(state.trained is not None for state in paths.values())
+    assert_holds_corrupted_sets(memo, [("corrupt-both", s) for s in (3, 4)])
+    arrays = [x for x in walk(memo) if isinstance(x, np.ndarray)]
+    assert arrays and not any(arr.flags.writeable for arr in arrays)
+
+
+def test_hybrid_imp_in_a_memo_grid_walks_every_target_alone(monkeypatch):
+    # At 0.9 IMP_SPECS keeps 11 weights, fewer than its smart schedule's output quota 14.4.
+    sparsities = (0.5, 0.8, 0.85)
+    listed = imp_rounds(monkeypatch)
+    memo = {}
+    cells = imp_path_grid("hybrid", sparsities, memo)
+    # Hybrid interpolates toward each target's own schedule, so nothing is shared.
+    assert listed() == {(p, data, seed): list(range(1, n + 1))
+                        for p, n in zip(sparsities, (1, 3, 3))
+                        for data in ("none", "corrupt-both") for seed in (3, 4)}
+    assert memo["imp"][1] == {}
+    assert_cells_stand_alone(cells, "hybrid")
+
+
+def test_an_imp_training_that_raises_holds_nothing(monkeypatch):
+    def diverge(*a, **k):
+        raise TrainingDivergedError("diverged", 0)
+
+    monkeypatch.setattr(pipelines, "train", diverge)
+    memo = {}
+    with pytest.raises(TrainingDivergedError):
+        build_ticket("imp", SPECS, SPLIT, 0.5, 3, FAST, {"round_fraction": 0.5}, memo=memo)
+    assert memo["imp"][1] == {}
+
+
 def test_a_memo_grid_corrupts_each_train_set_once_per_data_check_and_seed(monkeypatch):
     kinds = ("snip", "grasp", "lt", "imp")
     alone = run_grid(kinds, DATA_CHECKS, (0.5, 0.8), (3, 4), None)

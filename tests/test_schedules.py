@@ -82,6 +82,29 @@ def test_schedule_input_validation():
         smart_ratio([16, 8, 4], specs, 0.5)
 
 
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+@pytest.mark.parametrize("sizes, sparsity", [
+    ([100.9, 50.7], 0.5),  # not truncated to [100, 50]
+    ([True, 4, 10], 0.5),  # not a 1-weight layer
+    ([100, "50"], 0.5),
+    ([100, 50], "0.5"),
+    ([100, 50], None),
+    ([100, 50], True),
+], ids=["float-sizes", "bool-size", "str-size", "str-sparsity", "none-sparsity",
+        "bool-sparsity"])
+def test_schedules_refuse_a_size_or_sparsity_of_the_wrong_type(kind, sizes, sparsity):
+    with pytest.raises(DomainError):
+        schedule_by_name(kind, sizes, None, sparsity)
+    with pytest.raises(DomainError):
+        retained_budget(sizes, sparsity)
+
+
+def test_schedules_take_numpy_sizes_and_sparsities():
+    want = smart_ratio([100, 50], None, 0.5)
+    assert smart_ratio(np.array([100, 50]), None, np.float64(0.5)) == want
+    assert retained_budget(np.array([100, 50]), np.float32(0.5)) == want.total_kept
+
+
 def test_ablation_linear_and_cubic_raw_profiles():
     lin = schedule_by_name("linear", [100, 100, 100, 50], None, 0.9)
     cub = schedule_by_name("cubic", [100, 100, 100, 50], None, 0.9)
