@@ -215,11 +215,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except PrunelabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFound: {exc}", file=sys.stderr)
+    except (PrunelabError, OSError) as exc:
+        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
 
 

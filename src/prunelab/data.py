@@ -23,6 +23,15 @@ def _is_number(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _read_only(a):
+    """The array `a`, read-only: itself if it already is, else a read-only
+    view, so an array a caller passes in keeps its flags."""
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
+
+
 def _finite(text):
     """The number a text field holds; ValueError unless it is finite."""
     value = float(text)
@@ -33,7 +42,7 @@ def _finite(text):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Flat float64 samples with integer class labels.
+    """Flat float64 samples with integer class labels, both read-only arrays.
 
     sample_shape records the natural shape of one sample, for example
     (1, 8, 8) for single-channel images; a 2-D (h, w) is stored as (1, h, w).
@@ -46,8 +55,8 @@ class Dataset:
     sample_shape: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "samples", _read_only(np.asarray(self.samples, dtype=np.float64)))
+        object.__setattr__(self, "labels", _read_only(np.asarray(self.labels, dtype=np.int64)))
         shape = tuple(self.sample_shape)
         if not all(_is_int(d) and d >= 0 for d in shape):
             raise DatasetError(f"sample_shape {shape} must list integers >= 0")

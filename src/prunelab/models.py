@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, seeding
+from .data import _read_only
 from .errors import AlignmentError, DomainError
 
 
@@ -76,8 +77,8 @@ def validate_specs(specs):
 class LayeredParams:
     """Per-layer flat weight vectors plus their specs.
 
-    Treated as immutable: every operation that changes weights returns a new
-    instance via `with_weights`.
+    Immutable: the weight vectors are read-only arrays, and every operation
+    that changes weights returns a new instance via `with_weights`.
     """
 
     specs: tuple[LayerSpec, ...]
@@ -85,9 +86,8 @@ class LayeredParams:
 
     def __post_init__(self):
         object.__setattr__(self, "specs", tuple(self.specs))
-        object.__setattr__(
-            self, "weights", tuple(np.asarray(w, dtype=np.float64).reshape(-1) for w in self.weights)
-        )
+        flat = (np.asarray(w, dtype=np.float64).reshape(-1) for w in self.weights)
+        object.__setattr__(self, "weights", tuple(map(_read_only, flat)))
         validate_specs(self.specs)
         if len(self.specs) != len(self.weights):
             raise AlignmentError(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -152,6 +152,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The config `to_dict` gave `d`; a non-mapping or an unknown key raises DomainError."""
+        keys = [f.name for f in fields(cls)]
+        if not (isinstance(d, dict) and set(d) <= set(keys)):
+            raise DomainError(f"a train config must be a mapping with keys from {keys}, not {d!r}")
         return cls(**d)
 
 
@@ -214,6 +218,7 @@ def train(
     rng = seeding.stream(cfg.seed, seeding.BATCH_SHUFFLE)
     # The run's weights, velocity, mask and gradient each live in one flat
     # buffer; `cur` and `grads` view the weight and gradient buffers per layer.
+    # `cur`'s views are read-only, so each step writes through `weights`.
     weights = np.concatenate(params.weights)
     vel = np.zeros_like(weights)
     keep = np.concatenate(mask.layers)
@@ -273,13 +278,18 @@ def train(
 
 
 def score_batch(data, seed):
-    """One fixed scoring batch: 128 samples, or the whole set if smaller."""
+    """One fixed scoring batch: 128 samples, or the whole set if smaller.
+
+    Returns (samples, labels, index); the index is read-only, because a
+    memo keeps it with the scores.
+    """
     if data.n <= SCORE_BATCH_SIZE:
         idx = np.arange(data.n)
     else:
         idx = seeding.stream(seed, seeding.SCORE_BATCH).choice(
             data.n, SCORE_BATCH_SIZE, replace=False
         )
+    idx.flags.writeable = False
     return data.samples[idx], data.labels[idx], idx
 
 
@@ -312,20 +322,17 @@ def _header(kind, specs, target_sparsity, seed, **fields):
             "arch": _arch_provenance(specs), **fields}
 
 
-def _shared(memo, key, make, frozen=lambda value: ()):
+def _shared(memo, key, make):
     """`memo[key]`, which a miss sets to `make()`; without a memo, just `make()`.
 
-    Every later hit shares the kept value, so the arrays `frozen(value)`
-    lists are made read-only before it is kept.  A `make()` that raises
-    keeps nothing.  `build_ticket` describes the memo's layout.
+    Every later hit shares the kept value, whose arrays are read-only by
+    type.  A `make()` that raises keeps nothing.  `build_ticket` describes
+    the memo's layout.
     """
     if memo is None:
         return make()
     if key not in memo:
-        value = make()
-        for a in frozen(value):
-            a.setflags(write=False)
-        memo[key] = value
+        memo[key] = make()
     return memo[key]
 
 
@@ -346,17 +353,12 @@ def _held(memo, slot, group):
 def _pruning_data(data, check, check_seed, held):
     """The train Dataset `data` under data check `check` ("none" leaves it clean).
 
-    `held` is the memo bucket of this pruning data, or None.  Only the arrays
-    the check created are frozen: random labels share the clean samples, and
-    the caller's data stays writable.
+    `held` is the memo bucket of this pruning data, or None.
     """
     if check == "none":
         return data
-    return _shared(
-        held, "data", lambda: apply_data_check(check, data, check_stream(check_seed, check)),
-        lambda out: [a for a in (out.samples, out.labels)
-                     if a is not data.samples and a is not data.labels],
-    )
+    return _shared(held, "data",
+                   lambda: apply_data_check(check, data, check_stream(check_seed, check)))
 
 
 def _pretrain(specs, pruning, cfg, seed, checkpoint_epochs, *, memo=None):
@@ -370,7 +372,6 @@ def _pretrain(specs, pruning, cfg, seed, checkpoint_epochs, *, memo=None):
         memo, (tuple(specs), cfg, seed, frozenset(checkpoint_epochs)),
         lambda: train(build_network(specs, seed), full_mask(layer_sizes(specs)), pruning(),
                       run_cfg, checkpoint_epochs=checkpoint_epochs),
-        lambda run: [w for p in [run.params, *run.checkpoints.values()] for w in p.weights],
     )
     return run_cfg, result
 
@@ -491,13 +492,9 @@ def _imp_ticket(specs, pruning, target_sparsity, cfg, seed, opts, paths=None, ke
         prev_quotas = list(sizes)
 
     def hold(state):
-        """Keep `state` read-only as the frontier, unless the held one is deeper."""
-        if paths is None or (key in paths and paths[key].survivors < state.survivors):
-            return
-        trained = state.trained.weights if state.trained else ()
-        for a in [*state.mask.layers, *state.weights.weights, *trained]:
-            a.setflags(write=False)
-        paths[key] = state
+        """Keep `state` as the frontier, unless the held one is deeper."""
+        if paths is not None and (key not in paths or paths[key].survivors >= state.survivors):
+            paths[key] = state
 
     state = None if paths is None else paths.get(key)
     if state is None or budget > state.survivors:
@@ -551,7 +548,8 @@ def build_ticket(
 
     `memo` is a dict shared by tickets built from the same data, or None.
     Every value it keeps is deterministic in its key, and its arrays are
-    read-only (see `_shared`).  Its layout:
+    read-only by type: `Dataset`, `Mask`, `ScoreMap` and `LayeredParams`
+    hold read-only arrays, and so does `score_batch`'s index.  Its layout:
       - (data check, check seed), or ("none", None) for clean data under any
         check seed: that pruning data's bucket, with its corrupted train set
         under "data" and pretraining runs under (specs, train config, seed,
@@ -568,6 +566,8 @@ def build_ticket(
     group replaces the old one (see `_held`).
     """
     opts = pipeline_options(kind, params or {})
+    if not _is_number(target_sparsity):
+        raise DomainError(f"target sparsity must be a real number, not {target_sparsity!r}")
     data = data.train if isinstance(data, DataSplit) else data
     if kind not in DATA_FREE_KINDS and data is None:
         raise DomainError(f"pipeline {kind!r} needs data")
@@ -607,10 +607,8 @@ def build_ticket(
             return Ticket(mask, init, prov)
         # Score a fresh initialization on one batch and prune globally.  The
         # scores do not depend on the sparsity, so the memo keeps them.
-        init, scores, idx = _shared(
-            scored, (*name, seed), lambda: _init_scores(kind, specs, pruning(), seed),
-            lambda kept: [*kept[0].weights, *kept[1].layers, kept[2]],
-        )
+        init, scores, idx = _shared(scored, (*name, seed),
+                                    lambda: _init_scores(kind, specs, pruning(), seed))
         return Ticket(mask_from_scores_global(scores, target_sparsity), init, _header(
             kind, specs, target_sparsity, seed, criterion=kind, score_batch=[int(i) for i in idx]
         ))
@@ -618,7 +616,7 @@ def build_ticket(
     # Only a ticket built on clean data is kept: structural checks attack it.
     group = (kind, tuple(opts.items()), tuple(specs), target_sparsity, cfg)
     clean = _held(memo, "clean", group) if data_check == "none" else None
-    ticket = _shared(clean, seed, build, lambda t: [*t.mask.layers, *t.weights.weights])
+    ticket = _shared(clean, seed, build)
     if data_checks:
         ticket = replace(ticket, provenance={
             **ticket.provenance, "checks": data_checks, "check_seed": int(check_seed)})
@@ -632,8 +630,11 @@ def replay_ticket(provenance, specs, data) -> Ticket:
     """Rebuild a ticket from its provenance record and the `data` it was built on.
 
     `data` is as for `build_ticket`.  The recorded checks run again from the
-    recorded check seed, so a checked ticket replays bit for bit.
+    recorded check seed, so a checked ticket replays bit for bit.  A record
+    without a kind or a seed raises DomainError.
     """
+    if not {"kind", "seed"} <= set(provenance):
+        raise DomainError(f"provenance needs a kind and a seed, not keys {sorted(provenance)}")
     kind = provenance["kind"]
     cfg = TrainConfig.from_dict(provenance.get("pretrain", {}))
     return build_ticket(

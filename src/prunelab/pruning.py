@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .data import _is_int, _is_number
+from .data import _is_int, _is_number, _read_only
 from .errors import (
     AlignmentError,
     DegenerateGradientError,
@@ -43,14 +43,13 @@ def retained_budget(sizes, target_sparsity) -> int:
 
 @dataclass(frozen=True)
 class Mask:
-    """Per-layer binary keep indicators stored as float64 {0, 1} vectors."""
+    """Per-layer binary keep indicators stored as read-only float64 {0, 1} vectors."""
 
     layers: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "layers", tuple(np.asarray(c, dtype=np.float64).reshape(-1) for c in self.layers)
-        )
+        flat = (np.asarray(c, dtype=np.float64).reshape(-1) for c in self.layers)
+        object.__setattr__(self, "layers", tuple(map(_read_only, flat)))
         if len(self.layers) == 0:
             raise DomainError("a mask needs at least one layer")
         for i, c in enumerate(self.layers):
@@ -72,14 +71,13 @@ class Mask:
 
 @dataclass(frozen=True)
 class ScoreMap:
-    """Per-layer keep-priority scores aligned with the flat weights."""
+    """Per-layer keep-priority scores aligned with the flat weights, as read-only arrays."""
 
     layers: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "layers", tuple(np.asarray(s, dtype=np.float64).reshape(-1) for s in self.layers)
-        )
+        flat = (np.asarray(s, dtype=np.float64).reshape(-1) for s in self.layers)
+        object.__setattr__(self, "layers", tuple(map(_read_only, flat)))
         if len(self.layers) == 0:
             raise DomainError("a score map needs at least one layer")
         for i, s in enumerate(self.layers):

@@ -23,6 +23,7 @@ from prunelab.data import Dataset
 from prunelab.errors import AlignmentError, DomainError
 from prunelab.models import LayerSpec, LayeredParams
 from prunelab.pruning import Mask
+from test_data import assert_read_only
 
 CHI2_CRIT_DF5_P01 = 15.086272469388987
 
@@ -51,6 +52,24 @@ def test_data_checks_leave_their_input_unchanged(name):
         assert out.samples is data.samples  # shared, not copied
     assert np.array_equal(data.samples, samples)
     assert np.array_equal(data.labels, labels)
+
+
+@pytest.mark.parametrize("name", DATA_CHECKS)
+def test_data_checks_give_datasets_of_read_only_arrays(name):
+    data = toy_data(n=40)
+    out = apply_data_check(name, data, np.random.default_rng(5))
+    assert_read_only(out.samples, out.labels)
+    if name == "random-labels":
+        assert out.samples is data.samples  # still shared, not copied
+
+
+def test_structural_checks_give_read_only_arrays():
+    specs = (LayerSpec("dense", 3, 1, is_output=True),)
+    params = LayeredParams(specs, (np.array([0.5, -0.2, 0.1]),))
+    mask = Mask((np.array([1.0, 0.0, 1.0]),))
+    rearranged = rearrange_mask_layerwise(mask, np.random.default_rng(1))
+    shuffled = shuffle_unmasked_weights(params, mask, np.random.default_rng(1))
+    assert_read_only(*rearranged.layers, *shuffled.weights)
 
 
 def test_corrupt_pixels_permutes_each_sample_independently():

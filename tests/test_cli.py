@@ -458,3 +458,24 @@ def test_malformed_rows_exit_one_with_one_line(tmp_path, capsys, monkeypatch, ca
 def test_report_missing_rows_exits_one(tmp_path, capsys):
     assert main(["report", str(tmp_path / "none.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: FileNotFound:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "{dir}"],
+    ["run", "{dir}"],
+    ["check", "{dir}", "rearrange"],
+    ["ticket", "random", "--out", "{dir}"],
+])
+def test_a_directory_where_a_file_belongs_exits_one_with_one_line(tmp_path, capsys, argv):
+    assert main([a.format(dir=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: IsADirectoryError:") and err.count("\n") == 1
+
+
+def test_run_refuses_a_config_that_is_not_utf8_with_one_line(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_bytes(b"\xff\xfe" + json.dumps(TINY).encode("utf-16-le"))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "results")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {cfg_path}: not UTF-8 text:")
+    assert err.count("\n") == 1

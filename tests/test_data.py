@@ -42,6 +42,43 @@ def test_dataset_takes_numpy_integer_dimensions():
     assert all(type(d) is int for d in data.sample_shape)
 
 
+def assert_read_only(*arrays):
+    """Each of `arrays` refuses `arr[0] = ...`."""
+    assert arrays
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_a_dataset_keeps_the_flags_and_values_of_the_arrays_it_is_given():
+    samples, labels = np.arange(12.0).reshape(3, 4), [0, 1, 0]
+    ints = np.arange(12).reshape(3, 4)
+    for given in (samples, ints):
+        data = Dataset(given, labels, 2, (4,))
+        assert_read_only(data.samples, data.labels)
+        assert given.flags.writeable
+        assert np.array_equal(given, np.arange(12).reshape(3, 4))
+        assert np.array_equal(data.samples, given) and data.samples.dtype == np.float64
+    # An array that is already read-only and of the right dtype is kept as it is.
+    again = Dataset(data.samples, data.labels, 2, (4,))
+    assert again.samples is data.samples and again.labels is data.labels
+
+
+def test_every_loader_gives_datasets_of_read_only_arrays(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("1.0,2.0,0\n2.0,1.0,1\n0.5,0.5,0\n3.0,0.1,1\n1.1,1.2,1\n")
+    paths = idx_quartet(tmp_path)
+    splits = (
+        synthetic_blobs(3, 4, 30, seed=1),
+        load_csv(str(path)),
+        load_idx_split(paths["train_images"], paths["train_labels"],
+                       paths["test_images"], paths["test_labels"]),
+    )
+    for split in splits:
+        for data in (split.train, split.test, split.train.take([0, 1])):
+            assert_read_only(data.samples, data.labels)
+
+
 def test_dataset_take_and_net_shape():
     data = Dataset(np.arange(12, dtype=float).reshape(3, 4), [0, 1, 0], 2, (1, 2, 2))
     sub = data.take([2, 0])

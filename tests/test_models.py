@@ -16,6 +16,7 @@ from prunelab.models import (
     validate_specs,
 )
 from prunelab.pruning import full_mask
+from test_data import assert_read_only
 
 
 def test_layer_spec_weight_counts():
@@ -67,6 +68,17 @@ def test_layered_params_alignment_checks():
         LayeredParams(specs, (np.zeros(4),))
     with pytest.raises(AlignmentError):
         LayeredParams(specs, (np.zeros(3), np.zeros(2)))
+
+
+def test_layered_params_hold_read_only_weights_and_keep_the_callers_flags():
+    specs = (LayerSpec("dense", 2, 2), LayerSpec("dense", 2, 1, is_output=True))
+    given = (np.arange(4.0).reshape(2, 2), np.array([5, 6]))
+    params = LayeredParams(specs, given)
+    assert_read_only(*params.weights)
+    assert all(a.flags.writeable for a in given)
+    assert np.array_equal(given[0], [[0.0, 1.0], [2.0, 3.0]]) and np.array_equal(given[1], [5, 6])
+    assert [w.tolist() for w in params.weights] == [[0.0, 1.0, 2.0, 3.0], [5.0, 6.0]]
+    assert_read_only(*params.with_weights(given).weights, *build_network(specs, 0).weights)
 
 
 def test_build_network_is_seed_deterministic():

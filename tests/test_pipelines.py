@@ -48,13 +48,18 @@ from prunelab.pruning import (
 )
 from prunelab.schedules import smart_ratio
 from prunelab.data import Dataset, DataSplit, synthetic_blobs
+from test_data import assert_read_only
 
 SPECS = (
     LayerSpec("dense", 4, 6),
     LayerSpec("dense", 6, 3, is_output=True),
 )
 SIZES = layer_sizes(SPECS)  # [24, 18]
-SPLIT = synthetic_blobs(3, 4, 60, seed=9)
+BLOBS = synthetic_blobs(3, 4, 60, seed=9)
+# The caller's own arrays: plain writable copies of the blobs' train samples and
+# labels, then test samples and labels.  SPLIT's Datasets hold read-only views of them.
+CALLER_ARRAYS = tuple(a.copy() for d in (BLOBS.train, BLOBS.test) for a in (d.samples, d.labels))
+SPLIT = DataSplit(Dataset(*CALLER_ARRAYS[:2], 3, (4,)), Dataset(*CALLER_ARRAYS[2:], 3, (4,)))
 FAST = TrainConfig(epochs=3, batch_size=16, seed=0)
 
 
@@ -227,6 +232,16 @@ def test_train_checkpoints_capture_epoch_boundaries():
     )
     with pytest.raises(DomainError):
         train(params, mask, SPLIT.train, FAST, checkpoint_epochs=(7,))
+
+
+def test_train_gives_read_only_params_and_checkpoints():
+    result = train(build_network(SPECS, seed=9), full_mask(SIZES), SPLIT.train, FAST,
+                   checkpoint_epochs=(0, 2, 3))
+    for params in (result.params, *result.checkpoints.values()):
+        assert_read_only(*params.weights)
+    # The whole set, and a drawn batch of a set larger than the batch.
+    for data in (SPLIT.train, synthetic_blobs(3, 4, 200, seed=1).train):
+        assert_read_only(score_batch(data, 3)[2])
 
 
 def test_train_schedule_offset_shifts_the_rate():
@@ -487,6 +502,36 @@ def test_replay_returns_the_provenance_a_ticket_was_built_with(kind):
     assert same_arrays(ticket, again)
 
 
+# Each edits an lt ticket's provenance the way a hand-made ticket file could.
+MALFORMED_PROVENANCE = {
+    "pretrain-with-an-unknown-key": lambda p: {**p, "pretrain": {**p["pretrain"], "bogus": 1}},
+    "pretrain-not-a-mapping": lambda p: {**p, "pretrain": list(p["pretrain"].values())},
+    "no-kind": lambda p: {k: v for k, v in p.items() if k != "kind"},
+    "no-seed": lambda p: {k: v for k, v in p.items() if k != "seed"},
+    "sparsity-not-a-number": lambda p: {**p, "sparsity": "x"},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PROVENANCE)
+def test_replay_refuses_a_malformed_provenance_with_a_typed_error(case):
+    ticket = build_ticket("lt", SPECS, SPLIT, 0.5, 3, FAST)
+    with pytest.raises(DomainError):
+        replay_ticket(MALFORMED_PROVENANCE[case](ticket.provenance), SPECS, SPLIT)
+
+
+def test_train_config_from_dict_refuses_a_non_mapping_or_an_unknown_key():
+    for bad in ([3, 16], "epochs=3", None, {**FAST.to_dict(), "bogus": 1}):
+        with pytest.raises(DomainError, match="must be a mapping with keys from"):
+            TrainConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("kind", TICKET_KINDS)
+@pytest.mark.parametrize("sparsity", ["0.5", None, True])
+def test_build_ticket_refuses_a_sparsity_that_is_not_a_real_number(kind, sparsity):
+    with pytest.raises(DomainError, match="must be a real number"):
+        build_ticket(kind, SPECS, SPLIT, sparsity, 3, FAST)
+
+
 @pytest.mark.parametrize("kind", [k for k in TICKET_KINDS if k not in pipelines.DATA_FREE_KINDS])
 @pytest.mark.parametrize("check", DATA_CHECKS)
 def test_build_ticket_takes_a_split_or_its_train_set_under_a_data_check(kind, check):
@@ -628,20 +673,21 @@ def walk(obj):
 def assert_holds_corrupted_sets(memo, names):
     """`memo` reaches no Dataset but the corrupted set under each name in `names`.
 
-    Every array a check created is read-only.  Of the caller's arrays only
-    the train samples, which random labels keep, are reachable, and they
-    stay writable.
+    Every array a held set has is read-only.  Of the split's arrays only the
+    train samples, which random labels keep, are reachable, and the caller's
+    own arrays under the split are not reached and stay writable.
     """
     reached = list(walk(memo))
     held = [memo[name]["data"] for name in names]
     assert {id(x) for x in reached if isinstance(x, Dataset)} == {id(d) for d in held}
     caller = (SPLIT.train, SPLIT.test, SPLIT.train.samples, SPLIT.train.labels,
-              SPLIT.test.samples, SPLIT.test.labels)
+              SPLIT.test.samples, SPLIT.test.labels, *CALLER_ARRAYS)
     shared = [SPLIT.train.samples] if any(n[0] == "random-labels" for n in names) else []
     assert {id(x) for x in reached if any(x is c for c in caller)} == {id(c) for c in shared}
     for d in held:
         for arr in (d.samples, d.labels):
-            assert arr.flags.writeable == any(arr is c for c in shared)
+            assert not arr.flags.writeable
+    assert all(arr.flags.writeable for arr in CALLER_ARRAYS)
 
 
 def test_a_shared_memo_gives_standalone_cells_with_one_pretraining_per_data(monkeypatch):
@@ -889,11 +935,12 @@ def test_a_memo_grid_corrupts_each_train_set_once_per_data_check_and_seed(monkey
 
 
 def test_a_memo_grid_leaves_the_callers_train_set_as_it_was():
-    before = SPLIT.train.samples.copy(), SPLIT.train.labels.copy()
+    before = [arr.copy() for arr in CALLER_ARRAYS[:2]]
     checks = ("random-labels", "corrupt-both")
     memo = {}
     run_grid(("snip", "lt", "imp"), checks, (0.5, 0.8), (3, 4), memo)
-    for arr, copy in zip((SPLIT.train.samples, SPLIT.train.labels), before):
+    # The caller's own train samples and labels, under SPLIT.train's read-only views.
+    for arr, copy in zip(CALLER_ARRAYS[:2], before):
         assert arr.flags.writeable and np.array_equal(arr, copy)
     assert_holds_corrupted_sets(memo, [(c, s) for c in checks for s in (3, 4)])
 

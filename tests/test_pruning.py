@@ -34,6 +34,7 @@ from prunelab.pruning import (
 from prunelab.schedules import KeepRatioSchedule
 
 from oracles import finite_diff_hvp, relu_flips
+from test_data import assert_read_only
 
 
 def test_round_half_up_rule():
@@ -74,6 +75,33 @@ def test_score_map_rejects_non_finite():
         ScoreMap((np.array([1.0, np.nan]),))
     with pytest.raises(DomainError):
         ScoreMap((np.array([np.inf]),))
+
+
+@pytest.mark.parametrize("kind", [Mask, ScoreMap])
+def test_masks_and_score_maps_keep_the_flags_and_values_of_the_arrays_they_are_given(kind):
+    given = (np.array([1.0, 0.0, 1.0]), np.array([[0.0], [1.0]]), [1, 1])
+    held = kind(given)
+    assert_read_only(*held.layers)
+    assert given[0].flags.writeable and given[1].flags.writeable
+    assert np.array_equal(given[0], [1.0, 0.0, 1.0]) and np.array_equal(given[1], [[0.0], [1.0]])
+    assert [a.tolist() for a in held.layers] == [[1.0, 0.0, 1.0], [0.0, 1.0], [1.0, 1.0]]
+
+
+def test_every_mask_and_score_map_holds_read_only_arrays():
+    scores = ScoreMap((np.array([0.5, 0.2]), np.array([0.1, 0.9, 0.3])))
+    schedule = KeepRatioSchedule((0.5, 1 / 3), (1, 1), 0.6)
+    params = build_network(preset_specs("mlp-4", (4,), 3), seed=0)
+    masks = (
+        full_mask([2, 3]),
+        _select_global(scores, np.ones(5, dtype=bool), 2),
+        _select_layerwise(scores, full_mask([2, 3]), [1, 1]),
+        mask_from_scores_global(scores, 0.6),
+        mask_from_scores_layerwise(scores, schedule),
+        random_mask_from_schedule(schedule, [2, 3], np.random.default_rng(0)),
+    )
+    assert_read_only(*scores.layers, *magnitude_scores(params).layers)
+    for mask in masks:
+        assert_read_only(*mask.layers)
 
 
 def test_global_selection_keeps_two_best_across_layers():
