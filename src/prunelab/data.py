@@ -186,15 +186,17 @@ CSV_TEST_FRACTION = 0.2  # of the shuffled rows, held out as the test set
 def load_csv(path) -> DataSplit:
     """Numeric CSV, last column is the integer label; fixed shuffled 80/20 split."""
     rows = []
-    with open(path, newline="") as f:
-        reader = csv_module.reader(f)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (lineno == 1 and _looks_like_header(row)):
-                continue
-            try:
-                rows.append([_finite(v) for v in row])
-            except ValueError as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            for lineno, row in enumerate(csv_module.reader(f), start=1):
+                if not row or (lineno == 1 and _looks_like_header(row)):
+                    continue
+                try:
+                    rows.append([_finite(v) for v in row])
+                except ValueError as exc:
+                    raise DatasetError(f"{path}: line {lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: not UTF-8 text") from None
     if len(rows) < 2:
         raise DatasetError(f"{path}: needs at least two data rows")
     width = len(rows[0])

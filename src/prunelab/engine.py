@@ -12,12 +12,14 @@ stack is the whole graph, so every numeric path stays inspectable and
 bit-reproducible.
 
 Convolution is im2col plus GEMM over fixed blocks of CONV_BLOCK samples.
-The forward pass builds each block's patch matrix once and keeps it; the
-kernel gradient is one matrix product per kept block, and the input
-gradient is a col2im loop over the kernel taps.  An SGD run hands each
-step's spent pass to `forward_loss(..., reuse=...)`, which refills its
-patch buffers in place instead of allocating new ones.  No gradient is
-computed for the first layer's input, which is data.
+The kernel gradient is one matrix product per patch block, and the input
+gradient is a col2im loop over the kernel taps.  A pass keeps its blocks
+only when it refills a spent pass's: an SGD run hands each step's spent
+pass to `forward_loss(..., reuse=...)` and to each epoch's evaluation,
+`forward_logits(..., reuse=...)`, so the run holds one set of patch
+buffers.  A one-off pass (a scoring batch, a run's first step) keeps none,
+and its consumers build each block in turn into one buffer.  No gradient
+is computed for the first layer's input, which is data.
 
 Masks enter as masked weights (w * c) and the weight gradient is multiplied
 by c, so the gradient with respect to a masked-out weight is exactly zero.
@@ -50,10 +52,12 @@ class ForwardPass:
     `layers` holds (input, masked weights, mask, patch blocks) per layer, the
     input as the layer received it (before any flatten) and weights and mask
     in the layer's natural shape.  The patch blocks are the conv layer's
-    im2col matrices, one per CONV_BLOCK samples (None for a dense layer);
-    they take up to kh * kw times the memory of the layer's input.  A pass
-    handed to `forward_loss` as `reuse` has lent those blocks to the
-    new pass, which overwrites them: it must not be used afterwards.
+    im2col matrices, one per CONV_BLOCK samples; they take up to kh * kw
+    times the memory of the layer's input.  They are None for a dense layer
+    and for a pass made without `reuse`, whose consumers build each block
+    in turn.  A pass handed to `forward_loss` or `forward_logits` as `reuse`
+    has lent its blocks, which are overwritten: it must not be used
+    afterwards, except as `reuse` again.
 
     `target` is the int labels for softmax-xent or the (n, classes) target
     matrix for squared error.  `probs` is the softmax of the logits that the
@@ -89,10 +93,10 @@ def _im2col(x, kh, kw, buf=None):
     return buf
 
 
-def _patches(x, kh, kw):
+def _patches(x, kh, kw, col=None):
     """Yield the patch matrix of each CONV_BLOCK of x's samples, all in one
-    buffer: each block must be used up before the next is drawn."""
-    col = None
+    buffer (`col` where its shape fits): each block must be used up before
+    the next is drawn."""
     for b in _conv_blocks(len(x)):
         col = _im2col(x[b], kh, kw, col)
         yield col
@@ -178,12 +182,14 @@ def _layer_shape(spec):
     return (spec.fan_in, spec.fan_out)
 
 
-def _run_layers(params, mask, samples, sample_shape, keep=None, spare=()):
+def _run_layers(params, mask, samples, sample_shape, keep=None, reuse=None):
     """Masked forward pass through the stack; returns the (n, classes) logits.
 
-    When `keep` is a list, each layer appends (input, masked weights, mask,
-    patch blocks), filling its patch blocks into that layer's entry of
-    `spare` (an earlier pass's layers) where it can.
+    `reuse` is a spent pass whose patch buffers this pass refills where
+    their shapes match.  When `keep` is a list, each layer appends (input,
+    masked weights, mask, patch blocks).  A conv layer keeps its blocks
+    only when both are given; otherwise it builds them one at a time into
+    one buffer, the spent pass's first block where it has one.
     """
     check_alignment(params, mask)
     specs = params.specs
@@ -202,7 +208,7 @@ def _run_layers(params, mask, samples, sample_shape, keep=None, spare=()):
         c = mask.layers[i].reshape(shape)
         w = params.weights[i].reshape(shape) * c
         x = h
-        cols = None
+        cols = blocks = None  # the blocks kept, and those the layer draws on
         if spec.kind == "dense":
             if math.prod(h.shape[1:]) != spec.fan_in:
                 raise AlignmentError(
@@ -215,13 +221,17 @@ def _run_layers(params, mask, samples, sample_shape, keep=None, spare=()):
                     f"layer {i}: a {kh}x{kw} kernel on {spec.fan_in} channels "
                     f"does not fit input {h.shape[1:]}"
                 )
-            if keep is not None:
-                spent = (spare[i][3] if i < len(spare) else None) or ()
-                cols = [
+            spent = ()
+            if reuse is not None and i < len(reuse.layers):
+                spent = reuse.layers[i][3] or ()
+            if keep is not None and reuse is not None:
+                cols = blocks = [
                     _im2col(h[b], kh, kw, spent[j] if j < len(spent) else None)
                     for j, b in enumerate(_conv_blocks(n))
                 ]
-        h = _apply(h, w, cols)
+            else:
+                blocks = _patches(h, kh, kw, spent[0] if spent else None)
+        h = _apply(h, w, blocks)
         if keep is not None:
             keep.append((x, w, c, cols))
         if not spec.is_output:
@@ -246,10 +256,16 @@ def _as_batch(samples, labels=None):
     return samples, labels
 
 
-def forward_logits(params, mask, samples, *, sample_shape=None):
-    """Forward pass without a loss head; returns the (n, classes) logits."""
+def forward_logits(params, mask, samples, *, sample_shape=None, reuse=None):
+    """Forward pass without a loss head; returns the (n, classes) logits.
+
+    Each conv layer builds its patch blocks one at a time into one buffer.
+    `reuse` is a spent pass whose first patch block of each conv layer is
+    that buffer where its shape fits; that pass must not be used again,
+    except as `reuse`.
+    """
     samples, _ = _as_batch(samples)
-    return _run_layers(params, mask, samples, sample_shape)
+    return _run_layers(params, mask, samples, sample_shape, reuse=reuse)
 
 
 def forward_loss(
@@ -257,8 +273,12 @@ def forward_loss(
 ):
     """Masked batch-mean loss; returns (loss, pass) with the pass ready for backward.
 
-    `reuse` is an earlier pass whose conv patch buffers this pass refills
-    in place where their shapes match; that pass must not be used again.
+    `reuse` is a spent pass whose conv patch buffers this pass refills in
+    place where their shapes match, and keeps; that pass must not be used
+    again.  Without `reuse` the pass keeps no patch blocks: `backward` and
+    `hessian_vector_product` build each one in turn, so a one-off pass (a
+    scoring batch, an SGD run's first step) holds one block per conv layer
+    at a time, not all of them.
     """
     if head not in HEADS:
         raise DomainError(f"unknown loss head {head!r}")
@@ -267,8 +287,7 @@ def forward_loss(
     classes = params.specs[-1].fan_out
 
     layers = []
-    spare = () if reuse is None else reuse.layers
-    z = _run_layers(params, mask, samples, sample_shape, layers, spare)
+    z = _run_layers(params, mask, samples, sample_shape, layers, reuse)
     if head == SQUARED_ERROR and classes == 1:
         target = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     else:
@@ -331,7 +350,8 @@ def hessian_vector_product(fp, v):
     activation pattern holds throughout.  `v` is a list of flat per-layer
     arrays like `backward`'s result, and so is H v, which is zero at
     masked-out weights.  The pass is not changed; a conv layer's tangent
-    patch blocks are built one at a time and not kept.
+    patch blocks, and its input's when the pass keeps none, are built one
+    at a time and not kept.
     """
     if len(v) != len(fp.layers):
         raise AlignmentError(f"direction has {len(v)} layers, the pass has {len(fp.layers)}")

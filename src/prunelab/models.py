@@ -124,14 +124,19 @@ def build_network(specs, seed) -> LayeredParams:
     return LayeredParams(specs, tuple(weights))
 
 
-def accuracy(params, mask, data, *, batch_size=512) -> float:
-    """Fraction of `data` classified correctly, in [0, 1]."""
+def accuracy(params, mask, data, *, batch_size=512, reuse=None) -> float:
+    """Fraction of `data` classified correctly, in [0, 1].
+
+    `reuse` is a spent pass whose conv patch buffers each chunk's
+    `engine.forward_logits` refills, as there.
+    """
     n = data.samples.shape[0]
     correct = 0
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))
         logits = engine.forward_logits(
-            params, mask, data.samples[sl], sample_shape=data.sample_shape_for_net()
+            params, mask, data.samples[sl], sample_shape=data.sample_shape_for_net(),
+            reuse=reuse,
         )
         correct += int((np.argmax(logits, axis=1) == data.labels[sl]).sum())
     return correct / n

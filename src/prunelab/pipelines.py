@@ -238,7 +238,7 @@ def train(
         snapshot(0)
 
     history = []
-    tape = None  # each step refills the previous step's conv patch buffers
+    tape = None  # each step and evaluation refills the spent step's conv patch buffers
     for epoch in range(cfg.epochs):
         lr = learning_rate_at(cfg, min(schedule_offset + epoch, max(cfg.epochs - 1, 0)))
         order = rng.permutation(n)
@@ -264,7 +264,7 @@ def train(
             weights -= step
         acc = None
         if eval_data is not None:
-            acc = accuracy(cur, mask, eval_data)
+            acc = accuracy(cur, mask, eval_data, reuse=tape)
         history.append(EpochStats(epoch, lr, float(np.mean(losses)), acc))
         if epoch + 1 in checkpoint_epochs:
             snapshot(epoch + 1)

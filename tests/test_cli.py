@@ -479,3 +479,10 @@ def test_run_refuses_a_config_that_is_not_utf8_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: ConfigError: {cfg_path}: not UTF-8 text:")
     assert err.count("\n") == 1
+
+
+def test_ticket_refuses_a_data_csv_that_is_not_utf8_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1.0,2.0,0\n3.0,\xff,1\n" * 5)
+    assert main(["ticket", "snip", "--data", f"csv:{bad}", "--out", str(tmp_path / "t.plab")]) == 1
+    assert capsys.readouterr().err == f"error: DatasetError: {bad}: not UTF-8 text\n"

@@ -1,5 +1,6 @@
 """Dataset container, synthetic blobs, IDX parsing, CSV loading."""
 
+import re
 import struct
 
 import numpy as np
@@ -267,6 +268,13 @@ def test_csv_errors_carry_line_numbers(tmp_path):
         nonfinite.write_text(f"1.0,2.0,0\n3.0,{value},1\n4.0,1.0,0\n")
         with pytest.raises(DatasetError, match=f"line 2: '{value}' is not a finite number"):
             load_csv(str(nonfinite))
+
+
+def test_csv_that_is_not_utf8_fails_typed_naming_its_path(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x,y,label\n1.0,2.0,0\n3.0,\xff,1\n4.0,1.0,0\n")
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(bad))}: not UTF-8 text$"):
+        load_csv(str(bad))
 
 
 def test_load_dataset_dispatch(tmp_path):

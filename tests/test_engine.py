@@ -265,7 +265,9 @@ def test_reused_pass_matches_a_fresh_pass(preset, shape, second_batch):
     image = shape if preset == "conv-5" else None
     x1, y1 = random_batch(specs, 64, seed=23, image_shape=image)
     x2, y2 = random_batch(specs, second_batch, seed=24, image_shape=image)
-    _, spent = forward_loss(params, mask, x1, y1, sample_shape=image)
+    # only a refilled pass keeps its blocks: `spent` is the second of two steps
+    _, first = forward_loss(params, mask, x1, y1, sample_shape=image)
+    _, spent = forward_loss(params, mask, x1, y1, sample_shape=image, reuse=first)
     backward(spent)
     lent = [b for layer in spent.layers for b in layer[3] or ()]
     loss, fp = forward_loss(params, mask, x2, y2, sample_shape=image, reuse=spent)
@@ -278,6 +280,58 @@ def test_reused_pass_matches_a_fresh_pass(preset, shape, second_batch):
     assert np.array_equal(fp.logits, fresh.logits)
     for _ in range(2):
         assert all(np.array_equal(a, b) for a, b in zip(backward(fp), want))
+
+
+def conv5_net(n, seed, image=(1, 12, 12)):
+    specs = preset_specs("conv-5", image, 3)
+    params = build_network(specs, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    mask = Mask(tuple((rng.random(m) < 0.7).astype(float) for m in layer_sizes(specs)))
+    return params, mask, random_batch(specs, n, seed=seed + 2, image_shape=image)
+
+
+def refilled_pass(params, mask, n, seed, image=(1, 12, 12)):
+    """The pass of an SGD run's second step at batch n: it keeps refilled blocks."""
+    x, y = random_batch(params.specs, n, seed=seed, image_shape=image)
+    _, first = forward_loss(params, mask, x, y, sample_shape=image)
+    return forward_loss(params, mask, x, y, sample_shape=image, reuse=first)[1]
+
+
+def test_a_pass_without_reuse_streams_its_blocks_to_the_same_derivatives():
+    # n = 130: two full CONV_BLOCKs and a remainder
+    image = (1, 12, 12)
+    params, mask, (x, y) = conv5_net(130, seed=51)
+    _, streamed = forward_loss(params, mask, x, y, sample_shape=image)
+    assert [layer[3] for layer in streamed.layers] == [None] * 5
+    _, kept = forward_loss(
+        params, mask, x, y, sample_shape=image, reuse=refilled_pass(params, mask, 130, 54)
+    )
+    assert [len(layer[3] or ()) for layer in kept.layers] == [3, 3, 3, 0, 0]
+    assert np.array_equal(streamed.logits, kept.logits)
+    assert all(np.array_equal(a, b) for a, b in zip(backward(streamed), backward(kept)))
+    v = [np.random.default_rng(55).normal(size=m) for m in layer_sizes(params)]
+    hv = hessian_vector_product(kept, v)
+    assert all(np.array_equal(a, b) for a, b in zip(hessian_vector_product(streamed, v), hv))
+
+
+@pytest.mark.parametrize("n", [80, 130])
+@pytest.mark.parametrize("spent_batch", [64, 30])
+def test_forward_logits_refills_a_spent_first_block(n, spent_batch):
+    # A spent pass at batch 64 lends a first block that fits every full
+    # eval block; at batch 30 it fits none, and it stays as it was.
+    image = (1, 12, 12)
+    params, mask, (x, y) = conv5_net(n, seed=61)
+    spent = refilled_pass(params, mask, spent_batch, 64)
+    lent = [layer[3][0] for layer in spent.layers[:3]]
+    before = [b.copy() for b in lent]
+    got = forward_logits(params, mask, x, sample_shape=image, reuse=spent)
+    assert np.array_equal(got, forward_logits(params, mask, x, sample_shape=image))
+    assert all(layer[3][0] is b for layer, b in zip(spent.layers, lent))
+    _, fp = forward_loss(params, mask, x, y, sample_shape=image)
+    last = slice((n // CONV_BLOCK - 1) * CONV_BLOCK, n // CONV_BLOCK * CONV_BLOCK)
+    for buf, old, (h, *_) in zip(lent, before, fp.layers):
+        want = _im2col(h[last], 3, 3) if spent_batch == CONV_BLOCK else old
+        assert np.array_equal(buf, want)
 
 
 OUT_STACKS = {

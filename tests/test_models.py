@@ -1,9 +1,12 @@
 """Layer specs, network construction, presets, accuracy."""
 
+import math
+
 import numpy as np
 import pytest
 
 from prunelab.data import Dataset
+from prunelab.engine import forward_loss
 from prunelab.errors import AlignmentError, DomainError
 from prunelab.models import (
     ArchFamily,
@@ -119,14 +122,21 @@ def test_kaiming_scale_conv_uses_kernel_area():
 
 
 def test_accuracy_batching_is_invisible():
-    specs = preset_specs("mlp-4", (4,), 3)
-    params = build_network(specs, seed=2)
-    mask = full_mask(layer_sizes(specs))
-    rng = np.random.default_rng(3)
-    data = Dataset(rng.normal(size=(40, 4)), rng.integers(0, 3, 40), 3, (4,))
-    assert accuracy(params, mask, data, batch_size=7) == accuracy(
-        params, mask, data, batch_size=512
-    )
+    cases = (("mlp-4", (4,), 40), ("conv-5", (1, 8, 8), 80), ("conv-5", (1, 8, 8), 130))
+    for preset, shape, n in cases:
+        specs = preset_specs(preset, shape, 3)
+        params = build_network(specs, seed=2)
+        mask = full_mask(layer_sizes(specs))
+        rng = np.random.default_rng(3)
+        data = Dataset(rng.normal(size=(n, math.prod(shape))), rng.integers(0, 3, n), 3, shape)
+        want = accuracy(params, mask, data, batch_size=512)
+        assert accuracy(params, mask, data, batch_size=7) == want
+        # evaluation refills the conv patch buffers of a spent SGD step's pass
+        x, y, image = data.samples[:64], data.labels[:64], data.sample_shape_for_net()
+        _, first = forward_loss(params, mask, x, y, sample_shape=image)
+        _, spent = forward_loss(params, mask, x, y, sample_shape=image, reuse=first)
+        for batch_size in (7, 512):
+            assert accuracy(params, mask, data, batch_size=batch_size, reuse=spent) == want
 
 
 def test_mlp4_preset_shape():
