@@ -81,21 +81,27 @@ def _conv_blocks(n):
 def _im2col(x, kh, kw, buf=None):
     """Patch matrix of x (n, ci, h, w): rows (ci, kh, kw), columns (n, ho, wo).
 
-    Written into `buf` when it has the patch matrix's shape (the same bytes
-    as a new array), else into a new array.
+    Written into `buf` when it has the patch matrix's shape, else into the
+    front of `buf`'s memory (`buf.base` when `buf` is a view) where that
+    holds it, else into a new array: the same bytes each way.  A buffer
+    that took a smaller block keeps its whole memory for a larger one.
     """
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     windows = windows.transpose(1, 4, 5, 0, 2, 3)
     shape = (math.prod(windows.shape[:3]), math.prod(windows.shape[3:]))
-    if buf is None or buf.shape != shape:
-        return np.ascontiguousarray(windows).reshape(shape)
+    size = shape[0] * shape[1]
+    if buf is not None and buf.shape != shape:
+        memory = (buf if buf.base is None else buf.base).reshape(-1)
+        buf = memory[:size].reshape(shape) if memory.size >= size else None
+    if buf is None:
+        buf = np.empty(shape)
     np.copyto(buf.reshape(windows.shape), windows)
     return buf
 
 
 def _patches(x, kh, kw, col=None):
     """Yield the patch matrix of each CONV_BLOCK of x's samples, all in one
-    buffer (`col` where its shape fits): each block must be used up before
+    buffer (`col` where it holds them): each block must be used up before
     the next is drawn."""
     for b in _conv_blocks(len(x)):
         col = _im2col(x[b], kh, kw, col)
@@ -185,11 +191,11 @@ def _layer_shape(spec):
 def _run_layers(params, mask, samples, sample_shape, keep=None, reuse=None):
     """Masked forward pass through the stack; returns the (n, classes) logits.
 
-    `reuse` is a spent pass whose patch buffers this pass refills where
-    their shapes match.  When `keep` is a list, each layer appends (input,
-    masked weights, mask, patch blocks).  A conv layer keeps its blocks
-    only when both are given; otherwise it builds them one at a time into
-    one buffer, the spent pass's first block where it has one.
+    `reuse` is a spent pass whose patch buffers this pass refills where they
+    hold its blocks (see `_im2col`).  When `keep` is a list, each layer
+    appends (input, masked weights, mask, patch blocks).  A conv layer keeps
+    its blocks only when both are given; otherwise it builds them one at a
+    time into one buffer, the spent pass's first block where it has one.
     """
     check_alignment(params, mask)
     specs = params.specs
@@ -261,7 +267,7 @@ def forward_logits(params, mask, samples, *, sample_shape=None, reuse=None):
 
     Each conv layer builds its patch blocks one at a time into one buffer.
     `reuse` is a spent pass whose first patch block of each conv layer is
-    that buffer where its shape fits; that pass must not be used again,
+    that buffer where it holds them; that pass must not be used again,
     except as `reuse`.
     """
     samples, _ = _as_batch(samples)
@@ -274,8 +280,9 @@ def forward_loss(
     """Masked batch-mean loss; returns (loss, pass) with the pass ready for backward.
 
     `reuse` is a spent pass whose conv patch buffers this pass refills in
-    place where their shapes match, and keeps; that pass must not be used
-    again.  Without `reuse` the pass keeps no patch blocks: `backward` and
+    place where they hold its blocks, and keeps; that pass must not be used
+    again.  A short batch fills the front of a full batch's buffers, which
+    it keeps whole for the next full batch.  Without `reuse` the pass keeps no patch blocks: `backward` and
     `hessian_vector_product` build each one in turn, so a one-off pass (a
     scoring batch, an SGD run's first step) holds one block per conv layer
     at a time, not all of them.

@@ -1,8 +1,10 @@
 """Experiment harness: declarative configs, resumable grids, reports.
 
 A config crosses pipelines x sparsities x checks x seeds into a deterministic
-grid.  Detail rows stream to a CSV named by the config hash as soon as each
-cell finishes, so an interrupted run resumes by skipping completed cells.
+grid.  Cells run grouped by the data they prune on, so a grid holds one
+corrupted train set at a time.  Detail rows stream to a CSV named by the
+config hash as soon as each cell finishes, so an interrupted run resumes by
+skipping completed cells; a finished run leaves them in grid order.
 Wall-clock columns are the only non-deterministic output.
 """
 
@@ -23,7 +25,14 @@ from .data import _finite, _is_int, _is_number, load_dataset
 from .engine import NUMERICS_VERSION
 from .errors import ConfigError, DomainError, PrunelabError
 from .models import PRESET_NAMES, preset_specs
-from .pipelines import TICKET_KINDS, TrainConfig, pipeline_options, run_cell
+from .pipelines import (
+    TICKET_KINDS,
+    TrainConfig,
+    drop_pruning_data,
+    pipeline_options,
+    pruning_data_name,
+    run_cell,
+)
 
 
 @dataclass(frozen=True)
@@ -162,6 +171,22 @@ def grid_cells(cfg):
     return cells
 
 
+def _run_order(cells):
+    """The grid indices of `cells` in the order a run takes them, with each
+    cell's pruning data name (see `pipelines.pruning_data_name`).
+
+    Cells run grouped by pruning data, groups in order of first appearance.
+    Inside a group they run by pipeline, then by ascending sparsity, so every
+    sparsity of an IMP pipeline stops on one walked path; ties keep grid order.
+    """
+    names = [pruning_data_name(p["kind"], check, seed) for p, _, check, _, seed in cells]
+    group = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    pipeline = {label: i for i, label in enumerate(dict.fromkeys(c[1] for c in cells))}
+    order = sorted(range(len(cells)),
+                   key=lambda i: (group[names[i]], pipeline[cells[i][1]], cells[i][3]))
+    return order, names
+
+
 def _row_to_record(row):
     return {
         "pipeline": row.pipeline,
@@ -241,11 +266,18 @@ def _resume_rows(path):
 
 
 def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
-    """Execute the whole grid, streaming rows; returns every row in grid order."""
+    """Execute the whole grid, streaming rows; returns every row in grid order.
+
+    Rows are appended as their cells finish, in run order (see `_run_order`),
+    and the finished file is rewritten in grid order.  `progress(done, total,
+    row)` follows each cell that runs.
+    """
     # Validate everything first, so a bad config leaves no output directory.
     split = load_dataset(cfg.dataset)
     specs = preset_specs(cfg.arch, split.train.sample_shape, split.train.class_count)
     cells = grid_cells(cfg)
+    order, names = _run_order(cells)
+    last = {names[i]: i for i in order}  # each pruning data's last cell
 
     out_dir = os.environ.get("PRUNELAB_OUTPUT_DIR", cfg.output_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -256,44 +288,56 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
     if resume and os.path.exists(rows_path):
         done = {row.key(): row for row in _resume_rows(rows_path)}
 
-    rows = []
+    by_cell = {}
     # Deterministic ticket work shared by the cells of this grid; the
-    # docstring of pipelines.build_ticket lists what it keeps.
+    # docstring of pipelines.build_ticket lists what it keeps.  What a
+    # pruning data holds is dropped after its last cell.
     memo = {}
     fresh = not done
     with open(rows_path, "w" if fresh else "a", newline="", encoding="utf-8") as f:
         writer = csv.DictWriter(f, CSV_COLUMNS)
         if fresh:
             writer.writeheader()
-        for i, (p, label, check, target, seed) in enumerate(cells):
+        for n, i in enumerate(order, 1):
+            p, label, check, target, seed = cells[i]
             key = (label, check, repr(float(target)), seed)
             if key in done:
-                rows.append(done[key])
-                continue
-            started = time.perf_counter()
-            try:
-                cell = run_cell(
-                    p["kind"], _pipeline_params(p), check, split, specs, target, seed, cfg.train,
-                    memo=memo,
-                )
-                flags = "collapse-warning" if cell.collapsed else ""
-                row = ResultRow(
-                    label, check, float(target), seed, cell.accuracy, cell.keep,
-                    time.perf_counter() - started, flags,
-                )
-            except PrunelabError as exc:
-                row = ResultRow(
-                    label, check, float(target), seed, None, (),
-                    time.perf_counter() - started, f"failed:{type(exc).__name__}",
-                )
-            rows.append(row)
-            writer.writerow(_row_to_record(row))
-            f.flush()
-            if progress:
-                progress(i + 1, len(cells), row)
+                by_cell[i] = done[key]
+            else:
+                by_cell[i] = _run_row(p, label, check, target, seed, split, specs, cfg.train, memo)
+                writer.writerow(_row_to_record(by_cell[i]))
+                f.flush()
+                if progress:
+                    progress(n, len(cells), by_cell[i])
+            if last[names[i]] == i:
+                drop_pruning_data(memo, names[i])
 
+    rows = [by_cell[i] for i in range(len(cells))]
+    partial = rows_path + ".part"
+    emit_rows(rows, partial)
+    os.replace(partial, rows_path)
     emit_report(rows, "markdown-table", os.path.join(out_dir, f"report-{digest[:12]}.md"))
     return rows
+
+
+def _run_row(p, label, check, target, seed, split, specs, train_cfg, memo):
+    """The row of one grid cell; a PrunelabError becomes a failed row."""
+    started = time.perf_counter()
+    try:
+        cell = run_cell(
+            p["kind"], _pipeline_params(p), check, split, specs, target, seed, train_cfg,
+            memo=memo,
+        )
+        flags = "collapse-warning" if cell.collapsed else ""
+        return ResultRow(
+            label, check, float(target), seed, cell.accuracy, cell.keep,
+            time.perf_counter() - started, flags,
+        )
+    except PrunelabError as exc:
+        return ResultRow(
+            label, check, float(target), seed, None, (),
+            time.perf_counter() - started, f"failed:{type(exc).__name__}",
+        )
 
 
 @dataclass(frozen=True)

@@ -339,8 +339,10 @@ def _shared(memo, key, make):
 def _held(memo, slot, group):
     """The entries `memo[slot]` holds for `group`, after dropping another group's.
 
-    A grid runs the cells of one group together and never returns to it, so
-    a slot holds only what later cells of the current group can use.
+    A grid runs the cells of one group together inside each pruning data, so
+    a slot holds only what later cells of the current group can use.  The
+    group can recur under a later pruning data, whose entries are keyed
+    apart from the earlier one's, which `drop_pruning_data` has dropped.
     Without a memo there is no slot, and the result is None.
     """
     if memo is None:
@@ -348,6 +350,34 @@ def _held(memo, slot, group):
     if memo.get(slot, (None,))[0] != group:
         memo[slot] = (group, {})
     return memo[slot][1]
+
+
+def pruning_data_name(kind, check, check_seed):
+    """The memo's name for the data a `kind` ticket under `check` prunes on.
+
+    It is (data check, check seed), or ("none", None) for clean data, which
+    is the same under every check seed.  A structural check prunes on clean
+    data, and so does a data-free kind under any check.
+    """
+    if check in DATA_CHECKS and kind not in DATA_FREE_KINDS:
+        return (check, check_seed)
+    return ("none", None)
+
+
+def drop_pruning_data(memo, name):
+    """Drop every memo entry kept for the pruning data `name`.
+
+    That is its bucket, its "scores" and "imp" entries and, for clean data,
+    the "clean" slot, which only cells on clean data read.  A grid calls
+    this after the last cell that prunes on `name`.
+    """
+    memo.pop(name, None)
+    if name == ("none", None):
+        memo.pop("clean", None)
+    for slot in ("scores", "imp"):
+        entries = memo.get(slot, (None, {}))[1]
+        for key in [k for k in entries if k[:2] == name]:
+            del entries[key]
 
 
 def _pruning_data(data, check, check_seed, held):
@@ -549,21 +579,24 @@ def build_ticket(
     `memo` is a dict shared by tickets built from the same data, or None.
     Every value it keeps is deterministic in its key, and its arrays are
     read-only by type: `Dataset`, `Mask`, `ScoreMap` and `LayeredParams`
-    hold read-only arrays, and so does `score_batch`'s index.  Its layout:
-      - (data check, check seed), or ("none", None) for clean data under any
-        check seed: that pruning data's bucket, with its corrupted train set
+    hold read-only arrays, and so does `score_batch`'s index.  Its layout,
+    by the pruning data's name (see `pruning_data_name`):
+      - the name: that pruning data's bucket, with its corrupted train set
         under "data" and pretraining runs under (specs, train config, seed,
         checkpoint epochs);
-      - "scores": (kind, specs), and per (*pruning data name, seed) the snip
-        or grasp (init, scores, batch index) that serve every sparsity;
-      - "imp": (kind, options, specs, train config), and per (*pruning data
-        name, seed) the frontier of the IMP path that every sparsity stops
-        on (see `_imp_ticket`);
+      - "scores": (kind, specs), and per (*name, seed) the snip or grasp
+        (init, scores, batch index) that serve every sparsity;
+      - "imp": (kind, options, specs, train config), and per (*name, seed)
+        the frontier of the IMP path that every sparsity stops on (see
+        `_imp_ticket`);
       - "clean": (kind, options, specs, sparsity, train config), and per seed
         the ticket built on clean data, which structural checks attack, and
         per ("cell", seed) `run_cell`'s result for that ticket.
-    A grid runs each "scores", "imp" and "clean" group together, so a new
-    group replaces the old one (see `_held`).
+    A grid runs its cells grouped by pruning data, and inside each by
+    pipeline, then ascending sparsity, so each IMP path is walked once.  A
+    new "scores", "imp" or "clean" group replaces the old one (see
+    `_held`), and after the last cell on a pruning data the grid drops
+    everything kept for it (see `drop_pruning_data`).
     """
     opts = pipeline_options(kind, params or {})
     if not _is_number(target_sparsity):
@@ -580,8 +613,7 @@ def build_ticket(
     for s in (seed, check_seed):
         seeding._key(s, ())  # refuses a non-integer seed before a memo takes True for 1
     data_check = data_checks[0] if data_checks else "none"
-    # The pruning data's name: clean data is the same under every check seed.
-    name = (data_check, None if data_check == "none" else check_seed)
+    name = pruning_data_name(kind, data_check, check_seed)
     scored = _held(memo, "scores", (kind, tuple(specs)))
     held = None if memo is None else memo.setdefault(name, {})
     pruning = partial(_pruning_data, data, data_check, check_seed, held)
@@ -692,7 +724,7 @@ def run_cell(
     """Build one ticket under one check, retrain on clean data, measure.
 
     `memo` is a dict that the cells of one grid on the same `split` share, in
-    grid order; `build_ticket` describes what it keeps.  A ticket that no
+    the order the grid runs them; `build_ticket` describes what it keeps.  A ticket that no
     check touched is the clean ticket (a data-free kind ignores data
     checks), so its cell is the clean cell, whose result the memo keeps.
     """

@@ -257,7 +257,7 @@ def test_backward_leaves_the_pass_reusable(tiny_net):
 @pytest.mark.parametrize("second_batch", [64, 30])
 def test_reused_pass_matches_a_fresh_pass(preset, shape, second_batch):
     # The second batch is as large as the first (every patch buffer is
-    # refilled in place) or smaller (its block shape differs: a new buffer).
+    # refilled in place) or smaller (each block fills the front of one).
     specs = preset_specs(preset, shape, 3)
     params = build_network(specs, seed=21)
     rng = np.random.default_rng(22)
@@ -274,6 +274,7 @@ def test_reused_pass_matches_a_fresh_pass(preset, shape, second_batch):
     kept = [b for layer in fp.layers for b in layer[3] or ()]
     assert len(kept) == (3 if preset == "conv-5" else 0)
     assert [a is b for a, b in zip(kept, lent)] == [second_batch == 64] * len(kept)
+    assert all(np.shares_memory(a, b) for a, b in zip(kept, lent))
     want_loss, fresh = forward_loss(params, mask, x2, y2, sample_shape=image)
     want = backward(fresh)
     assert loss == want_loss
@@ -297,6 +298,45 @@ def refilled_pass(params, mask, n, seed, image=(1, 12, 12)):
     return forward_loss(params, mask, x, y, sample_shape=image, reuse=first)[1]
 
 
+def test_a_short_batch_refills_the_front_of_the_kept_blocks():
+    # An SGD epoch's short last batch, between two full ones: each of its
+    # blocks fills the front of a full block, which the next full batch refills.
+    image = (1, 12, 12)
+    params, mask, full = conv5_net(64, seed=71)
+    short = random_batch(params.specs, 44, seed=72, image_shape=image)
+    spent = refilled_pass(params, mask, 64, 73)
+    blocks = [b for layer in spent.layers for b in layer[3] or ()]
+    v = [np.random.default_rng(74).normal(size=m) for m in layer_sizes(params)]
+    for x, y in (short, full):
+        loss, fp = forward_loss(params, mask, x, y, sample_shape=image, reuse=spent)
+        kept = [b for layer in fp.layers for b in layer[3] or ()]
+        assert len(kept) == len(blocks) == 3
+        assert all(np.shares_memory(a, b) for a, b in zip(kept, blocks))
+        want_loss, fresh = forward_loss(params, mask, x, y, sample_shape=image)
+        assert loss == want_loss
+        assert np.array_equal(fp.logits, fresh.logits)
+        assert all(np.array_equal(a, b) for a, b in zip(backward(fp), backward(fresh)))
+        hv = hessian_vector_product(fp, v)
+        assert all(np.array_equal(a, b) for a, b in zip(hessian_vector_product(fresh, v), hv))
+        spent = fp
+    assert [b.shape for b in kept] == [b.shape for b in blocks]
+
+
+def test_a_one_by_one_kernel_keeps_patch_buffers_of_its_own():
+    # On one channel a 1x1 kernel's patch matrix has the input's layout, so
+    # a kept block must be a copy, not a read-only view of the input.
+    specs = (LayerSpec("conv", 1, 2, kernel=(1, 1)), LayerSpec("dense", 32, 3, is_output=True))
+    params, mask = build_network(specs, seed=81), full_mask(layer_sizes(specs))
+    x, y = random_batch(specs, 8, seed=82, image_shape=(1, 4, 4))
+    _, fp = forward_loss(params, mask, x, y, sample_shape=(1, 4, 4))
+    for _ in range(2):
+        _, fp = forward_loss(params, mask, x, y, sample_shape=(1, 4, 4), reuse=fp)
+        (block,) = fp.layers[0][3]
+        assert block.flags.writeable and not np.shares_memory(block, fp.layers[0][0])
+    _, fresh = forward_loss(params, mask, x, y, sample_shape=(1, 4, 4))
+    assert all(np.array_equal(a, b) for a, b in zip(backward(fp), backward(fresh)))
+
+
 def test_a_pass_without_reuse_streams_its_blocks_to_the_same_derivatives():
     # n = 130: two full CONV_BLOCKs and a remainder
     image = (1, 12, 12)
@@ -317,8 +357,9 @@ def test_a_pass_without_reuse_streams_its_blocks_to_the_same_derivatives():
 @pytest.mark.parametrize("n", [80, 130])
 @pytest.mark.parametrize("spent_batch", [64, 30])
 def test_forward_logits_refills_a_spent_first_block(n, spent_batch):
-    # A spent pass at batch 64 lends a first block that fits every full
-    # eval block; at batch 30 it fits none, and it stays as it was.
+    # A spent pass at batch 64 lends a first block that holds every eval
+    # block, the last one at its front; at batch 30 it holds no full block,
+    # and it stays as it was.
     image = (1, 12, 12)
     params, mask, (x, y) = conv5_net(n, seed=61)
     spent = refilled_pass(params, mask, spent_batch, 64)
@@ -328,10 +369,13 @@ def test_forward_logits_refills_a_spent_first_block(n, spent_batch):
     assert np.array_equal(got, forward_logits(params, mask, x, sample_shape=image))
     assert all(layer[3][0] is b for layer, b in zip(spent.layers, lent))
     _, fp = forward_loss(params, mask, x, y, sample_shape=image)
-    last = slice((n // CONV_BLOCK - 1) * CONV_BLOCK, n // CONV_BLOCK * CONV_BLOCK)
+    last = slice(n // CONV_BLOCK * CONV_BLOCK, n)  # the short last eval block
     for buf, old, (h, *_) in zip(lent, before, fp.layers):
-        want = _im2col(h[last], 3, 3) if spent_batch == CONV_BLOCK else old
-        assert np.array_equal(buf, want)
+        if spent_batch == CONV_BLOCK:
+            want = _im2col(h[last], 3, 3)
+            assert np.array_equal(buf.reshape(-1)[: want.size].reshape(want.shape), want)
+        else:
+            assert np.array_equal(buf, old)
 
 
 OUT_STACKS = {

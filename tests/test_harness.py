@@ -4,9 +4,11 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from prunelab import harness
+from prunelab import harness, pipelines, seeding
+from prunelab.checks import CHECK_NAMES, DATA_CHECKS
 from prunelab.cli import main
 from prunelab.errors import ConfigError, DatasetError, DomainError
 from prunelab.harness import (
@@ -24,9 +26,9 @@ from prunelab.harness import (
     run_experiment,
     summarize,
 )
-from prunelab.data import synthetic_blobs
+from prunelab.data import load_dataset, synthetic_blobs
 from prunelab.models import preset_specs
-from prunelab.pipelines import TrainConfig, build_ticket
+from prunelab.pipelines import TrainConfig, build_ticket, pruning_data_name, run_cell
 
 TINY = {
     "arch": "mlp-4",
@@ -403,3 +405,135 @@ def test_run_experiment_records_failures_as_rows(tmp_path, monkeypatch):
     assert all(r.flags.startswith("failed:") for r in rows)
     summary = summarize(rows)
     assert summary[0].mean is None
+
+
+# A grid on which run order and grid order differ: snip and IMP prune on
+# each data check's corrupted set, random reads no data.
+DATA_GRID = {
+    **TINY,
+    "pipelines": [{"kind": "random"}, {"kind": "snip"}, {"kind": "imp", "round_fraction": 0.5}],
+    "sparsities": [0.8, 0.5],
+    "checks": list(CHECK_NAMES),
+    "train": {"epochs": 1, "batch_size": 16, "seed": 0},
+}
+
+
+def watch_memo(monkeypatch):
+    """Wrap harness.run_cell; returns a list of (kind, check, seed, memo names
+    before the cell, memo) per cell, where the names are the memo's pruning
+    data buckets and the (data check, check seed) prefixes of its "scores"
+    and "imp" entries."""
+    seen, real = [], harness.run_cell
+
+    def held(memo):
+        names = {k for k in memo if isinstance(k, tuple)}
+        for slot in ("scores", "imp"):
+            names |= {k[:2] for k in memo.get(slot, (None, {}))[1]}
+        return names
+
+    def cell(kind, params, check, split, specs, p, seed, train_cfg, *, memo):
+        seen.append((kind, check, seed, held(memo), memo))
+        return real(kind, params, check, split, specs, p, seed, train_cfg, memo=memo)
+
+    monkeypatch.setattr(harness, "run_cell", cell)
+    return seen
+
+
+def test_a_grid_holds_at_most_one_corrupted_train_set(tmp_path, monkeypatch):
+    monkeypatch.delenv("PRUNELAB_OUTPUT_DIR", raising=False)
+    seen = watch_memo(monkeypatch)
+    run_experiment(ExperimentConfig.from_dict({**DATA_GRID, "output_dir": str(tmp_path)}))
+    assert len(seen) == 3 * 2 * len(CHECK_NAMES) * 2
+    for kind, check, seed, names, _ in seen:
+        assert len({n for n in names if n[0] != "none"}) <= 1, (kind, check, seed)
+    memo = seen[0][-1]  # the grid's one memo, after its last cell: empty slots
+    assert not any(isinstance(k, tuple) for k in memo) and "clean" not in memo
+    assert all(memo[slot][1] == {} for slot in ("scores", "imp"))
+
+
+def test_a_grid_drops_a_pruning_data_after_its_last_cell(tmp_path, monkeypatch):
+    monkeypatch.delenv("PRUNELAB_OUTPUT_DIR", raising=False)
+    seen = watch_memo(monkeypatch)
+    run_experiment(ExperimentConfig.from_dict({**DATA_GRID, "output_dir": str(tmp_path)}))
+    data = [pruning_data_name(kind, check, seed) for kind, check, seed, *_ in seen]
+    last = {name: i for i, name in enumerate(data)}
+    # Each pruning data's cells run together, clean data first.
+    assert list(dict.fromkeys(data)) == [("none", None)] + [
+        (c, s) for c in CHECK_NAMES if c in DATA_CHECKS for s in (0, 1)]
+    assert sorted(data, key=list(dict.fromkeys(data)).index) == data
+    for i, (kind, check, seed, names, _) in enumerate(seen):
+        assert not {name for name in names if last[name] < i}, (kind, check, seed)
+        assert data[i] in names or i == data.index(data[i]), (kind, check, seed)
+
+
+@pytest.mark.parametrize("mode", ["reset", "lr-rewind"])
+def test_a_descending_sparsity_list_shares_each_imp_path(tmp_path, monkeypatch, mode):
+    monkeypatch.delenv("PRUNELAB_OUTPUT_DIR", raising=False)
+    pipeline = {"kind": "imp", "mode": mode, "round_fraction": 0.5}
+    cfg = ExperimentConfig.from_dict({
+        **TINY, "pipelines": [pipeline], "sparsities": [0.95, 0.9, 0.8, 0.5],
+        "checks": ["none", "corrupt-both", "rearrange"], "seeds": [3, 4],
+        "train": {"epochs": 1, "batch_size": 16, "seed": 0}, "output_dir": str(tmp_path),
+    })
+    split = load_dataset(cfg.dataset)
+    rounds = {seeding.combine(s, seeding.IMP_ROUND, r): (s, r) for s in (3, 4) for r in range(9)}
+    trained, real_train = [], pipelines.train
+
+    def train(params, mask, data, run_cfg, *a, **k):
+        if run_cfg.seed in rounds:
+            clean = np.array_equal(data.samples, split.train.samples)
+            trained.append((clean, *rounds[run_cfg.seed]))
+        return real_train(params, mask, data, run_cfg, *a, **k)
+
+    monkeypatch.setattr(pipelines, "train", train)
+    rows = run_experiment(cfg)
+    # mlp-4 keeps 6144 weights here: 3072, 1536, 768, 384, ... at round_fraction
+    # 0.5, so 0.95 keeps 307 after 5 rounds.  Walked alone, the four
+    # sparsities would train 5 + 4 + 3 + 1 = 13 rounds per pruning data and seed.
+    assert sorted(trained) == sorted(
+        (clean, s, r) for clean in (True, False) for s in (3, 4) for r in range(1, 6))
+    monkeypatch.setattr(pipelines, "train", real_train)
+    specs = preset_specs(cfg.arch, split.train.sample_shape, split.train.class_count)
+    cells = grid_cells(cfg)
+    assert [r.key() for r in rows] == [
+        (label, check, repr(p), seed) for _, label, check, p, seed in cells]
+    for row, (p, _, check, target, seed) in zip(rows, cells):
+        want = run_cell("imp", {k: v for k, v in p.items() if k != "kind"}, check, split,
+                        specs, target, seed, cfg.train)
+        assert (row.accuracy, row.keep) == (want.accuracy, want.keep), row.key()
+
+
+def test_an_interrupted_grid_resumes_to_the_rows_file_of_a_whole_run(tmp_path, monkeypatch):
+    monkeypatch.delenv("PRUNELAB_OUTPUT_DIR", raising=False)
+    whole = ExperimentConfig.from_dict({**DATA_GRID, "output_dir": str(tmp_path / "whole")})
+    run_experiment(whole)
+    cfg = dataclasses.replace(whole, output_dir=str(tmp_path / "cut"))
+    # Clean data's group: random's cells, and snip's and imp's under the other checks.
+    clean = [c for c in CHECK_NAMES if c not in DATA_CHECKS]
+    k = 2 * 2 * len(CHECK_NAMES) + 2 * 2 * len(clean) * 2
+
+    class Cut(Exception):
+        pass
+
+    def progress(done, total, row):
+        if done == k:
+            raise Cut
+
+    with pytest.raises(Cut):
+        run_experiment(cfg, progress=progress)
+    rows_path = tmp_path / "cut" / f"rows-{config_hash(cfg)[:12]}.csv"
+    raw = rows_path.read_bytes()
+    assert raw.endswith(b"\n")
+    cut = parse_rows(str(rows_path))
+    # Whole rows of the cells run so far: clean data's group.
+    assert len(cut) == k
+    assert all(r.pipeline == "random" or r.check in clean for r in cut)
+
+    rows = run_experiment(cfg)
+    assert rows[: len(cut)] != cut  # rows come back in grid order, not run order
+    assert [r.key() for r in rows] == [
+        (label, check, repr(p), seed) for _, label, check, p, seed in grid_cells(cfg)]
+    assert {r.key(): r for r in cut}.items() <= {r.key(): r for r in rows}.items()
+    assert parse_rows(str(rows_path)) == rows
+    assert strip_seconds(str(rows_path)) == strip_seconds(
+        str(tmp_path / "whole" / rows_path.name))
