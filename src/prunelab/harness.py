@@ -28,7 +28,6 @@ from .models import PRESET_NAMES, preset_specs
 from .pipelines import (
     TICKET_KINDS,
     TrainConfig,
-    drop_pruning_data,
     pipeline_options,
     pruning_data_name,
     run_cell,
@@ -47,6 +46,11 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        for name in ("pipelines", "sparsities", "seeds", "checks"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list, not {getattr(self, name)!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, not {self.output_dir!r}")
         for p in self.pipelines:
             if not isinstance(p, dict):
                 raise ConfigError(f"pipeline entry {p!r} is not a mapping")
@@ -75,6 +79,13 @@ class ExperimentConfig:
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}; choose from {CHECK_NAMES}")
+        # A repeated value would run the same cells again, and a report would
+        # count them as more seeds.
+        for name in ("sparsities", "checks", "seeds"):
+            values = getattr(self, name)
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ConfigError(f"{name} lists {v!r} more than once")
 
     def to_dict(self):
         d = {**asdict(self), "train": self.train.to_dict()}
@@ -310,7 +321,7 @@ def run_experiment(cfg, *, resume=True, progress=None) -> list[ResultRow]:
                 if progress:
                     progress(n, len(cells), by_cell[i])
             if last[names[i]] == i:
-                drop_pruning_data(memo, names[i])
+                memo.pop(names[i], None)
 
     rows = [by_cell[i] for i in range(len(cells))]
     partial = rows_path + ".part"
@@ -398,7 +409,7 @@ def emit_report(rows, fmt, path) -> str:
     if fmt == "csv":
         emit_rows(rows, path)
     elif fmt == "markdown-table":
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(format_markdown(rows))
     else:
         raise ConfigError(f"unknown report format {fmt!r}")

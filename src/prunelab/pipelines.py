@@ -304,16 +304,10 @@ def _init_scores(kind, specs, data, seed):
 
 
 def _arch_provenance(specs):
-    return [
-        {
-            "kind": s.kind,
-            "fan_in": s.fan_in,
-            "fan_out": s.fan_out,
-            "kernel": list(s.kernel) if s.kernel else None,
-            "is_output": s.is_output,
-        }
-        for s in specs
-    ]
+    # A shallow copy of the fields: asdict deep-copies each value, which
+    # costs about four times as much, and this runs for every ticket built.
+    return [{**{f.name: getattr(s, f.name) for f in fields(s)},
+             "kernel": list(s.kernel) if s.kernel else None} for s in specs]
 
 
 def _header(kind, specs, target_sparsity, seed, **fields):
@@ -336,20 +330,18 @@ def _shared(memo, key, make):
     return memo[key]
 
 
-def _held(memo, slot, group):
-    """The entries `memo[slot]` holds for `group`, after dropping another group's.
+def _held(held, group):
+    """The entries the bucket `held` keeps for `group`, after dropping another group's.
 
-    A grid runs the cells of one group together inside each pruning data, so
-    a slot holds only what later cells of the current group can use.  The
-    group can recur under a later pruning data, whose entries are keyed
-    apart from the earlier one's, which `drop_pruning_data` has dropped.
-    Without a memo there is no slot, and the result is None.
+    A grid runs the cells of one pipeline together inside each pruning data,
+    so a bucket keeps the entries of only the pipeline now running on it.
+    Without a bucket there are no entries, and the result is None.
     """
-    if memo is None:
+    if held is None:
         return None
-    if memo.get(slot, (None,))[0] != group:
-        memo[slot] = (group, {})
-    return memo[slot][1]
+    if held.get("pipeline", (None,))[0] != group:
+        held["pipeline"] = (group, {})
+    return held["pipeline"][1]
 
 
 def pruning_data_name(kind, check, check_seed):
@@ -362,22 +354,6 @@ def pruning_data_name(kind, check, check_seed):
     if check in DATA_CHECKS and kind not in DATA_FREE_KINDS:
         return (check, check_seed)
     return ("none", None)
-
-
-def drop_pruning_data(memo, name):
-    """Drop every memo entry kept for the pruning data `name`.
-
-    That is its bucket, its "scores" and "imp" entries and, for clean data,
-    the "clean" slot, which only cells on clean data read.  A grid calls
-    this after the last cell that prunes on `name`.
-    """
-    memo.pop(name, None)
-    if name == ("none", None):
-        memo.pop("clean", None)
-    for slot in ("scores", "imp"):
-        entries = memo.get(slot, (None, {}))[1]
-        for key in [k for k in entries if k[:2] == name]:
-            del entries[key]
 
 
 def _pruning_data(data, check, check_seed, held):
@@ -486,7 +462,7 @@ class _ImpState:
     trained: LayeredParams | None = None
 
 
-def _imp_ticket(specs, pruning, target_sparsity, cfg, seed, opts, paths=None, key=None) -> Ticket:
+def _imp_ticket(specs, pruning, target_sparsity, cfg, seed, opts, paths=None) -> Ticket:
     """Train-prune rounds until the target sparsity is reached.
 
     Each round removes `round_fraction` of the surviving weights (globally by
@@ -498,13 +474,14 @@ def _imp_ticket(specs, pruning, target_sparsity, cfg, seed, opts, paths=None, ke
     (see `pipeline_options`).  `pruning()` returns the pruning data, and only
     a round that trains calls it.
 
-    `paths` is the memo's IMP slot, or None.  Under `key`, the pruning data
-    and seed, it holds the deepest target-free state of the reset or
-    lr-rewind path reached so far, with the training run from it once one
-    has: no budget clamped a round before it, so every target reaches it the
-    same way.  A target whose budget is at most the held survivors resumes
-    there; any other target walks from the init.  Hybrid rounds interpolate
-    toward the target's own schedule, so hybrid holds nothing.
+    `paths` is the memo's entries for this pipeline on its pruning data, or
+    None.  Under ("imp", seed) they hold the deepest target-free state of
+    the reset or lr-rewind path reached so far, with the training run from
+    it once one has: no budget clamped a round before it, so every target
+    reaches it the same way.  A target whose budget is at most the held
+    survivors resumes there; any other target walks from the init.  Hybrid
+    rounds interpolate toward the target's own schedule, so hybrid holds
+    nothing.
     """
     if not (0.0 < target_sparsity < 1.0):
         raise DomainError("target sparsity must lie in (0, 1)")
@@ -516,6 +493,7 @@ def _imp_ticket(specs, pruning, target_sparsity, cfg, seed, opts, paths=None, ke
     budget = retained_budget(sizes, target_sparsity)
     if budget == 0:
         raise InfeasibleSparsityError("target sparsity would empty the whole network")
+    key = ("imp", seed)
     if mode == "hybrid":
         paths = None
         final_schedule = smart_ratio(sizes, specs, target_sparsity, opts["family"])
@@ -579,24 +557,26 @@ def build_ticket(
     `memo` is a dict shared by tickets built from the same data, or None.
     Every value it keeps is deterministic in its key, and its arrays are
     read-only by type: `Dataset`, `Mask`, `ScoreMap` and `LayeredParams`
-    hold read-only arrays, and so does `score_batch`'s index.  Its layout,
-    by the pruning data's name (see `pruning_data_name`):
-      - the name: that pruning data's bucket, with its corrupted train set
-        under "data" and pretraining runs under (specs, train config, seed,
-        checkpoint epochs);
-      - "scores": (kind, specs), and per (*name, seed) the snip or grasp
-        (init, scores, batch index) that serve every sparsity;
-      - "imp": (kind, options, specs, train config), and per (*name, seed)
-        the frontier of the IMP path that every sparsity stops on (see
-        `_imp_ticket`);
-      - "clean": (kind, options, specs, sparsity, train config), and per seed
-        the ticket built on clean data, which structural checks attack, and
-        per ("cell", seed) `run_cell`'s result for that ticket.
+    hold read-only arrays, and so does `score_batch`'s index.  It maps each
+    pruning data's name (see `pruning_data_name`) to a bucket that holds
+    everything kept for that data:
+      - its corrupted train set under "data";
+      - its pretraining runs under (specs, train config, seed, checkpoint
+        epochs);
+      - under "pipeline", one (group, entries) pair for the pipeline now
+        running on that data.  The group is (kind, options, specs, train
+        config), and the entries are keyed:
+          ("scores", seed): the snip or grasp (init, scores, batch index)
+            that serve every sparsity;
+          ("imp", seed): the frontier of the IMP path that every sparsity
+            stops on (see `_imp_ticket`);
+          (sparsity, seed): on clean data, the ticket that structural
+            checks attack;
+          ("cell", sparsity, seed): `run_cell`'s result for that ticket.
     A grid runs its cells grouped by pruning data, and inside each by
     pipeline, then ascending sparsity, so each IMP path is walked once.  A
-    new "scores", "imp" or "clean" group replaces the old one (see
-    `_held`), and after the last cell on a pruning data the grid drops
-    everything kept for it (see `drop_pruning_data`).
+    new group replaces the bucket's old one (see `_held`), and after the
+    last cell on a pruning data the grid drops its bucket.
     """
     opts = pipeline_options(kind, params or {})
     if not _is_number(target_sparsity):
@@ -614,8 +594,8 @@ def build_ticket(
         seeding._key(s, ())  # refuses a non-integer seed before a memo takes True for 1
     data_check = data_checks[0] if data_checks else "none"
     name = pruning_data_name(kind, data_check, check_seed)
-    scored = _held(memo, "scores", (kind, tuple(specs)))
     held = None if memo is None else memo.setdefault(name, {})
+    entries = _held(held, (kind, tuple(opts.items()), tuple(specs), cfg))
     pruning = partial(_pruning_data, data, data_check, check_seed, held)
     sizes = layer_sizes(specs)
 
@@ -623,8 +603,7 @@ def build_ticket(
         if kind in TRAINED_TICKETS:
             return _trained_ticket(kind, specs, pruning, target_sparsity, cfg, seed, opts, held)
         if kind == "imp":
-            paths = _held(memo, "imp", (kind, tuple(opts.items()), tuple(specs), cfg))
-            return _imp_ticket(specs, pruning, target_sparsity, cfg, seed, opts, paths, (*name, seed))
+            return _imp_ticket(specs, pruning, target_sparsity, cfg, seed, opts, entries)
         if kind == "dense":
             prov = _header(kind, specs, 0, seed)
             return Ticket(full_mask(sizes), build_network(specs, seed), prov)
@@ -639,16 +618,15 @@ def build_ticket(
             return Ticket(mask, init, prov)
         # Score a fresh initialization on one batch and prune globally.  The
         # scores do not depend on the sparsity, so the memo keeps them.
-        init, scores, idx = _shared(scored, (*name, seed),
+        init, scores, idx = _shared(entries, ("scores", seed),
                                     lambda: _init_scores(kind, specs, pruning(), seed))
         return Ticket(mask_from_scores_global(scores, target_sparsity), init, _header(
             kind, specs, target_sparsity, seed, criterion=kind, score_batch=[int(i) for i in idx]
         ))
 
     # Only a ticket built on clean data is kept: structural checks attack it.
-    group = (kind, tuple(opts.items()), tuple(specs), target_sparsity, cfg)
-    clean = _held(memo, "clean", group) if data_check == "none" else None
-    ticket = _shared(clean, seed, build)
+    clean = entries if data_check == "none" else None
+    ticket = _shared(clean, (target_sparsity, seed), build)
     if data_checks:
         ticket = replace(ticket, provenance={
             **ticket.provenance, "checks": data_checks, "check_seed": int(check_seed)})
@@ -736,8 +714,9 @@ def run_cell(
     retrain = partial(_retrain, ticket, split, rcfg)
     if memo is None or "checks" in ticket.provenance:
         return retrain()
-    # build_ticket took this ticket from the clean slot of the cell's group.
-    return _shared(memo["clean"][1], ("cell", seed), retrain)
+    # build_ticket took this ticket from its pipeline's entries in the clean bucket.
+    entries = memo[pruning_data_name(kind, check, seed)]["pipeline"][1]
+    return _shared(entries, ("cell", target_sparsity, seed), retrain)
 
 
 def _retrain(ticket, split, rcfg) -> CellResult:
@@ -792,11 +771,7 @@ def load_ticket(path) -> Ticket:
         header = json.loads(buf[_PREFIX.size : start].decode("utf-8"))
         arch, prov = header["arch"], header["provenance"]
         specs = tuple(
-            LayerSpec(
-                a["kind"], a["fan_in"], a["fan_out"],
-                kernel=tuple(a["kernel"]) if a.get("kernel") else None,
-                is_output=a["is_output"],
-            )
+            LayerSpec(**{**a, "kernel": tuple(a["kernel"]) if a.get("kernel") else None})
             for a in arch
         )
     except (KeyError, TypeError, ValueError, PrunelabError) as exc:

@@ -1,9 +1,14 @@
 """Command-line interface: every subcommand end to end via main()."""
 
+import codecs
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +93,54 @@ def test_run_config_typo_exits_one_with_one_line(tmp_path, capsys, typo):
     assert err.startswith(("error: ConfigError:", "error: DatasetError:"))
     assert err.count("\n") == 1
     assert not list((tmp_path / "results").glob("rows-*.csv"))
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("output_dir", 5, "a string"),
+    ("output_dir", None, "a string"),
+    ("output_dir", ["out"], "a string"),
+    # a bare string where a list belongs was read one character at a time
+    ("checks", "none", "a list"),
+    ("seeds", "01", "a list"),
+    ("sparsities", "0.5", "a list"),
+    ("pipelines", {"kind": "random"}, "a list"),
+])
+def test_run_refuses_a_mistyped_config_field_with_one_line(
+    tmp_path, capsys, monkeypatch, field, value, expected
+):
+    monkeypatch.delenv("PRUNELAB_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**TINY, field: value}))
+    assert main(["run", str(cfg_path), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: ConfigError: {field} must be {expected}, not {value!r}"]
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_run_and_report_write_utf8_under_an_ascii_locale(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("PRUNELAB_OUTPUT_DIR", None)
+
+    def python(*argv):
+        done = subprocess.run([sys.executable, *argv], env=env, cwd=tmp_path,
+                              capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b""), argv
+        return done.stdout
+
+    # The locale's encoding is ASCII, so a file opened without one cannot hold "α".
+    encoding = python("-c", "import locale; print(locale.getpreferredencoding(False))")
+    assert codecs.lookup(encoding.decode().strip()).name == "ascii"
+    cfg = {**TINY, "pipelines": [{"kind": "random", "name": "random-α"}], "output_dir": "out"}
+    (tmp_path / "exp.json").write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+    python("-m", "prunelab.cli", "run", "exp.json", "--quiet")
+    (rows,) = (tmp_path / "out").glob("rows-*.csv")
+    (report,) = (tmp_path / "out").glob("report-*.md")
+    assert report.read_text(encoding="utf-8").startswith("## random-α\n")
+    python("-m", "prunelab.cli", "report", str(rows), "--format", "markdown-table", "--out", "r.md")
+    assert (tmp_path / "r.md").read_bytes() == report.read_bytes()
 
 
 def test_run_missing_config_reports_one_line(tmp_path, capsys):
@@ -328,9 +381,13 @@ TINY_ARCH = [
     ([TINY_ARCH, {}], "bad header"),  # not an object
     ({"arch": TINY_ARCH[0], "provenance": {}}, "bad header"),  # arch not a list
     ({"arch": TINY_ARCH}, "bad header"),  # no provenance
+    ({"arch": [[2, 3], TINY_ARCH[1]], "provenance": {}}, "bad header"),  # layer not an object
+    ({"arch": [{**TINY_ARCH[0], "bias": 1}, TINY_ARCH[1]], "provenance": {}}, "bad header"),
+    ({"arch": [{"fan_in": 2, "fan_out": 3}, TINY_ARCH[1]], "provenance": {}}, "bad header"),
     ({"arch": [{**TINY_ARCH[0], "fan_in": 10**12}, TINY_ARCH[1]], "provenance": {}},
      "truncated"),
-], ids=["header-not-object", "arch-not-list", "no-provenance", "huge-fan-in"])
+], ids=["header-not-object", "arch-not-list", "no-provenance", "layer-not-object",
+        "unknown-layer-key", "no-layer-kind", "huge-fan-in"])
 def test_a_crafted_ticket_file_with_a_valid_checksum_fails_typed(tmp_path, capsys, header, error):
     # A header the arrays do not fit fails before any array is allocated.
     path, out = tmp_path / "t.plab", tmp_path / "out.plab"

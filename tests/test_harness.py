@@ -94,6 +94,18 @@ def test_config_rejects_bad_shapes():
         tiny_config(seeds=[])
 
 
+@pytest.mark.parametrize("field, values, repeated", [
+    ("seeds", [3, 3], "3"),
+    ("sparsities", [0.5, 0.8, 0.5], "0.5"),
+    ("seeds", [1, 2, 1], "1"),
+    ("checks", ["none", "none"], "'none'"),
+])
+def test_config_refuses_a_grid_axis_that_repeats_a_value(field, values, repeated):
+    # Each would run the same cells twice, and the report would count them as seeds.
+    with pytest.raises(ConfigError, match=f"^{field} lists {repeated} more than once$"):
+        tiny_config(**{field: values})
+
+
 # Pipeline entries with options their kind does not read, and `prunelab ticket`
 # flags that give the same kind an option it does not read.
 UNREAD_OPTIONS = [
@@ -420,19 +432,12 @@ DATA_GRID = {
 
 def watch_memo(monkeypatch):
     """Wrap harness.run_cell; returns a list of (kind, check, seed, memo names
-    before the cell, memo) per cell, where the names are the memo's pruning
-    data buckets and the (data check, check seed) prefixes of its "scores"
-    and "imp" entries."""
+    before the cell, memo) per cell, where the names are the memo's keys:
+    the pruning data it holds buckets for."""
     seen, real = [], harness.run_cell
 
-    def held(memo):
-        names = {k for k in memo if isinstance(k, tuple)}
-        for slot in ("scores", "imp"):
-            names |= {k[:2] for k in memo.get(slot, (None, {}))[1]}
-        return names
-
     def cell(kind, params, check, split, specs, p, seed, train_cfg, *, memo):
-        seen.append((kind, check, seed, held(memo), memo))
+        seen.append((kind, check, seed, set(memo), memo))
         return real(kind, params, check, split, specs, p, seed, train_cfg, memo=memo)
 
     monkeypatch.setattr(harness, "run_cell", cell)
@@ -446,9 +451,8 @@ def test_a_grid_holds_at_most_one_corrupted_train_set(tmp_path, monkeypatch):
     assert len(seen) == 3 * 2 * len(CHECK_NAMES) * 2
     for kind, check, seed, names, _ in seen:
         assert len({n for n in names if n[0] != "none"}) <= 1, (kind, check, seed)
-    memo = seen[0][-1]  # the grid's one memo, after its last cell: empty slots
-    assert not any(isinstance(k, tuple) for k in memo) and "clean" not in memo
-    assert all(memo[slot][1] == {} for slot in ("scores", "imp"))
+    memo = seen[0][-1]  # the grid's one memo, after its last cell: empty
+    assert memo == {}
 
 
 def test_a_grid_drops_a_pruning_data_after_its_last_cell(tmp_path, monkeypatch):

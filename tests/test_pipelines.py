@@ -719,7 +719,7 @@ def test_a_shared_memo_gives_standalone_cells_with_one_pretraining_per_data(monk
     assert sum(c.seed == pretrain_seed for c in cfgs) == 4
     assert len(cfgs) == 4 + len(PRETRAINED_KINDS) * len(MEMO_CHECKS)
     # Clean data is one pruning data under every check seed.
-    assert memo.keys() == {("corrupt-both", seed), ("none", None), "scores", "clean"}
+    assert memo.keys() == {("corrupt-both", seed), ("none", None)}
     # The first read of the corrupted data corrupts it; every later cell reads the held set.
     assert checked == ["corrupt-both"]
 
@@ -732,6 +732,12 @@ def test_a_shared_memo_gives_standalone_cells_with_one_pretraining_per_data(monk
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def held_entries(memo, what):
+    """Every bucket's ("scores", seed) or ("imp", seed) entries, keyed (*pruning data, seed)."""
+    return {(*name, key[1]): value for name, held in memo.items()
+            for key, value in held["pipeline"][1].items() if key[0] == what}
 
 
 def run_grid(kinds, checks, sparsities, seeds, memo):
@@ -875,10 +881,10 @@ def test_a_memo_grid_walks_each_imp_path_once(monkeypatch, mode, order):
     assert listed() == {(p, data, seed): rounds for p, rounds in zip(sparsities, walked)
                         for data in ("none", "corrupt-both") for seed in (3, 4)}
     assert_cells_stand_alone(cells, mode)
-    # The slot holds the frontier per pruning data and seed: read-only arrays, no Dataset.
-    group, paths = memo["imp"]
-    assert group == ("imp", (("round_fraction", 0.5), ("mode", mode), ("family", "plain")),
-                     IMP_SPECS, FAST)
+    # Each pruning data's bucket holds the frontier per seed: read-only arrays, no Dataset.
+    paths = held_entries(memo, "imp")
+    assert {held["pipeline"][0] for held in memo.values()} == {
+        ("imp", (("round_fraction", 0.5), ("mode", mode), ("family", "plain")), IMP_SPECS, FAST)}
     assert sorted(paths) == [("corrupt-both", s, s) for s in (3, 4)] + [
         ("none", None, s) for s in (3, 4)]
     assert all(isinstance(state, pipelines._ImpState) for state in paths.values())
@@ -900,7 +906,7 @@ def test_hybrid_imp_in_a_memo_grid_walks_every_target_alone(monkeypatch):
     assert listed() == {(p, data, seed): list(range(1, n + 1))
                         for p, n in zip(sparsities, (1, 3, 3))
                         for data in ("none", "corrupt-both") for seed in (3, 4)}
-    assert memo["imp"][1] == {}
+    assert held_entries(memo, "imp") == {}
     assert_cells_stand_alone(cells, "hybrid")
 
 
@@ -912,7 +918,26 @@ def test_an_imp_training_that_raises_holds_nothing(monkeypatch):
     memo = {}
     with pytest.raises(TrainingDivergedError):
         build_ticket("imp", SPECS, SPLIT, 0.5, 3, FAST, {"round_fraction": 0.5}, memo=memo)
-    assert memo["imp"][1] == {}
+    assert memo.keys() == {("none", None)} and memo["none", None].keys() == {"pipeline"}
+    assert memo["none", None]["pipeline"][1] == {}
+
+
+def test_the_next_pipeline_on_a_pruning_data_drops_its_imp_frontier():
+    def frontiers():
+        return len({id(x) for x in walk(memo) if isinstance(x, pipelines._ImpState)})
+
+    memo = {}
+    for check in ("none", "corrupt-both"):
+        build_ticket("imp", SPECS, SPLIT, 0.5, 3, FAST, {"round_fraction": 0.5}, [check],
+                     memo=memo)
+    assert frontiers() == 2
+    # snip on clean data drops clean data's frontier; the corrupted set's stays.
+    build_ticket("snip", SPECS, SPLIT, 0.5, 3, FAST, {}, ["none"], memo=memo)
+    assert frontiers() == 1
+    assert sorted(held_entries(memo, "imp")) == [("corrupt-both", 3, 3)]
+    build_ticket("snip", SPECS, SPLIT, 0.5, 3, FAST, {}, ["corrupt-both"], memo=memo)
+    assert frontiers() == 0
+    assert sorted(held_entries(memo, "scores")) == [("corrupt-both", 3, 3), ("none", None, 3)]
 
 
 def test_a_memo_grid_corrupts_each_train_set_once_per_data_check_and_seed(monkeypatch):
@@ -966,7 +991,7 @@ def test_clean_data_pretrains_once_under_every_check_seed(monkeypatch):
         )
         assert same_arrays(ticket, alone[s]) and ticket.provenance == alone[s].provenance
     assert len(trained) == 1
-    assert memo.keys() == {("none", None), "scores", "clean"}
+    assert memo.keys() == {("none", None)}
 
 
 def test_a_data_free_cell_under_a_data_check_returns_the_clean_cell(monkeypatch):
@@ -987,27 +1012,32 @@ def test_a_memo_holds_one_group_of_read_only_clean_tickets():
     checks = ("none", "corrupt-both", "shuffle-weights")
     run_grid(("snip",), checks, (0.5, 0.8), (3, 4), memo)
     # One score per pruning data and seed, kept until the next pipeline.
-    group, scored = memo["scores"]
-    assert group == ("snip", SPECS)
+    assert {held["pipeline"][0] for held in memo.values()} == {("snip", (), SPECS, FAST)}
+    scored = held_entries(memo, "scores")
     assert sorted(scored) == [("corrupt-both", s, s) for s in (3, 4)] + [
         ("none", None, s) for s in (3, 4)]
     arrays = [x for x in walk(scored) if isinstance(x, np.ndarray)]
     assert len(arrays) == 4 * (2 * len(SIZES) + 1)  # init, scores and batch index each
     assert not any(arr.flags.writeable for arr in arrays)
     cells = run_grid(("lt",), checks, (0.5, 0.8), (3, 4), memo)
-    assert memo["scores"] == (("lt", SPECS), {})
-    group, held = memo["clean"]
-    assert group[0] == "lt" and group[3] == 0.8
-    assert sorted(k for k in held if not isinstance(k, tuple)) == [3, 4]
-    for seed in (3, 4):
-        assert held[seed] is cells["lt", 0.8, "none", seed].ticket
+    assert memo.keys() == {("none", None), ("corrupt-both", 3), ("corrupt-both", 4)}
+    assert all(memo["corrupt-both", s]["pipeline"][1] == {} for s in (3, 4))
+    group, held = memo["none", None]["pipeline"]
+    assert group == ("lt", (("preserve_output_layer", False),), SPECS, FAST)
+    # Every sparsity's clean ticket and clean cell, kept until the next pipeline.
+    tickets = [(p, s) for p in (0.5, 0.8) for s in (3, 4)]
+    assert sorted(k for k in held if k[0] != "cell") == tickets
+    assert sorted(k[1:] for k in held if k[0] == "cell") == tickets
+    for p, seed in itertools.product((0.5, 0.8), (3, 4)):
+        assert held[p, seed] is cells["lt", p, "none", seed].ticket
+        assert held["cell", p, seed] is cells["lt", p, "none", seed]
     assert_holds_corrupted_sets(memo, [("corrupt-both", s) for s in (3, 4)])
     # The last group's tickets, the pretraining runs and the corrupted sets.
     arrays = [x for x in walk(memo) if isinstance(x, np.ndarray)]
     assert arrays and not any(arr.flags.writeable for arr in arrays)
     # An attacked ticket is the cell's own, not the held one.
     attacked = cells["lt", 0.8, "shuffle-weights", 3].ticket
-    assert attacked.provenance == {**held[3].provenance, "checks": ["shuffle-weights"],
+    assert attacked.provenance == {**held[0.8, 3].provenance, "checks": ["shuffle-weights"],
                                    "check_seed": 3}
 
 
