@@ -15,11 +15,6 @@ from .engine import check_alignment
 from .errors import DomainError
 from .pruning import Mask
 
-DATA_CHECKS = ("random-labels", "random-pixels", "corrupt-both", "half-data")
-STRUCTURAL_CHECKS = ("rearrange", "shuffle-weights")
-CHECK_NAMES = ("none",) + DATA_CHECKS + STRUCTURAL_CHECKS
-
-
 def corrupt_labels(data, rng) -> Dataset:
     """Replace every label with a uniform draw from the label set.
 
@@ -69,14 +64,20 @@ def shuffle_unmasked_weights(params, mask, rng):
     return params.with_weights(new_weights)
 
 
+# Each data check's public name and its transform.
+_DATA_TRANSFORMS = {
+    "random-labels": corrupt_labels,
+    "random-pixels": corrupt_pixels,
+    "corrupt-both": corrupt_both,
+    "half-data": half_dataset,
+}
+DATA_CHECKS = tuple(_DATA_TRANSFORMS)
+STRUCTURAL_CHECKS = ("rearrange", "shuffle-weights")
+CHECK_NAMES = ("none",) + DATA_CHECKS + STRUCTURAL_CHECKS
+
+
 def apply_data_check(name, data, rng) -> Dataset:
     """Dispatch one data-corruption check by its public name."""
-    if name == "random-labels":
-        return corrupt_labels(data, rng)
-    if name == "random-pixels":
-        return corrupt_pixels(data, rng)
-    if name == "corrupt-both":
-        return corrupt_both(data, rng)
-    if name == "half-data":
-        return half_dataset(data, rng)
-    raise DomainError(f"unknown data check {name!r}; choose from {DATA_CHECKS}")
+    if name not in _DATA_TRANSFORMS:
+        raise DomainError(f"unknown data check {name!r}; choose from {DATA_CHECKS}")
+    return _DATA_TRANSFORMS[name](data, rng)

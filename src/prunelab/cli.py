@@ -79,8 +79,11 @@ def _cmd_run(args):
 
     def progress(i, total, row):
         acc = "failed" if row.accuracy is None else f"{row.accuracy:.2f}%"
-        print(f"[{i}/{total}] {row.pipeline} {row.check} p={row.sparsity} "
-              f"seed={row.seed}: {acc}")
+        line = (f"[{i}/{total}] {row.pipeline} {row.check} p={row.sparsity} "
+                f"seed={row.seed}: {acc}")
+        # A pipeline name that stdout cannot encode is escaped, not fatal.
+        encoding = sys.stdout.encoding or "utf-8"
+        print(line.encode(encoding, "backslashreplace").decode(encoding))
 
     rows = run_experiment(cfg, progress=progress if not args.quiet else None)
     ok = sum(1 for r in rows if r.accuracy is not None)

@@ -7,7 +7,7 @@ import math
 import numbers
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -21,6 +21,10 @@ def _is_int(v):
 
 def _is_number(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_noise(v):
+    return _is_number(v) and 0 <= v <= sys.float_info.max  # NaN fails it too
 
 
 def _read_only(a):
@@ -86,10 +90,6 @@ class Dataset:
         idx = np.asarray(idx)
         return Dataset(self.samples[idx], self.labels[idx], self.class_count, self.sample_shape)
 
-    def sample_shape_for_net(self):
-        """Shape to hand conv-first networks; None for flat data."""
-        return self.sample_shape if len(self.sample_shape) == 3 else None
-
 
 @dataclass(frozen=True)
 class DataSplit:
@@ -101,12 +101,12 @@ def synthetic_blobs(classes, dim, n, seed, *, noise=1.0, sample_shape=None) -> D
     """Gaussian class blobs, generated normalized; fixed 80/20 split."""
     if classes < 2 or dim < 1 or n < classes:
         raise DomainError("blobs need classes >= 2, dim >= 1, n >= classes")
-    if not (_is_number(noise) and 0 <= noise <= sys.float_info.max):  # NaN fails it too
+    if not _is_noise(noise):
         raise DomainError(f"blob noise must be a finite number >= 0, not {noise!r}")
     rng = seeding.stream(seed, seeding.BLOBS)
     centers = rng.normal(0.0, 1.0, (classes, dim))
     labels = rng.permutation(np.arange(n) % classes)
-    samples = centers[labels] + rng.normal(0.0, noise, (n, dim))
+    samples = centers[labels] + rng.normal(0.0, float(noise), (n, dim))
     shape = tuple(sample_shape) if sample_shape is not None else (dim,)
     if int(np.prod(shape)) != dim:
         raise DomainError(f"sample_shape {shape} does not cover dim {dim}")
@@ -240,48 +240,71 @@ def _looks_like_header(row):
     return False
 
 
-# Each dataset kind and the keys its source reads besides "kind".
+def read_keys(what, noun, table, given, error):
+    """The keys of `table` read from the mapping `given`, defaults filled in.
+
+    `table` maps each key to (default, accepted values, test); a default of
+    MISSING marks a required key.  A key `table` lacks raises
+    error("<what> <noun> [keys]; allowed: (keys of table)"), a required key
+    missing from `given` raises error("<what> needs '<key>', ..."), and a
+    given value that fails its test raises
+    error("<what> <key> must be <accepted>, not <value>").  Defaults are
+    not tested.
+    """
+    unknown = sorted(set(given) - set(table), key=str)
+    if unknown:
+        raise error(f"{what} {noun} {unknown}; allowed: {tuple(table)}")
+    values = {}
+    for key, (default, accepted, ok) in table.items():
+        values[key] = given.get(key, default)
+        if values[key] is MISSING:
+            raise error(f"{what} needs {key!r}, which must be {accepted}")
+        if key in given and not ok(values[key]):
+            raise error(f"{what} {key} must be {accepted}, not {values[key]!r}")
+    return values
+
+
+def _is_shape(v):
+    return isinstance(v, (list, tuple)) and v and all(_is_int(d) and d > 0 for d in v)
+
+
+_PATH = (MISSING, "a path string", lambda v: isinstance(v, str))
+
+# Each dataset kind and the keys its source reads besides "kind", as
+# `read_keys` takes them.  The kind's loader takes the keys read as keywords.
 DATASET_KEYS = {
-    "synthetic-blobs": ("classes", "dim", "n", "seed", "noise", "shape"),
-    "idx-files": ("train_images", "train_labels", "test_images", "test_labels"),
-    "csv": ("path",),
+    "synthetic-blobs": {
+        "classes": (3, "an integer", _is_int),
+        "dim": (16, "an integer", _is_int),
+        "n": (600, "an integer", _is_int),
+        "seed": (0, "an integer", _is_int),
+        "noise": (1.0, "a finite number >= 0", _is_noise),
+        "shape": (None, "a list of positive integers", lambda v: v is None or _is_shape(v)),
+    },
+    "idx-files": dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels"),
+                               _PATH),
+    "csv": {"path": _PATH},
+}
+LOADERS = {
+    "synthetic-blobs": lambda shape, **keys: synthetic_blobs(**keys, sample_shape=shape),
+    "idx-files": load_idx_split,
+    "csv": load_csv,
 }
 
 
 def load_dataset(source: dict) -> DataSplit:
-    """Dispatch on source["kind"]: synthetic-blobs | idx-files | csv."""
+    """The DataSplit a source mapping describes: its "kind", a key of
+    DATASET_KEYS, and the keys that kind reads, which its loader takes.
+
+    A source that is not such a mapping raises DatasetError, and so does a
+    key its kind does not read or a value a key does not take (see
+    `read_keys`).
+    """
     if not isinstance(source, dict) or "kind" not in source:
         raise DatasetError("dataset source must be a mapping with a 'kind'")
     kind = source["kind"]
     if not isinstance(kind, str) or kind not in DATASET_KEYS:
         raise DatasetError(f"unknown dataset kind {kind!r}; choose from {tuple(DATASET_KEYS)}")
-    unknown = sorted(set(source) - {"kind", *DATASET_KEYS[kind]})
-    if unknown:
-        raise DatasetError(
-            f"{kind} dataset takes no key {unknown}; allowed: {DATASET_KEYS[kind]}"
-        )
-    if kind == "synthetic-blobs":
-        defaults = {"classes": 3, "dim": 16, "n": 600, "seed": 0}
-        counts = {k: source.get(k, d) for k, d in defaults.items()}
-        for k, v in counts.items():
-            if not _is_int(v):
-                raise DatasetError(f"synthetic-blobs {k} must be an integer, not {v!r}")
-        noise, shape = source.get("noise", 1.0), source.get("shape")
-        if not (_is_number(noise) and 0 <= noise <= sys.float_info.max):  # NaN fails it too
-            raise DatasetError(f"synthetic-blobs noise must be a finite number >= 0, not {noise!r}")
-        if shape is not None and not (isinstance(shape, (list, tuple)) and shape
-                                      and all(_is_int(d) and d > 0 for d in shape)):
-            raise DatasetError(f"synthetic-blobs shape must list positive integers, not {shape!r}")
-        return synthetic_blobs(**counts, noise=float(noise), sample_shape=shape)
-    # idx-files and csv read only paths, and need each of them.
-    for key in DATASET_KEYS[kind]:
-        if not isinstance(source.get(key), str):
-            raise DatasetError(f"{kind} source needs {key!r} as a path string")
-    if kind == "idx-files":
-        return load_idx_split(
-            source["train_images"],
-            source["train_labels"],
-            source["test_images"],
-            source["test_labels"],
-        )
-    return load_csv(source["path"])
+    given = {k: v for k, v in source.items() if k != "kind"}
+    return LOADERS[kind](**read_keys(kind, "dataset takes no key", DATASET_KEYS[kind], given,
+                                     DatasetError))

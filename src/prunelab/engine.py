@@ -181,15 +181,13 @@ def check_alignment(params, mask):
             raise AlignmentError(f"layer {i}: mask length {c.size} != weight length {w.size}")
 
 
-def _layer_shape(spec):
-    if spec.kind == "conv":
-        kh, kw = spec.kernel
-        return (spec.fan_out, spec.fan_in, kh, kw)
-    return (spec.fan_in, spec.fan_out)
-
-
 def _run_layers(params, mask, samples, sample_shape, keep=None, reuse=None):
     """Masked forward pass through the stack; returns the (n, classes) logits.
+
+    `sample_shape` is the shape of one sample, as a Dataset records it.  A
+    conv-first network reshapes each row of `samples` to it, so it must be a
+    (channels, h, w) that covers the features; a dense-first network reads
+    the rows flat and ignores it.
 
     `reuse` is a spent pass whose patch buffers this pass refills where they
     hold its blocks (see `_im2col`).  When `keep` is a list, each layer
@@ -210,9 +208,8 @@ def _run_layers(params, mask, samples, sample_shape, keep=None, reuse=None):
         h = samples.reshape(n, *sample_shape)
 
     for i, spec in enumerate(specs):
-        shape = _layer_shape(spec)
-        c = mask.layers[i].reshape(shape)
-        w = params.weights[i].reshape(shape) * c
+        c = mask.layers[i].reshape(spec.shape)
+        w = params.weights[i].reshape(c.shape) * c
         x = h
         cols = blocks = None  # the blocks kept, and those the layer draws on
         if spec.kind == "dense":
@@ -247,16 +244,12 @@ def _run_layers(params, mask, samples, sample_shape, keep=None, reuse=None):
 
 def _as_batch(samples, labels=None):
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = samples[None, :]
     if samples.ndim != 2:
         raise AlignmentError(f"samples must be (n, features), got shape {samples.shape}")
     if labels is not None:
         labels = np.asarray(labels)
-        if labels.ndim == 0:
-            labels = labels[None]
-        if labels.shape[0] != samples.shape[0]:
-            raise AlignmentError(f"{samples.shape[0]} samples but {labels.shape[0]} labels")
+        if labels.shape[:1] != samples.shape[:1]:
+            raise AlignmentError(f"{samples.shape[0]} samples but labels of shape {labels.shape}")
     if samples.shape[0] == 0:
         raise DomainError("empty batch")
     return samples, labels
@@ -279,13 +272,17 @@ def forward_loss(
 ):
     """Masked batch-mean loss; returns (loss, pass) with the pass ready for backward.
 
+    `samples` is (n, features) and `labels` holds n labels; `sample_shape`
+    is one sample's shape, which only a conv-first network reads (see
+    `_run_layers`).
+
     `reuse` is a spent pass whose conv patch buffers this pass refills in
     place where they hold its blocks, and keeps; that pass must not be used
     again.  A short batch fills the front of a full batch's buffers, which
-    it keeps whole for the next full batch.  Without `reuse` the pass keeps no patch blocks: `backward` and
-    `hessian_vector_product` build each one in turn, so a one-off pass (a
-    scoring batch, an SGD run's first step) holds one block per conv layer
-    at a time, not all of them.
+    it keeps whole for the next full batch.  Without `reuse` the pass keeps
+    no patch blocks: `backward` and `hessian_vector_product` build each one
+    in turn, so a one-off pass (a scoring batch, an SGD run's first step)
+    holds one block per conv layer at a time, not all of them.
     """
     if head not in HEADS:
         raise DomainError(f"unknown loss head {head!r}")

@@ -16,7 +16,7 @@ import io
 import json
 import os
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -24,9 +24,8 @@ from .checks import CHECK_NAMES
 from .data import _finite, _is_int, _is_number, load_dataset
 from .engine import NUMERICS_VERSION
 from .errors import ConfigError, DomainError, PrunelabError
-from .models import PRESET_NAMES, preset_specs
+from .models import PRESET_NAMES, preset_specs, record
 from .pipelines import (
-    TICKET_KINDS,
     TrainConfig,
     pipeline_options,
     pruning_data_name,
@@ -70,10 +69,8 @@ class ExperimentConfig:
         if not self.pipelines or not self.seeds or not self.sparsities:
             raise ConfigError("pipelines, sparsities, and seeds must be non-empty")
         for p in self.pipelines:
-            if p.get("kind") not in TICKET_KINDS:
-                raise ConfigError(f"pipeline entry needs a kind from {TICKET_KINDS}: {p}")
             try:
-                pipeline_options(p["kind"], _pipeline_params(p))
+                pipeline_options(p.get("kind"), _pipeline_params(p))
             except DomainError as exc:
                 raise ConfigError(f"{exc} in pipeline {p}") from None
         for c in self.checks:
@@ -88,8 +85,7 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} lists {v!r} more than once")
 
     def to_dict(self):
-        d = {**asdict(self), "train": self.train.to_dict()}
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
+        return {**record(self), "train": self.train.to_dict()}
 
     @classmethod
     def from_dict(cls, d):

@@ -2,21 +2,20 @@
 
 Networks are stacks of bias-free dense and conv layers with ReLU between
 hidden layers and raw logits at the output.  Weights live as flat float64
-vectors per layer (row-major over the natural layer shape), which keeps mask
-algebra and pruning criteria uniform across layer kinds.
+vectors per layer (row-major over the layer's `LayerSpec.shape`), which
+keeps mask algebra and pruning criteria uniform across layer kinds.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import engine, seeding
-from .data import _read_only
+from .data import _is_int, _read_only
 from .errors import AlignmentError, DomainError
 
 
@@ -32,7 +31,7 @@ FAMILIES = tuple(f.value for f in ArchFamily)
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Static description of one layer (no weights)."""
+    """Static description of one layer (no weights); a kernel is kept as a tuple."""
 
     kind: str  # "dense" | "conv"
     fan_in: int
@@ -43,8 +42,10 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in ("dense", "conv"):
             raise DomainError(f"unknown layer kind {self.kind!r}")
+        if self.kernel is not None:
+            object.__setattr__(self, "kernel", tuple(self.kernel))
         dims = (self.fan_in, self.fan_out, *(self.kernel or ()))
-        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
+        if not all(_is_int(d) for d in dims):
             raise DomainError(f"fan_in, fan_out and kernel dims must be integers, got {dims}")
         if self.fan_in < 1 or self.fan_out < 1:
             raise DomainError("fan_in and fan_out must be positive")
@@ -57,10 +58,25 @@ class LayerSpec:
             raise DomainError("dense layers take no kernel")
 
     @property
-    def weight_count(self) -> int:
+    def shape(self) -> tuple[int, ...]:
+        """The layer's natural weight shape: (out, in, kh, kw) for conv, (in, out) for dense."""
         if self.kind == "conv":
-            return self.fan_in * self.fan_out * self.kernel[0] * self.kernel[1]
-        return self.fan_in * self.fan_out
+            return (self.fan_out, self.fan_in, *self.kernel)
+        return (self.fan_in, self.fan_out)
+
+    @property
+    def weight_count(self) -> int:
+        return math.prod(self.shape)
+
+
+def record(obj) -> dict:
+    """A frozen dataclass's fields as a dict, each tuple written as a list.
+
+    The values are not copied: a deep copy costs about four times as much,
+    and configs and layer specs are recorded for every ticket built.
+    """
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 def validate_specs(specs):
@@ -112,14 +128,12 @@ def layer_sizes(obj) -> list[int]:
 def build_network(specs, seed) -> LayeredParams:
     """Fresh Kaiming-initialized network: std = sqrt(2 / effective fan-in)."""
     specs = tuple(specs)
-    validate_specs(specs)
     if len(specs) < 2:
         raise DomainError("build_network expects at least two layers")
     rng = seeding.stream(seed, seeding.INIT)
     weights = []
     for s in specs:
-        fan_eff = s.fan_in * (s.kernel[0] * s.kernel[1] if s.kind == "conv" else 1)
-        std = math.sqrt(2.0 / fan_eff)
+        std = math.sqrt(2.0 / (s.weight_count // s.fan_out))
         weights.append(rng.normal(0.0, std, s.weight_count))
     return LayeredParams(specs, tuple(weights))
 
@@ -135,8 +149,7 @@ def accuracy(params, mask, data, *, batch_size=512, reuse=None) -> float:
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))
         logits = engine.forward_logits(
-            params, mask, data.samples[sl], sample_shape=data.sample_shape_for_net(),
-            reuse=reuse,
+            params, mask, data.samples[sl], sample_shape=data.sample_shape, reuse=reuse
         )
         correct += int((np.argmax(logits, axis=1) == data.labels[sl]).sum())
     return correct / n

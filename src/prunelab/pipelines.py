@@ -21,13 +21,13 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
 from . import seeding
-from .data import DataSplit, _is_int, _is_number
+from .data import DataSplit, _is_int, _is_number, read_keys
 from .engine import backward, check_alignment, forward_loss
 from .errors import (
     DatasetError,
@@ -45,7 +45,7 @@ from .checks import (
     rearrange_mask_layerwise,
     shuffle_unmasked_weights,
 )
-from .models import FAMILIES, LayeredParams, LayerSpec, accuracy, build_network, layer_sizes
+from .models import FAMILIES, LayeredParams, LayerSpec, accuracy, build_network, layer_sizes, record
 from .pruning import (
     _select_global,
     _select_layerwise,
@@ -97,22 +97,14 @@ DATA_FREE_KINDS = ("dense", "random")
 def pipeline_options(kind, params):
     """The options `kind` reads from `params`, defaults filled in.
 
-    A key that `kind` does not read, or a value its option does not take,
-    raises DomainError.
+    Options pass the gate dataset sources pass (`data.read_keys`): a key
+    that `kind` does not read, or a value its option does not take, raises
+    DomainError.
     """
-    if kind not in PIPELINE_OPTIONS:
+    if kind not in TICKET_KINDS:  # a tuple, so an unhashable kind fails here too
         raise DomainError(f"unknown pipeline kind {kind!r}; choose from {TICKET_KINDS}")
-    allowed = PIPELINE_OPTIONS[kind]
-    unread = sorted(set(params) - set(allowed), key=str)
-    if unread:
-        raise DomainError(f"pipeline {kind!r} takes no option {unread}; allowed: {allowed}")
-    opts = {}
-    for key in allowed:
-        default, expected, ok = OPTIONS[key]
-        opts[key] = params.get(key, default)
-        if key in params and not ok(opts[key]):
-            raise DomainError(f"unknown {key} {opts[key]!r}; expected {expected}")
-    return opts
+    table = {key: OPTIONS[key] for key in PIPELINE_OPTIONS[kind]}
+    return read_keys(f"pipeline {kind!r}", "takes no option", table, params, DomainError)
 
 
 @dataclass(frozen=True)
@@ -146,9 +138,7 @@ class TrainConfig:
             raise DomainError("lr_drop_points must be strictly increasing within (0, 1)")
 
     def to_dict(self):
-        d = asdict(self)
-        d["lr_drop_points"] = list(self.lr_drop_points)
-        return d
+        return record(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -228,7 +218,6 @@ def train(
     cur = params.with_weights(np.split(weights, bounds))
     grads = np.split(grad, bounds)
     n = data.n
-    shape = data.sample_shape_for_net()
     checkpoints = {}
 
     def snapshot(epoch):
@@ -248,7 +237,7 @@ def train(
             try:
                 loss, tape = forward_loss(
                     cur, mask, data.samples[idx], data.labels[idx],
-                    sample_shape=shape, reuse=tape,
+                    sample_shape=data.sample_shape, reuse=tape,
                 )
             except NumericsError as exc:
                 raise TrainingDivergedError(str(exc), epoch) from None
@@ -299,21 +288,14 @@ def _init_scores(kind, specs, data, seed):
     samples, labels, idx = score_batch(data, seed)
     score = snip_scores if kind == "snip" else grasp_scores
     scores = score(init, full_mask(layer_sizes(specs)), samples, labels,
-                   sample_shape=data.sample_shape_for_net())
+                   sample_shape=data.sample_shape)
     return init, scores, idx
-
-
-def _arch_provenance(specs):
-    # A shallow copy of the fields: asdict deep-copies each value, which
-    # costs about four times as much, and this runs for every ticket built.
-    return [{**{f.name: getattr(s, f.name) for f in fields(s)},
-             "kernel": list(s.kernel) if s.kernel else None} for s in specs]
 
 
 def _header(kind, specs, target_sparsity, seed, **fields):
     """The provenance every ticket starts with, then its kind's own `fields`."""
     return {"kind": kind, "sparsity": float(target_sparsity), "seed": int(seed),
-            "arch": _arch_provenance(specs), **fields}
+            "arch": [record(s) for s in specs], **fields}
 
 
 def _shared(memo, key, make):
@@ -744,7 +726,7 @@ _PREFIX = struct.Struct("<8sIQ")  # magic, version, header length
 
 def save_ticket(ticket, path):
     header = json.dumps(
-        {"arch": _arch_provenance(ticket.weights.specs), "provenance": ticket.provenance},
+        {"arch": [record(s) for s in ticket.weights.specs], "provenance": ticket.provenance},
         sort_keys=True,
     ).encode("utf-8")
     pairs = zip(ticket.weights.weights, ticket.mask.layers)
@@ -770,10 +752,7 @@ def load_ticket(path) -> Ticket:
     try:
         header = json.loads(buf[_PREFIX.size : start].decode("utf-8"))
         arch, prov = header["arch"], header["provenance"]
-        specs = tuple(
-            LayerSpec(**{**a, "kernel": tuple(a["kernel"]) if a.get("kernel") else None})
-            for a in arch
-        )
+        specs = tuple(LayerSpec(**a) for a in arch)
     except (KeyError, TypeError, ValueError, PrunelabError) as exc:
         raise DatasetError(f"{path}: bad header: {type(exc).__name__}: {exc}") from None
     # Each layer's weights, then its mask; the CRC follows them.

@@ -15,7 +15,7 @@ import pytest
 
 from prunelab.cli import main
 from prunelab.errors import DatasetError
-from prunelab.harness import CSV_COLUMNS, ResultRow, emit_rows
+from prunelab.harness import CSV_COLUMNS, ResultRow, emit_rows, parse_rows
 from prunelab.models import LayerSpec, build_network, layer_sizes, preset_specs
 from prunelab.pipelines import (
     TICKET_MAGIC,
@@ -62,6 +62,23 @@ def test_run_executes_a_config(tmp_path, capsys, monkeypatch):
     assert "done: 2/2 cells succeeded" in capsys.readouterr().out
     assert list(out_dir.glob("rows-*.csv"))
     assert list(out_dir.glob("report-*.md"))
+
+
+def test_run_prints_one_progress_line_per_cell(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PRUNELAB_OUTPUT_DIR", raising=False)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**TINY, "checks": ["none", "rearrange"]}))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "results")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    (rows,) = (tmp_path / "results").glob("rows-*.csv")
+    by_cell = {(r.check, r.seed): r.accuracy for r in parse_rows(rows)}
+    assert out[-1] == "done: 4/4 cells succeeded"
+    # One line per cell, numbered in run order; every cell of this grid prunes clean data.
+    assert out[:-1] == [
+        f"[{i}/4] random {check} p=0.5 seed={seed}: {by_cell[check, seed]:.2f}%"
+        for i, (check, seed) in enumerate(
+            [("none", 0), ("none", 1), ("rearrange", 0), ("rearrange", 1)], start=1)
+    ]
 
 
 @pytest.mark.parametrize("typo", [
@@ -143,6 +160,25 @@ def test_run_and_report_write_utf8_under_an_ascii_locale(tmp_path):
     assert (tmp_path / "r.md").read_bytes() == report.read_bytes()
 
 
+def test_run_prints_progress_that_stdout_cannot_encode_escaped(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("PRUNELAB_OUTPUT_DIR", None)
+    cfg = {**TINY, "pipelines": [{"kind": "random", "name": "random-α"}], "output_dir": "out"}
+    (tmp_path / "exp.json").write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+    # Without --quiet: each progress line names the pipeline, which ASCII cannot encode.
+    done = subprocess.run([sys.executable, "-m", "prunelab.cli", "run", "exp.json"], env=env,
+                          cwd=tmp_path, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    (rows,) = (tmp_path / "out").glob("rows-*.csv")
+    assert [(r.pipeline, r.seed) for r in parse_rows(rows)] == [("random-α", 0), ("random-α", 1)]
+    lines = done.stdout.decode("ascii").splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "[1/2] random-\\u03b1 none p=0.5 seed=0", "[2/2] random-\\u03b1 none p=0.5 seed=1", "done",
+    ]
+
+
 def test_run_missing_config_reports_one_line(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json")]) == 1
     err = capsys.readouterr().err
@@ -171,8 +207,14 @@ def test_run_on_an_empty_split_exits_one_with_one_line(tmp_path, capsys, source)
 BAD_NUMBERS = {
     "noise-nan": ({"noise": float("nan")}, "synthetic-blobs noise must be a finite number"),
     "noise-true": ({"noise": True}, "synthetic-blobs noise must be a finite number"),
-    "shape-bool": ({"shape": [True, 4]}, "synthetic-blobs shape must list positive integers"),
-    "shape-fraction": ({"shape": [2.5, 1.6]}, "synthetic-blobs shape must list positive integers"),
+    "shape-bool": (
+        {"shape": [True, 4]},
+        "synthetic-blobs shape must be a list of positive integers, not [True, 4]",
+    ),
+    "shape-fraction": (
+        {"shape": [2.5, 1.6]},
+        "synthetic-blobs shape must be a list of positive integers, not [2.5, 1.6]",
+    ),
     "csv-nan": ("1.0,2.0,0\n3.0,nan,1\n" * 5, "line 2: 'nan' is not a finite number"),
 }
 

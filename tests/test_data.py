@@ -2,6 +2,7 @@
 
 import re
 import struct
+from dataclasses import MISSING
 
 import numpy as np
 import pytest
@@ -9,12 +10,17 @@ import pytest
 from prunelab.data import (
     DataSplit,
     Dataset,
+    _is_int,
     load_csv,
     load_dataset,
     load_idx_split,
+    read_keys,
     synthetic_blobs,
 )
-from prunelab.errors import DatasetError, DomainError
+from prunelab.engine import forward_logits
+from prunelab.errors import AlignmentError, DatasetError, DomainError
+from prunelab.models import LayeredParams, LayerSpec, layer_sizes
+from prunelab.pruning import full_mask
 
 
 def test_dataset_validation():
@@ -85,9 +91,22 @@ def test_dataset_take_and_net_shape():
     sub = data.take([2, 0])
     assert sub.n == 2
     assert np.array_equal(sub.samples[0], data.samples[2])
-    assert data.sample_shape_for_net() == (1, 2, 2)
+    # The engine reads a sample shape only for a conv-first network, which
+    # needs a (channels, h, w) one: the image data's shape serves it, and
+    # flat data's shape is refused there but ignored by a dense-first one.
+    conv = (LayerSpec("conv", 1, 2, kernel=(1, 1)), LayerSpec("dense", 8, 2, is_output=True))
+    dense = (LayerSpec("dense", 4, 2, is_output=True),)
     flat = Dataset(np.zeros((3, 4)), [0, 1, 0], 2, (4,))
-    assert flat.sample_shape_for_net() is None
+
+    def logits(specs, given):
+        params = LayeredParams(specs, [np.ones(s.weight_count) for s in specs])
+        return forward_logits(params, full_mask(layer_sizes(specs)), given.samples,
+                              sample_shape=given.sample_shape)
+
+    for specs, given in ((conv, data), (dense, flat), (dense, data)):
+        assert logits(specs, given).shape == (3, 2)
+    with pytest.raises(AlignmentError, match=r"\(channels, h, w\) sample_shape .*, got \(4,\)"):
+        logits(conv, flat)
 
 
 def test_blobs_split_and_determinism():
@@ -321,3 +340,58 @@ def test_load_dataset_rejects_keys_its_kind_does_not_read(tmp_path):
         load_dataset({"kind": "csv", "path": str(tmp_path / "d.csv"), "dim": 4})
     with pytest.raises(DatasetError, match="takes no key"):
         load_dataset({"kind": "idx-files", "path": "x"})
+
+
+def test_idx_split_refuses_train_and_test_images_of_different_shapes(tmp_path):
+    paths = idx_quartet(tmp_path)
+    wide = tmp_path / "wide.idx"
+    write_idx(wide, np.zeros((4, 3, 4)))
+    with pytest.raises(DatasetError, match=r"train shape \(3, 3\) differs from test shape \(3, 4"):
+        load_idx_split(paths["train_images"], paths["train_labels"], str(wide),
+                       paths["test_labels"])
+
+
+def test_idx_refuses_a_zero_dimensional_payload_and_two_dimensional_labels(tmp_path):
+    paths = idx_quartet(tmp_path)
+    scalar = tmp_path / "scalar.idx"
+    scalar.write_bytes(b"\x00\x00\x08\x00" + b"\x07")
+    with pytest.raises(DatasetError, match="zero-dimensional payload declared at byte 3"):
+        load_idx_split(str(scalar), paths["train_labels"], paths["test_images"],
+                       paths["test_labels"])
+    square = tmp_path / "square.idx"
+    write_idx(square, np.zeros((10, 2)))
+    with pytest.raises(DatasetError, match="square.idx: label payload must be 1-D"):
+        load_idx_split(paths["train_images"], str(square), paths["test_images"],
+                       paths["test_labels"])
+
+
+def test_csv_refuses_a_single_class(tmp_path):
+    one = tmp_path / "one.csv"
+    one.write_text("1.0,2.0,0\n3.0,4.0,0\n5.0,6.0,0\n")
+    with pytest.raises(DatasetError, match="one.csv: needs at least two classes"):
+        load_csv(str(one))
+
+
+@pytest.mark.parametrize("source, message", [
+    ({"kind": "csv"}, "csv needs 'path', which must be a path string"),
+    ({"kind": "csv", "path": 5}, "csv path must be a path string, not 5"),
+    ({"kind": "idx-files", "train_images": "a", "train_labels": "b", "test_images": "c"},
+     "idx-files needs 'test_labels', which must be a path string"),
+    ({"kind": "synthetic-blobs", "n": "60"}, "synthetic-blobs n must be an integer, not '60'"),
+    ({"kind": "synthetic-blobs", "clases": 4},
+     "synthetic-blobs dataset takes no key ['clases']; allowed: "
+     "('classes', 'dim', 'n', 'seed', 'noise', 'shape')"),
+])
+def test_load_dataset_names_the_key_and_value_it_refuses(source, message):
+    with pytest.raises(DatasetError) as err:
+        load_dataset(source)
+    assert str(err.value) == message
+
+
+def test_read_keys_fills_defaults_without_testing_them():
+    table = {"a": (None, "an integer", _is_int), "b": (MISSING, "a string", str.isalpha)}
+    assert read_keys("t", "takes no key", table, {"b": "x"}, DomainError) == {"a": None, "b": "x"}
+    with pytest.raises(DomainError, match=r"^t a must be an integer, not None$"):
+        read_keys("t", "takes no key", table, {"a": None, "b": "x"}, DomainError)
+    with pytest.raises(DomainError, match=r"^t takes no key \[1, 'c'\]; allowed: \('a', 'b'\)$"):
+        read_keys("t", "takes no key", table, {"c": 0, 1: 0, "b": "x"}, DomainError)

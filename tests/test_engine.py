@@ -583,3 +583,19 @@ def test_forward_rejects_shape_mismatches(tiny_net):
     late = build_network(late_specs, seed=3)
     with pytest.raises(AlignmentError):
         forward_logits(late, full_mask(layer_sizes(late_specs)), np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("samples, labels, message", [
+    (np.zeros(4), [0], r"samples must be \(n, features\), got shape \(4,\)"),
+    (np.zeros((2, 2, 2)), [0, 1], r"samples must be \(n, features\), got shape \(2, 2, 2\)"),
+    (np.zeros((2, 4)), [0, 1, 2], r"2 samples but labels of shape \(3,\)"),
+    (np.zeros((1, 4)), 0, r"1 samples but labels of shape \(\)"),
+])
+def test_a_batch_must_be_a_matrix_with_one_label_per_row(samples, labels, message):
+    specs = (LayerSpec("dense", 4, 3, is_output=True),)
+    params = LayeredParams(specs, [np.ones(12)])
+    with pytest.raises(AlignmentError, match=message):
+        forward_loss(params, full_mask([12]), samples, labels)
+    if samples.ndim != 2:
+        with pytest.raises(AlignmentError, match=message):
+            forward_logits(params, full_mask([12]), samples)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,11 +61,11 @@ def test_config_rejects_bad_shapes():
         ExperimentConfig.from_dict({k: v for k, v in TINY.items() if k != "arch"})
     with pytest.raises(ConfigError, match="unknown arch"):
         tiny_config(arch="resnet")
-    with pytest.raises(ConfigError, match="needs a kind"):
+    with pytest.raises(ConfigError, match="unknown pipeline kind None; choose from"):
         tiny_config(pipelines=[{"schedule": "smart"}])
-    with pytest.raises(ConfigError, match="unknown schedule"):
+    with pytest.raises(ConfigError, match="'random' schedule must be one of .*, not 'spiral'"):
         tiny_config(pipelines=[{"kind": "random", "schedule": "spiral"}])
-    with pytest.raises(ConfigError, match="unknown schedule"):
+    with pytest.raises(ConfigError, match="'random' schedule must be one of .*, not 'extracted'"):
         tiny_config(pipelines=[{"kind": "random", "schedule": "extracted"}])
     for entry, key in [
         ({"kind": "weight-rewind", "rewind_epoch": "x"}, "rewind_epoch"),
@@ -76,7 +77,8 @@ def test_config_rejects_bad_shapes():
         ({"kind": "imp", "mode": "anneal"}, "mode"),
         ({"kind": "lt", "preserve_output_layer": "no"}, "preserve_output_layer"),
     ]:
-        with pytest.raises(ConfigError, match=f"unknown {key}"):
+        kind, value = entry["kind"], re.escape(repr(entry[key]))
+        with pytest.raises(ConfigError, match=f"'{kind}' {key} must be .*, not {value} in"):
             tiny_config(pipelines=[entry])
     with pytest.raises(ConfigError, match="not a mapping"):
         tiny_config(pipelines=["lt"])
@@ -541,3 +543,17 @@ def test_an_interrupted_grid_resumes_to_the_rows_file_of_a_whole_run(tmp_path, m
     assert parse_rows(str(rows_path)) == rows
     assert strip_seconds(str(rows_path)) == strip_seconds(
         str(tmp_path / "whole" / rows_path.name))
+
+
+@pytest.mark.parametrize("raw", [[TINY], "mlp-4", None, 5])
+def test_config_from_a_non_mapping_fails_typed(raw):
+    with pytest.raises(ConfigError, match="^config must be a mapping$"):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_config_to_dict_writes_tuples_as_lists():
+    cfg = tiny_config()
+    d = cfg.to_dict()
+    assert d["pipelines"] == [dict(p) for p in cfg.pipelines] and d["seeds"] == list(cfg.seeds)
+    assert d["train"] == cfg.train.to_dict()
+    assert ExperimentConfig.from_dict(d) == cfg

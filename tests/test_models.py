@@ -132,7 +132,7 @@ def test_accuracy_batching_is_invisible():
         want = accuracy(params, mask, data, batch_size=512)
         assert accuracy(params, mask, data, batch_size=7) == want
         # evaluation refills the conv patch buffers of a spent SGD step's pass
-        x, y, image = data.samples[:64], data.labels[:64], data.sample_shape_for_net()
+        x, y, image = data.samples[:64], data.labels[:64], data.sample_shape
         _, first = forward_loss(params, mask, x, y, sample_shape=image)
         _, spent = forward_loss(params, mask, x, y, sample_shape=image, reuse=first)
         for batch_size in (7, 512):
@@ -175,3 +175,28 @@ def test_preset_rejects_unknown_name_and_class_count():
 def test_arch_family_names():
     assert ArchFamily("plain") is ArchFamily.PLAIN
     assert ArchFamily("fast-decay") is ArchFamily.FAST_DECAY
+
+
+@pytest.mark.parametrize("dims", [
+    {"fan_in": 2.0, "fan_out": 3}, {"fan_in": 2, "fan_out": True}, {"fan_in": "2", "fan_out": 3},
+    {"fan_in": 2, "fan_out": 3, "kernel": (3, 1.5)},
+])
+def test_layer_spec_refuses_dimensions_that_are_not_integers(dims):
+    kind = "conv" if "kernel" in dims else "dense"
+    with pytest.raises(DomainError, match="must be integers"):
+        LayerSpec(kind, **dims)
+
+
+def test_layer_spec_shape_is_the_weight_layout():
+    conv = LayerSpec("conv", 2, 5, kernel=[3, 4])
+    assert conv.kernel == (3, 4) and hash(conv) == hash(LayerSpec("conv", 2, 5, kernel=(3, 4)))
+    assert conv.shape == (5, 2, 3, 4) and conv.weight_count == 120
+    dense = LayerSpec("dense", 6, 7)
+    assert dense.shape == (6, 7) and dense.weight_count == 42
+
+
+def test_build_network_draws_at_the_fan_in_of_each_layer():
+    specs = (LayerSpec("conv", 2, 5, kernel=(3, 3)), LayerSpec("dense", 20, 400, is_output=True))
+    params = build_network(specs, seed=4)
+    for spec, w, fan_in in zip(specs, params.weights, (2 * 3 * 3, 20)):
+        assert abs(w.std() / math.sqrt(2.0 / fan_in) - 1.0) < 0.15, spec

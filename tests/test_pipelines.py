@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import struct
 
 import numpy as np
@@ -146,7 +147,7 @@ def assert_train_matches_manual_sgd_loop(specs, split):
     w = [x.copy() for x in params.weights]
     vel = [np.zeros_like(x) for x in w]
     n = split.train.n
-    shape = split.train.sample_shape_for_net()
+    shape = split.train.sample_shape
     checkpoints = {0: [x.copy() for x in w]}
     history = []
     for epoch in range(cfg.epochs):
@@ -476,8 +477,8 @@ def test_build_ticket_covers_every_kind():
     ("lt", {"preserve_output_layer": "no"}),
 ])
 def test_build_ticket_rejects_bad_option_values(kind, params):
-    key = next(iter(params))
-    with pytest.raises(DomainError, match=f"unknown {key}"):
+    ((key, value),) = params.items()
+    with pytest.raises(DomainError, match=rf"pipeline '{kind}' {key} must be .*, not '{value}'$"):
         build_ticket(kind, SPECS, SPLIT, 0.5, 1, FAST, params)
 
 
@@ -1146,3 +1147,59 @@ def test_a_two_dimensional_sample_shape_is_one_channel():
     flat, shaped = cells
     assert (flat.accuracy, flat.keep) == (shaped.accuracy, shaped.keep)
     assert same_arrays(flat.ticket, shaped.ticket)
+
+
+def test_build_ticket_refuses_an_unknown_check_and_a_second_data_check():
+    with pytest.raises(DomainError, match=r"unknown check in \['none', 'mirror'\]"):
+        build_ticket("snip", SPECS, SPLIT, 0.5, 1, FAST, checks=["none", "mirror"])
+    with pytest.raises(DomainError, match="at most one data check"):
+        build_ticket("snip", SPECS, SPLIT, 0.5, 1, FAST, checks=["random-labels", "half-data"])
+    # a data-free kind reads no data, so it ignores data checks instead
+    build_ticket("random", SPECS, SPLIT, 0.5, 1, FAST, checks=["random-labels", "half-data"])
+
+
+def test_check_stream_refuses_an_unknown_check():
+    with pytest.raises(DomainError, match="unknown check 'mirror'"):
+        pipelines.check_stream(3, "mirror")
+
+
+def test_pipeline_options_refuse_an_unknown_or_unhashable_kind():
+    for kind in ("quantize", ["snip"], None):
+        with pytest.raises(DomainError, match=re.escape(f"unknown pipeline kind {kind!r};")):
+            pipelines.pipeline_options(kind, {})
+
+
+def test_imp_refuses_a_sparsity_whose_kept_budget_rounds_to_zero():
+    # round((1 - p) * 42) == 0 for p > 1 - 0.5 / 42
+    with pytest.raises(InfeasibleSparsityError, match="empty the whole network"):
+        build_ticket("imp", SPECS, SPLIT, 0.99, 1, FAST)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_train_refuses_weights_that_the_last_step_made_non_finite():
+    # One step of one epoch: its loss is computed before the step, so it is
+    # finite, and the step itself overflows the weights.
+    cfg = TrainConfig(epochs=1, batch_size=SPLIT.train.n, initial_lr=1e308, weight_decay=1e10)
+    with pytest.raises(TrainingDivergedError, match="layer 0 weights became non-finite") as err:
+        train(build_network(SPECS, seed=8), full_mask(SIZES), SPLIT.train, cfg)
+    assert err.value.epoch == 0
+
+
+@pytest.mark.parametrize("provenance", [[1, 2], "dense", None])
+def test_load_ticket_refuses_a_provenance_that_is_not_an_object(tmp_path, provenance):
+    ticket = tiny_ticket()
+    path = tmp_path / "t.plab"
+    save_ticket(Ticket(ticket.mask, ticket.weights, provenance), str(path))
+    with pytest.raises(DatasetError, match="provenance is not a JSON object"):
+        load_ticket(str(path))
+
+
+def test_records_are_shallow_copies_with_tuples_as_lists():
+    cfg = TrainConfig(lr_drop_points=(0.25, 0.5))
+    assert cfg.to_dict() == {**dataclasses.asdict(cfg), "lr_drop_points": [0.25, 0.5]}
+    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    ticket = build_ticket("random", preset_specs("conv-5", (1, 8, 8)), None, 0.5, 1, FAST)
+    assert ticket.provenance["arch"][0] == {
+        "kind": "conv", "fan_in": 1, "fan_out": 4, "kernel": [3, 3], "is_output": False,
+    }
+    assert ticket.provenance["arch"][-1]["kernel"] is None

@@ -379,3 +379,8 @@ def test_sparsity_plus_keep_fraction_is_one(kept, extra):
     total = mask.total_size
     weighted_keep = sum(r * c.size for r, c in zip(keep_ratios(mask), mask.layers))
     assert sparsity(mask) + weighted_keep / total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_score_map_refuses_no_layers():
+    with pytest.raises(DomainError, match="at least one layer"):
+        ScoreMap(())
