@@ -11,11 +11,19 @@ and one back, through the same per-layer gradient step as `backward`.  The
 stack is the whole graph, so every numeric path stays inspectable and
 bit-reproducible.
 
+The public entry points check their arguments: the loss head, the batch's
+shape, the mask's alignment, the sample shape against the stack, and the
+labels' range against the output layer's classes.  `forward_loss` and
+`forward_logits` then hand masked weights and masks to one internal pass
+(`_loss_pass` over `_run_layers`) that does arithmetic only.  An SGD loop
+checks its data once and runs that same pass at every step, on masked
+weights it keeps up to date itself.
+
 Convolution is im2col plus GEMM over fixed blocks of CONV_BLOCK samples.
 The kernel gradient is one matrix product per patch block, and the input
 gradient is a col2im loop over the kernel taps.  A pass keeps its blocks
 only when it refills a spent pass's: an SGD run hands each step's spent
-pass to `forward_loss(..., reuse=...)` and to each epoch's evaluation,
+pass to the next step's pass as `reuse` and to each epoch's evaluation,
 `forward_logits(..., reuse=...)`, so the run holds one set of patch
 buffers.  A one-off pass (a scoring batch, a run's first step) keeps none,
 and its consumers build each block in turn into one buffer.  No gradient
@@ -181,65 +189,38 @@ def check_alignment(params, mask):
             raise AlignmentError(f"layer {i}: mask length {c.size} != weight length {w.size}")
 
 
-def _run_layers(params, mask, samples, sample_shape, keep=None, reuse=None):
-    """Masked forward pass through the stack; returns the (n, classes) logits.
+def _check_input(specs, features, sample_shape):
+    """Raise AlignmentError unless samples of `features` features fit the stack.
 
     `sample_shape` is the shape of one sample, as a Dataset records it.  A
-    conv-first network reshapes each row of `samples` to it, so it must be a
+    conv-first network reshapes each sample to it, so it must be a
     (channels, h, w) that covers the features; a dense-first network reads
-    the rows flat and ignores it.
-
-    `reuse` is a spent pass whose patch buffers this pass refills where they
-    hold its blocks (see `_im2col`).  When `keep` is a list, each layer
-    appends (input, masked weights, mask, patch blocks).  A conv layer keeps
-    its blocks only when both are given; otherwise it builds them one at a
-    time into one buffer, the spent pass's first block where it has one.
+    samples flat and ignores it.  Each layer must fit the output of the one
+    below.
     """
-    check_alignment(params, mask)
-    specs = params.specs
-    n = samples.shape[0]
-    h = samples
+    shape = (features,)
     if specs[0].kind == "conv":
-        if sample_shape is None or len(sample_shape) != 3 or math.prod(sample_shape) != h.shape[1]:
+        if sample_shape is None or len(sample_shape) != 3 or math.prod(sample_shape) != features:
             raise AlignmentError(
                 f"a conv-first network needs a (channels, h, w) sample_shape covering "
-                f"{h.shape[1]} features, got {sample_shape}"
+                f"{features} features, got {sample_shape}"
             )
-        h = samples.reshape(n, *sample_shape)
-
+        shape = tuple(sample_shape)
     for i, spec in enumerate(specs):
-        c = mask.layers[i].reshape(spec.shape)
-        w = params.weights[i].reshape(c.shape) * c
-        x = h
-        cols = blocks = None  # the blocks kept, and those the layer draws on
         if spec.kind == "dense":
-            if math.prod(h.shape[1:]) != spec.fan_in:
+            if math.prod(shape) != spec.fan_in:
                 raise AlignmentError(
-                    f"layer {i}: dense expects {spec.fan_in} inputs, got {math.prod(h.shape[1:])}"
+                    f"layer {i}: dense expects {spec.fan_in} inputs, got {math.prod(shape)}"
                 )
+            shape = (spec.fan_out,)
         else:
             kh, kw = spec.kernel
-            if h.ndim != 4 or h.shape[1] != spec.fan_in or h.shape[2] < kh or h.shape[3] < kw:
+            if len(shape) != 3 or shape[0] != spec.fan_in or shape[1] < kh or shape[2] < kw:
                 raise AlignmentError(
                     f"layer {i}: a {kh}x{kw} kernel on {spec.fan_in} channels "
-                    f"does not fit input {h.shape[1:]}"
+                    f"does not fit input {shape}"
                 )
-            spent = ()
-            if reuse is not None and i < len(reuse.layers):
-                spent = reuse.layers[i][3] or ()
-            if keep is not None and reuse is not None:
-                cols = blocks = [
-                    _im2col(h[b], kh, kw, spent[j] if j < len(spent) else None)
-                    for j, b in enumerate(_conv_blocks(n))
-                ]
-            else:
-                blocks = _patches(h, kh, kw, spent[0] if spent else None)
-        h = _apply(h, w, blocks)
-        if keep is not None:
-            keep.append((x, w, c, cols))
-        if not spec.is_output:
-            np.maximum(h, 0.0, out=h)
-    return h
+            shape = (spec.fan_out, shape[1] - kh + 1, shape[2] - kw + 1)
 
 
 def _as_batch(samples, labels=None):
@@ -255,51 +236,86 @@ def _as_batch(samples, labels=None):
     return samples, labels
 
 
-def forward_logits(params, mask, samples, *, sample_shape=None, reuse=None):
-    """Forward pass without a loss head; returns the (n, classes) logits.
+def _checked(params, mask, samples, labels=None, sample_shape=None, head=SOFTMAX_XENT):
+    """The public entry points' argument checks; returns (samples, target).
 
-    Each conv layer builds its patch blocks one at a time into one buffer.
-    `reuse` is a spent pass whose first patch block of each conv layer is
-    that buffer where it holds them; that pass must not be used again,
-    except as `reuse`.
-    """
-    samples, _ = _as_batch(samples)
-    return _run_layers(params, mask, samples, sample_shape, reuse=reuse)
-
-
-def forward_loss(
-    params, mask, samples, labels, *, sample_shape=None, head=SOFTMAX_XENT, reuse=None
-):
-    """Masked batch-mean loss; returns (loss, pass) with the pass ready for backward.
-
-    `samples` is (n, features) and `labels` holds n labels; `sample_shape`
-    is one sample's shape, which only a conv-first network reads (see
-    `_run_layers`).
-
-    `reuse` is a spent pass whose conv patch buffers this pass refills in
-    place where they hold its blocks, and keeps; that pass must not be used
-    again.  A short batch fills the front of a full batch's buffers, which
-    it keeps whole for the next full batch.  Without `reuse` the pass keeps
-    no patch blocks: `backward` and `hessian_vector_product` build each one
-    in turn, so a one-off pass (a scoring batch, an SGD run's first step)
-    holds one block per conv layer at a time, not all of them.
+    It checks the head, the batch's shape, the mask's alignment, the sample
+    shape against the stack and, given labels, their range against the
+    output layer's classes.  `target` is what the loss head compares the
+    logits with (see `ForwardPass`), or None without labels.
     """
     if head not in HEADS:
         raise DomainError(f"unknown loss head {head!r}")
     samples, labels = _as_batch(samples, labels)
-    n = samples.shape[0]
+    check_alignment(params, mask)
+    _check_input(params.specs, samples.shape[1], sample_shape)
+    if labels is None:
+        return samples, None
     classes = params.specs[-1].fan_out
-
-    layers = []
-    z = _run_layers(params, mask, samples, sample_shape, layers, reuse)
     if head == SQUARED_ERROR and classes == 1:
-        target = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    else:
-        target = labels.astype(np.int64)
-        if target.min() < 0 or target.max() >= classes:
-            raise DomainError(f"labels must lie in [0, {classes})")
-        if head == SQUARED_ERROR:
-            target = np.eye(classes)[target]
+        return samples, np.asarray(labels, dtype=np.float64).reshape(-1, 1)
+    target = labels.astype(np.int64)
+    if target.min() < 0 or target.max() >= classes:
+        raise DomainError(f"labels must lie in [0, {classes})")
+    if head == SQUARED_ERROR:
+        target = np.eye(classes)[target]
+    return samples, target
+
+
+def _masked(params, mask):
+    """(masked weights w * c, masks) per layer, each in the layer's natural shape."""
+    cs = [c.reshape(s.shape) for c, s in zip(mask.layers, params.specs)]
+    return [w.reshape(c.shape) * c for w, c in zip(params.weights, cs)], cs
+
+
+def _run_layers(ws, cs, samples, sample_shape, keep=None, reuse=None):
+    """Forward pass through the stack of masked weights `ws`; returns the logits.
+
+    Arithmetic only: the caller has checked the input (see `_checked`).  A
+    conv-first stack reshapes each row of `samples` to `sample_shape`.
+
+    `reuse` is a spent pass whose patch buffers this pass refills where they
+    hold its blocks (see `_im2col`).  When `keep` is a list, each layer
+    appends (input, masked weights, mask, patch blocks).  A conv layer keeps
+    its blocks only when both are given; otherwise it builds them one at a
+    time into one buffer, the spent pass's first block where it has one.
+    """
+    n = samples.shape[0]
+    h = samples if ws[0].ndim == 2 else samples.reshape(n, *sample_shape)
+    last = len(ws) - 1
+    for i, (w, c) in enumerate(zip(ws, cs)):
+        x = h
+        cols = blocks = None  # the blocks kept, and those the layer draws on
+        if w.ndim == 4:
+            kh, kw = w.shape[2:]
+            spent = ()
+            if reuse is not None and i < len(reuse.layers):
+                spent = reuse.layers[i][3] or ()
+            if keep is not None and reuse is not None:
+                cols = blocks = [
+                    _im2col(h[b], kh, kw, spent[j] if j < len(spent) else None)
+                    for j, b in enumerate(_conv_blocks(n))
+                ]
+            else:
+                blocks = _patches(h, kh, kw, spent[0] if spent else None)
+        h = _apply(h, w, blocks)
+        if keep is not None:
+            keep.append((x, w, c, cols))
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
+def _loss_pass(ws, cs, samples, target, head, sample_shape=None, reuse=None):
+    """The masked batch-mean loss and its pass, from checked arguments (see `forward_loss`).
+
+    Arithmetic only: `ws` and `cs` are the masked weights and masks per
+    layer in natural shape, and `target` is `_checked`'s.  A non-finite
+    loss raises NumericsError.
+    """
+    n = samples.shape[0]
+    layers = []
+    z = _run_layers(ws, cs, samples, sample_shape, layers, reuse)
     probs = None
     if head == SOFTMAX_XENT:
         m = z.max(axis=1, keepdims=True)
@@ -313,6 +329,41 @@ def forward_loss(
     if not math.isfinite(loss):
         raise NumericsError("forward pass produced a non-finite loss")
     return loss, ForwardPass(tuple(layers), z, head, target, probs)
+
+
+def forward_logits(params, mask, samples, *, sample_shape=None, reuse=None):
+    """Forward pass without a loss head; returns the (n, classes) logits.
+
+    `sample_shape` is one sample's shape, which only a conv-first network
+    reads (see `_check_input`).  Each conv layer builds its patch blocks
+    one at a time into one buffer.  `reuse` is a spent pass whose first
+    patch block of each conv layer is that buffer where it holds them; that
+    pass must not be used again, except as `reuse`.
+    """
+    samples, _ = _checked(params, mask, samples, sample_shape=sample_shape)
+    return _run_layers(*_masked(params, mask), samples, sample_shape, reuse=reuse)
+
+
+def forward_loss(
+    params, mask, samples, labels, *, sample_shape=None, head=SOFTMAX_XENT, reuse=None
+):
+    """Masked batch-mean loss; returns (loss, pass) with the pass ready for backward.
+
+    `samples` is (n, features) and `labels` holds n labels; `sample_shape`
+    is one sample's shape, which only a conv-first network reads (see
+    `_check_input`).
+
+    `reuse` is a spent pass whose conv patch buffers this pass refills in
+    place where they hold its blocks, and keeps; that pass must not be used
+    again.  A short batch fills the front of a full batch's buffers, which
+    it keeps whole for the next full batch.  Without `reuse` the pass keeps
+    no patch blocks: `backward` and `hessian_vector_product` build each one
+    in turn, so a one-off pass (a scoring batch, an SGD run's first step)
+    holds one block per conv layer at a time, not all of them.
+    """
+    samples, target = _checked(params, mask, samples, labels, sample_shape, head)
+    ws, cs = _masked(params, mask)
+    return _loss_pass(ws, cs, samples, target, head, sample_shape, reuse)
 
 
 def _loss_grad(fp):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +70,14 @@ class LayerSpec:
 
 
 def record(obj) -> dict:
-    """A frozen dataclass's fields as a dict, each tuple written as a list.
+    """A frozen dataclass's fields as a dict, in field order, each tuple written as a list.
 
-    The values are not copied: a deep copy costs about four times as much,
-    and configs and layer specs are recorded for every ticket built.
+    One pass over `vars(obj)`, which holds exactly the fields in the order
+    `__init__` set them.  The values are not copied: a deep copy costs
+    about four times as much, and configs and layer specs are recorded for
+    every ticket built.
     """
-    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(obj).items()}
 
 
 def validate_specs(specs):

@@ -10,10 +10,13 @@ It also applies a ticket's sanity checks: at most one data check on the
 pruning data, then structural checks on the built ticket, all drawn from one
 check seed that provenance records, so `replay_ticket` rebuilds any ticket.
 
-Training is plain SGD with momentum and weight decay, stepped in place on
-one flat buffer each for the weights, velocity, mask and gradient of a run.
-Gradients and the decay term are zeroed at masked positions every step, so
-masked weights are bit-exactly inert.
+Training is plain SGD with momentum and weight decay.  A run checks its
+data once, then steps compact vectors over the mask's kept positions (the
+weights, their gradient, velocity and update) and keeps one flat buffer of
+masked weights w * c, refreshed at the kept positions after each step, for
+the engine's pass to read.  The full weight buffer is written back once
+per epoch, at the kept positions only, so masked weights are never written
+and stay bit-exactly inert.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import numpy as np
 
 from . import seeding
 from .data import DataSplit, _is_int, _is_number, read_keys
-from .engine import backward, check_alignment, forward_loss
+# forward_loss is bound here too, so a tracer that patches it by name finds it
+from .engine import SOFTMAX_XENT, _checked, _loss_pass, backward, check_alignment, forward_loss
 from .errors import (
     DatasetError,
     DomainError,
@@ -195,7 +199,8 @@ def train(
 
     `schedule_offset` shifts the learning-rate schedule: retraining epoch t
     uses the rate of schedule epoch min(offset + t, epochs - 1), which lets a
-    rewound ticket resume the schedule where its checkpoint left off.
+    rewound ticket resume the schedule where its checkpoint left off.  Zero
+    epochs return `params` itself, with no history.
     """
     check_alignment(params, mask)
     if schedule_offset < 0:
@@ -204,66 +209,86 @@ def train(
     for e in checkpoint_epochs:
         if e < 0 or e > cfg.epochs:
             raise DomainError(f"checkpoint epoch {e} outside [0, {cfg.epochs}]")
+    if cfg.epochs:
+        cur, history, checkpoints = _sgd(params, mask, data, cfg, checkpoint_epochs,
+                                         eval_data, schedule_offset)
+    else:
+        cur, history, checkpoints = params, (), {0: params} if 0 in checkpoint_epochs else {}
+    for l, w in enumerate(cur.weights):
+        if not np.isfinite(w).all():
+            raise TrainingDivergedError(
+                f"layer {l} weights became non-finite", max(cfg.epochs - 1, 0)
+            )
+    return TrainResult(cur, tuple(history), checkpoints)
 
+
+def _sgd(params, mask, data, cfg, checkpoint_epochs, eval_data, schedule_offset):
+    """`train`'s epochs; returns (trained params, history, checkpoints).
+
+    The SGD state lives on the kept positions only: the kept weights, their
+    gradient, velocity and update are compact vectors over `kept`.  One
+    flat buffer holds the masked weights w * c that each step's pass reads;
+    a step refreshes it at the kept positions, where c is 1, so no step
+    multiplies by the mask.  The full weight buffer, which `cur` views, is
+    written back once per epoch, so masked-out weights are never written.
+    Under a full mask the compact vectors are the full buffers themselves,
+    and w * c is w, which spares a step its full-length gather and scatter.
+    """
+    samples, target = _checked(params, mask, data.samples, data.labels, data.sample_shape)
     rng = seeding.stream(cfg.seed, seeding.BATCH_SHUFFLE)
-    # The run's weights, velocity, mask and gradient each live in one flat
-    # buffer; `cur` and `grads` view the weight and gradient buffers per layer.
-    # `cur`'s views are read-only, so each step writes through `weights`.
     weights = np.concatenate(params.weights)
-    vel = np.zeros_like(weights)
     keep = np.concatenate(mask.layers)
+    kept = np.flatnonzero(keep)
     grad = np.empty_like(weights)
-    step = np.empty_like(weights)
-    bounds = np.cumsum([w.size for w in params.weights])[:-1]
-    cur = params.with_weights(np.split(weights, bounds))
+    sparse = kept.size < weights.size
+    if sparse:
+        w, g, masked = weights[kept], np.empty(kept.size), weights * keep
+    else:
+        w, g, masked = weights, grad, weights
+    vel = np.zeros_like(w)
+    step = np.empty_like(w)
+    bounds = np.cumsum([x.size for x in params.weights])[:-1]
+    cs = [c.reshape(spec.shape) for c, spec in zip(mask.layers, params.specs)]
+    ws = [x.reshape(c.shape) for x, c in zip(np.split(masked, bounds), cs)]
     grads = np.split(grad, bounds)
-    n = data.n
-    checkpoints = {}
-
-    def snapshot(epoch):
-        checkpoints[epoch] = params.with_weights([x.copy() for x in cur.weights])
-
-    if 0 in checkpoint_epochs:
-        snapshot(0)
-
+    cur = params.with_weights(np.split(weights, bounds))
+    checkpoints = {0: params} if 0 in checkpoint_epochs else {}
     history = []
     tape = None  # each step and evaluation refills the spent step's conv patch buffers
     for epoch in range(cfg.epochs):
-        lr = learning_rate_at(cfg, min(schedule_offset + epoch, max(cfg.epochs - 1, 0)))
-        order = rng.permutation(n)
+        lr = learning_rate_at(cfg, min(schedule_offset + epoch, cfg.epochs - 1))
+        order = rng.permutation(data.n)
         losses = []
-        for start in range(0, n, cfg.batch_size):
+        for start in range(0, data.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             try:
-                loss, tape = forward_loss(
-                    cur, mask, data.samples[idx], data.labels[idx],
-                    sample_shape=data.sample_shape, reuse=tape,
-                )
+                loss, tape = _loss_pass(ws, cs, samples[idx], target[idx], SOFTMAX_XENT,
+                                        data.sample_shape, tape)
             except NumericsError as exc:
                 raise TrainingDivergedError(str(exc), epoch) from None
             backward(tape, grads)
             losses.append(loss)
-            # step = (g + wd * w) * c;  vel = m * vel + step;  w = w - lr * vel
-            np.multiply(weights, cfg.weight_decay, out=step)
-            step += grad
-            step *= keep
+            # step = g + wd * w;  vel = m * vel + step;  w = w - lr * vel, on the
+            # kept positions, where the mask's factor 1.0 changes no bit
+            if sparse:
+                np.take(grad, kept, out=g)
+            np.multiply(w, cfg.weight_decay, out=step)
+            step += g
             vel *= cfg.momentum
             vel += step
             np.multiply(vel, lr, out=step)
-            weights -= step
+            w -= step
+            if sparse:
+                masked[kept] = w
+        if sparse:
+            weights[kept] = w
         acc = None
         if eval_data is not None:
             acc = accuracy(cur, mask, eval_data, reuse=tape)
         history.append(EpochStats(epoch, lr, float(np.mean(losses)), acc))
         if epoch + 1 in checkpoint_epochs:
-            snapshot(epoch + 1)
-
-    if not np.isfinite(weights).all():
-        l = next(l for l, x in enumerate(cur.weights) if not np.isfinite(x).all())
-        raise TrainingDivergedError(
-            f"layer {l} weights became non-finite", max(cfg.epochs - 1, 0)
-        )
-    return TrainResult(cur, tuple(history), checkpoints)
+            checkpoints[epoch + 1] = params.with_weights([x.copy() for x in cur.weights])
+    return cur, history, checkpoints
 
 
 def score_batch(data, seed):

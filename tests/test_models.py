@@ -1,5 +1,6 @@
 """Layer specs, network construction, presets, accuracy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from prunelab.data import Dataset
 from prunelab.engine import forward_loss
 from prunelab.errors import AlignmentError, DomainError
+from prunelab.harness import ExperimentConfig
 from prunelab.models import (
     ArchFamily,
     LayerSpec,
@@ -16,8 +18,10 @@ from prunelab.models import (
     build_network,
     layer_sizes,
     preset_specs,
+    record,
     validate_specs,
 )
+from prunelab.pipelines import TrainConfig
 from prunelab.pruning import full_mask
 from test_data import assert_read_only
 
@@ -200,3 +204,21 @@ def test_build_network_draws_at_the_fan_in_of_each_layer():
     params = build_network(specs, seed=4)
     for spec, w, fan_in in zip(specs, params.weights, (2 * 3 * 3, 20)):
         assert abs(w.std() / math.sqrt(2.0 / fan_in) - 1.0) < 0.15, spec
+
+
+@pytest.mark.parametrize("obj", [
+    LayerSpec("conv", 1, 4, kernel=[3, 3]),
+    LayerSpec("dense", 16, 3, is_output=True),
+    TrainConfig(epochs=2, lr_drop_points=[0.25, 0.5]),
+    ExperimentConfig("mlp-4", {"kind": "synthetic-blobs", "n": 60}, [{"kind": "snip"}],
+                     [0.5, 0.9], [0, 3], checks=["none", "rearrange"]),
+], ids=["conv-spec", "dense-spec", "train-config", "experiment-config"])
+def test_record_is_the_field_by_field_dict_in_field_order(obj):
+    want = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        want[f.name] = list(value) if isinstance(value, tuple) else value
+    got = record(obj)
+    assert got == want and list(got) == list(want)
+    # shallow: the values themselves, not copies of them
+    assert all(got[k] is v for k, v in want.items() if not isinstance(v, list))

@@ -126,59 +126,66 @@ def test_non_integer_seeds_are_refused_not_truncated(make):
         make()
 
 
+def as_bytes(weights):
+    return [w.tobytes() for w in weights]
+
+
 def assert_train_matches_manual_sgd_loop(specs, split):
-    """train() against the per-layer reference loop, with `array_equal` throughout.
+    """train() against the per-layer reference loop, byte for byte.
 
-    Three epochs of 48 samples at batch 20 (a short last batch), a schedule
-    offset that crosses a rate drop, checkpoints and per-epoch evaluation.
+    Bytes, not `array_equal`, which counts -0.0 equal to 0.0.  Three epochs
+    of 48 samples at batch 20 (a short last batch), a schedule offset that
+    crosses a rate drop, checkpoints and per-epoch evaluation, at mask
+    densities 0.1, 0.7 and 1.0 (dense pretraining and IMP's first round).
     """
-    params = build_network(specs, seed=3)
-    rng = np.random.default_rng(4)
-    mask = Mask(tuple((rng.random(m) < 0.7).astype(float) for m in layer_sizes(specs)))
-    cfg = TrainConfig(epochs=3, batch_size=20, seed=11)
-    offset = 1
-    kept = (0, 2, 3)
-    result = train(
-        params, mask, split.train, cfg, checkpoint_epochs=kept,
-        eval_data=split.test, schedule_offset=offset,
-    )
+    for density in (0.1, 0.7, 1.0):
+        params = build_network(specs, seed=3)
+        rng = np.random.default_rng(4)
+        mask = Mask(tuple((rng.random(m) < density).astype(float) for m in layer_sizes(specs)))
+        assert (mask.total_kept == mask.total_size) == (density == 1.0)
+        cfg = TrainConfig(epochs=3, batch_size=20, seed=11)
+        offset = 1
+        kept = (0, 2, 3)
+        result = train(
+            params, mask, split.train, cfg, checkpoint_epochs=kept,
+            eval_data=split.test, schedule_offset=offset,
+        )
 
-    shuffle = seeding.stream(cfg.seed, seeding.BATCH_SHUFFLE)
-    w = [x.copy() for x in params.weights]
-    vel = [np.zeros_like(x) for x in w]
-    n = split.train.n
-    shape = split.train.sample_shape
-    checkpoints = {0: [x.copy() for x in w]}
-    history = []
-    for epoch in range(cfg.epochs):
-        lr = learning_rate_at(cfg, min(offset + epoch, cfg.epochs - 1))
-        order = shuffle.permutation(n)
-        losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, tape = forward_loss(
-                params.with_weights(w), mask,
-                split.train.samples[idx], split.train.labels[idx], sample_shape=shape,
-            )
-            losses.append(loss)
-            grads = backward(tape)
-            for l, (g, c) in enumerate(zip(grads, mask.layers)):
-                step = (g + cfg.weight_decay * w[l]) * c
-                vel[l] = cfg.momentum * vel[l] + step
-                w[l] = w[l] - lr * vel[l]
-        acc = accuracy(params.with_weights(w), mask, split.test)
-        history.append((epoch, lr, float(np.mean(losses)), acc))
-        if epoch + 1 in kept:
-            checkpoints[epoch + 1] = [x.copy() for x in w]
+        shuffle = seeding.stream(cfg.seed, seeding.BATCH_SHUFFLE)
+        w = [x.copy() for x in params.weights]
+        vel = [np.zeros_like(x) for x in w]
+        n = split.train.n
+        shape = split.train.sample_shape
+        checkpoints = {0: [x.copy() for x in w]}
+        history = []
+        for epoch in range(cfg.epochs):
+            lr = learning_rate_at(cfg, min(offset + epoch, cfg.epochs - 1))
+            order = shuffle.permutation(n)
+            losses = []
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, tape = forward_loss(
+                    params.with_weights(w), mask,
+                    split.train.samples[idx], split.train.labels[idx], sample_shape=shape,
+                )
+                losses.append(loss)
+                grads = backward(tape)
+                for l, (g, c) in enumerate(zip(grads, mask.layers)):
+                    step = (g + cfg.weight_decay * w[l]) * c
+                    vel[l] = cfg.momentum * vel[l] + step
+                    w[l] = w[l] - lr * vel[l]
+            acc = accuracy(params.with_weights(w), mask, split.test)
+            history.append((epoch, lr, float(np.mean(losses)), acc))
+            if epoch + 1 in kept:
+                checkpoints[epoch + 1] = [x.copy() for x in w]
 
-    assert [(h.epoch, h.lr, h.loss, h.accuracy) for h in result.history] == history
-    assert len({h.lr for h in result.history}) == 2
-    assert sorted(result.checkpoints) == sorted(checkpoints)
-    for epoch, want in checkpoints.items():
-        got = result.checkpoints[epoch].weights
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    for got, want in zip(result.params.weights, w):
-        assert np.array_equal(got, want)
+        got = [(h.epoch, h.lr, h.loss, h.accuracy) for h in result.history]
+        assert np.array(got).tobytes() == np.array(history).tobytes()
+        assert len({h.lr for h in result.history}) == 2
+        assert sorted(result.checkpoints) == sorted(checkpoints)
+        for epoch, want in checkpoints.items():
+            assert as_bytes(result.checkpoints[epoch].weights) == as_bytes(want)
+        assert as_bytes(result.params.weights) == as_bytes(w)
 
 
 def test_train_matches_manual_sgd_loop_bit_for_bit():
@@ -199,6 +206,63 @@ def test_train_never_moves_masked_weights():
         dead = c == 0.0
         assert np.array_equal(w0[dead], w1[dead])
         assert not np.array_equal(w0[~dead], w1[~dead])
+
+
+@pytest.mark.parametrize("arch", ["mlp-4", "conv-5"])
+def test_train_leaves_every_masked_weight_byte_for_byte(arch):
+    # -0.0 and a huge weight are the values a sloppy update would show:
+    # adding a zero step turns -0.0 into 0.0, and decay moves 1e6 at any rate.
+    split = synthetic_blobs(3, 81, 60, seed=9, sample_shape=(1, 9, 9))
+    specs = preset_specs(arch, (1, 9, 9), 3)
+    rng = np.random.default_rng(6)
+    mask = Mask(tuple((rng.random(m) < 0.3).astype(float) for m in layer_sizes(specs)))
+    weights = [w.copy() for w in build_network(specs, seed=5).weights]
+    for w, c in zip(weights, mask.layers):
+        dead = np.flatnonzero(c == 0.0)
+        w[dead[0]], w[dead[-1]] = -0.0, 1e6
+    params = build_network(specs, seed=5).with_weights(weights)
+    result = train(params, mask, split.train, FAST, checkpoint_epochs=(1, 3),
+                   eval_data=split.test)
+    for trained in (result.params, *result.checkpoints.values()):
+        for w0, w1, c in zip(params.weights, trained.weights, mask.layers):
+            dead = c == 0.0
+            assert w1[dead].tobytes() == w0[dead].tobytes()
+            assert not np.array_equal(w0[~dead], w1[~dead])
+
+
+def test_zero_epoch_train_returns_its_input_and_draws_nothing(monkeypatch):
+    params = build_network(SPECS, seed=5)
+    mask = full_mask(SIZES)
+    idle = dataclasses.replace(FAST, epochs=0)
+
+    def no_stream(*args):
+        raise AssertionError("a zero-epoch train drew a random stream")
+
+    monkeypatch.setattr(pipelines.seeding, "stream", no_stream)
+    result = train(params, mask, SPLIT.train, idle)
+    assert result.params is params and result.history == () and result.checkpoints == {}
+    assert_read_only(*result.params.weights)
+    result = train(params, mask, SPLIT.train, idle, checkpoint_epochs=(0,),
+                   eval_data=SPLIT.test, schedule_offset=3)
+    assert result.params is params and result.history == ()
+    assert result.checkpoints == {0: params}
+
+
+def test_zero_epoch_train_still_checks_its_arguments():
+    params = build_network(SPECS, seed=5)
+    mask = full_mask(SIZES)
+    idle = dataclasses.replace(FAST, epochs=0)
+    with pytest.raises(AlignmentError):
+        train(params, Mask((np.ones(24),)), SPLIT.train, idle)
+    with pytest.raises(DomainError, match=r"checkpoint epoch 1 outside \[0, 0\]"):
+        train(params, mask, SPLIT.train, idle, checkpoint_epochs=(0, 1))
+    with pytest.raises(DomainError, match="schedule_offset must be >= 0"):
+        train(params, mask, SPLIT.train, idle, schedule_offset=-1)
+    weights = [w.copy() for w in params.weights]
+    weights[1][4] = np.inf
+    with pytest.raises(TrainingDivergedError, match="layer 1 weights became non-finite") as err:
+        train(params.with_weights(weights), mask, SPLIT.train, idle)
+    assert err.value.epoch == 0
 
 
 def test_train_is_seed_deterministic():
