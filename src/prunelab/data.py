@@ -6,8 +6,7 @@ import csv as csv_module
 import math
 import numbers
 import struct
-import sys
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -19,12 +18,21 @@ def _is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _at_least(low):
+    """The test passed by an integer >= `low`."""
+    return lambda v: _is_int(v) and v >= low
+
+
 def _is_number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """Whether `v` is a finite real number that a float can hold; a bool is not one."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond every float
+        return False
 
 
-def _is_noise(v):
-    return _is_number(v) and 0 <= v <= sys.float_info.max  # NaN fails it too
+def _is_non_negative(v):
+    return _is_number(v) and v >= 0
 
 
 def _read_only(a):
@@ -101,7 +109,7 @@ def synthetic_blobs(classes, dim, n, seed, *, noise=1.0, sample_shape=None) -> D
     """Gaussian class blobs, generated normalized; fixed 80/20 split."""
     if classes < 2 or dim < 1 or n < classes:
         raise DomainError("blobs need classes >= 2, dim >= 1, n >= classes")
-    if not _is_noise(noise):
+    if not _is_non_negative(noise):
         raise DomainError(f"blob noise must be a finite number >= 0, not {noise!r}")
     rng = seeding.stream(seed, seeding.BLOBS)
     centers = rng.normal(0.0, 1.0, (classes, dim))
@@ -243,17 +251,26 @@ def _looks_like_header(row):
 def read_keys(what, noun, table, given, error):
     """The keys of `table` read from the mapping `given`, defaults filled in.
 
+    This is the one gate for every mapping read from outside: dataset
+    sources (`load_dataset`), pipeline options (`pipelines.pipeline_options`),
+    train configs (`pipelines.TrainConfig`), experiment configs
+    (`harness.ExperimentConfig`), and a ticket file's header and its layer
+    specs (`pipelines.load_ticket`, `models.LayerSpec`).
+
     `table` maps each key to (default, accepted values, test); a default of
-    MISSING marks a required key.  A key `table` lacks raises
-    error("<what> <noun> [keys]; allowed: (keys of table)"), a required key
-    missing from `given` raises error("<what> needs '<key>', ..."), and a
-    given value that fails its test raises
+    MISSING marks a required key.  A `given` that is not a mapping raises
+    error("<what> must be a mapping, not <given>"), a key `table` lacks
+    raises error("<what> <noun> [keys]; allowed: (keys of table)"), a
+    required key missing from `given` raises error("<what> needs '<key>',
+    ..."), and a given value that fails its test raises
     error("<what> <key> must be <accepted>, not <value>").  Defaults are
     not tested.
     """
-    unknown = sorted(set(given) - set(table), key=str)
+    if not isinstance(given, dict):
+        raise error(f"{what} must be a mapping, not {given!r}")
+    unknown = given.keys() - table.keys()
     if unknown:
-        raise error(f"{what} {noun} {unknown}; allowed: {tuple(table)}")
+        raise error(f"{what} {noun} {sorted(unknown, key=str)}; allowed: {tuple(table)}")
     values = {}
     for key, (default, accepted, ok) in table.items():
         values[key] = given.get(key, default)
@@ -264,8 +281,15 @@ def read_keys(what, noun, table, given, error):
     return values
 
 
+def field_keys(cls, tests):
+    """The `read_keys` table of the dataclass `cls`: each field's own default
+    (MISSING if it has none), then its (accepted values, test) from `tests`."""
+    return {f.name: (f.default if f.default_factory is MISSING else f.default_factory(),
+                     *tests[f.name]) for f in fields(cls)}
+
+
 def _is_shape(v):
-    return isinstance(v, (list, tuple)) and v and all(_is_int(d) and d > 0 for d in v)
+    return isinstance(v, (list, tuple)) and v and all(map(_at_least(1), v))
 
 
 _PATH = (MISSING, "a path string", lambda v: isinstance(v, str))
@@ -278,7 +302,7 @@ DATASET_KEYS = {
         "dim": (16, "an integer", _is_int),
         "n": (600, "an integer", _is_int),
         "seed": (0, "an integer", _is_int),
-        "noise": (1.0, "a finite number >= 0", _is_noise),
+        "noise": (1.0, "a finite number >= 0", _is_non_negative),
         "shape": (None, "a list of positive integers", lambda v: v is None or _is_shape(v)),
     },
     "idx-files": dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels"),
@@ -300,11 +324,10 @@ def load_dataset(source: dict) -> DataSplit:
     key its kind does not read or a value a key does not take (see
     `read_keys`).
     """
-    if not isinstance(source, dict) or "kind" not in source:
-        raise DatasetError("dataset source must be a mapping with a 'kind'")
-    kind = source["kind"]
-    if not isinstance(kind, str) or kind not in DATASET_KEYS:
-        raise DatasetError(f"unknown dataset kind {kind!r}; choose from {tuple(DATASET_KEYS)}")
+    kind = source.get("kind") if isinstance(source, dict) else None
+    if not (isinstance(kind, str) and kind in DATASET_KEYS):
+        raise DatasetError(f"dataset source must be a mapping whose kind is one of "
+                           f"{tuple(DATASET_KEYS)}, not {source!r}")
     given = {k: v for k, v in source.items() if k != "kind"}
     return LOADERS[kind](**read_keys(kind, "dataset takes no key", DATASET_KEYS[kind], given,
                                      DatasetError))

@@ -16,12 +16,12 @@ import io
 import json
 import os
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checks import CHECK_NAMES
-from .data import _finite, _is_int, _is_number, load_dataset
+from .data import _at_least, _finite, _is_number, field_keys, load_dataset, read_keys
 from .engine import NUMERICS_VERSION
 from .errors import ConfigError, DomainError, PrunelabError
 from .models import PRESET_NAMES, preset_specs, record
@@ -35,6 +35,8 @@ from .pipelines import (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One grid; every field passes `CONFIG_KEYS` through `data.read_keys`."""
+
     arch: str
     dataset: dict
     pipelines: tuple[dict, ...]
@@ -45,37 +47,17 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        for name in ("pipelines", "sparsities", "seeds", "checks"):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ConfigError(f"{name} must be a list, not {getattr(self, name)!r}")
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a string, not {self.output_dir!r}")
-        for p in self.pipelines:
-            if not isinstance(p, dict):
-                raise ConfigError(f"pipeline entry {p!r} is not a mapping")
-        for s in self.sparsities:
-            if not (_is_number(s) and 0.0 <= s < 1.0):
-                raise ConfigError(f"sparsity {s!r} outside [0, 1)")
-        for s in self.seeds:
-            if not (_is_int(s) and s >= 0):
-                raise ConfigError(f"seed {s!r} is not an integer >= 0")
+        read_keys("config", "takes no key", CONFIG_KEYS, vars(self), ConfigError)
         object.__setattr__(self, "dataset", dict(self.dataset))
         object.__setattr__(self, "pipelines", tuple(dict(p) for p in self.pipelines))
         object.__setattr__(self, "sparsities", tuple(float(s) for s in self.sparsities))
         object.__setattr__(self, "checks", tuple(self.checks))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if self.arch not in PRESET_NAMES:
-            raise ConfigError(f"unknown arch {self.arch!r}; choose from {PRESET_NAMES}")
-        if not self.pipelines or not self.seeds or not self.sparsities:
-            raise ConfigError("pipelines, sparsities, and seeds must be non-empty")
         for p in self.pipelines:
             try:
                 pipeline_options(p.get("kind"), _pipeline_params(p))
             except DomainError as exc:
                 raise ConfigError(f"{exc} in pipeline {p}") from None
-        for c in self.checks:
-            if c not in CHECK_NAMES:
-                raise ConfigError(f"unknown check {c!r}; choose from {CHECK_NAMES}")
         # A repeated value would run the same cells again, and a report would
         # count them as more seeds.
         for name in ("sparsities", "checks", "seeds"):
@@ -89,18 +71,40 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a mapping")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"config is missing required key {f.name!r}")
-        try:
-            return cls(**{**d, "train": TrainConfig.from_dict(d.get("train", {}))})
-        except (TypeError, ValueError, DomainError) as exc:
-            raise ConfigError(str(exc)) from None
+        """The config `to_dict` gave `d`; a mapping the gate refuses raises ConfigError."""
+        if isinstance(d, dict) and "train" in d:
+            try:
+                d = {**d, "train": TrainConfig.from_dict(d["train"])}
+            except DomainError as exc:
+                raise ConfigError(str(exc)) from None
+        return cls(**read_keys("config", "takes no key", CONFIG_KEYS, d, ConfigError))
+
+
+def _list_of(test):
+    """The test passed by a non-empty list whose items all pass `test`."""
+    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(test, v))
+
+
+def _is_pipeline(p):
+    """Whether `p` is a mapping whose "name", if it has one, is a non-empty string."""
+    return isinstance(p, dict) and isinstance(p.get("name", "-"), str) and p.get("name") != ""
+
+
+# Each config field: the values it takes and a test for them.  A pipeline's
+# kind and options pass `pipeline_options`, and a dataset's keys `load_dataset`.
+CONFIG_KEYS = field_keys(ExperimentConfig, {
+    "arch": (f"one of {PRESET_NAMES}", lambda v: v in PRESET_NAMES),
+    "dataset": ("a mapping", lambda v: isinstance(v, dict)),
+    "pipelines": ("a non-empty list of mappings, each 'name' a non-empty string",
+                  _list_of(_is_pipeline)),
+    "sparsities": ("a non-empty list of numbers in [0, 1)",
+                   _list_of(lambda s: _is_number(s) and 0.0 <= s < 1.0)),
+    "seeds": ("a non-empty list of integers >= 0", _list_of(_at_least(0))),
+    "checks": (f"a list of checks from {CHECK_NAMES}",
+               lambda v: isinstance(v, (list, tuple)) and all(c in CHECK_NAMES for c in v)),
+    "train": ("a train config", lambda v: isinstance(v, TrainConfig)),
+    "output_dir": ("a string", lambda v: isinstance(v, str)),
+})
 
 
 def _pipeline_params(p):
@@ -138,7 +142,7 @@ def config_hash(cfg) -> str:
 def pipeline_label(p) -> str:
     """Short unique-ish grid label for one pipeline entry."""
     if "name" in p:
-        return str(p["name"])
+        return p["name"]
     label = p["kind"]
     for key in ("schedule", "mode"):
         if key in p:

@@ -24,13 +24,13 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from . import seeding
-from .data import DataSplit, _is_int, _is_number, read_keys
+from .data import DataSplit, _at_least, _is_non_negative, _is_number, field_keys, read_keys
 # forward_loss is bound here too, so a tracer that patches it by name finds it
 from .engine import SOFTMAX_XENT, _checked, _loss_pass, backward, check_alignment, forward_loss
 from .errors import (
@@ -78,7 +78,7 @@ OPTIONS = {
     "family": ("plain", f"one of {FAMILIES}", lambda v: v in FAMILIES),
     "schedule": ("smart", f"one of {SCHEDULE_KINDS}", lambda v: v in SCHEDULE_KINDS),
     "mode": ("reset", f"one of {IMP_MODES}", lambda v: v in IMP_MODES),
-    "rewind_epoch": (None, "an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "rewind_epoch": (None, "an integer >= 0", _at_least(0)),
     "preserve_output_layer": (False, "true or false", lambda v: isinstance(v, bool)),
     "round_fraction": (0.2, "a number in (0, 1)", lambda v: _is_number(v) and 0.0 < v < 1.0),
 }
@@ -101,9 +101,9 @@ DATA_FREE_KINDS = ("dense", "random")
 def pipeline_options(kind, params):
     """The options `kind` reads from `params`, defaults filled in.
 
-    Options pass the gate dataset sources pass (`data.read_keys`): a key
-    that `kind` does not read, or a value its option does not take, raises
-    DomainError.
+    Options pass the one key gate, `data.read_keys`, as every mapping read
+    from outside does: a key that `kind` does not read, or a value its
+    option does not take, raises DomainError.
     """
     if kind not in TICKET_KINDS:  # a tuple, so an unhashable kind fails here too
         raise DomainError(f"unknown pipeline kind {kind!r}; choose from {TICKET_KINDS}")
@@ -113,6 +113,8 @@ def pipeline_options(kind, params):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """SGD settings; every field passes `TRAIN_KEYS` through `data.read_keys`."""
+
     epochs: int = 40
     batch_size: int = 64
     initial_lr: float = 0.1
@@ -123,34 +125,34 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        pts = tuple(self.lr_drop_points)
-        if not all(_is_int(v) for v in (self.epochs, self.batch_size, self.seed)):
-            raise DomainError("epochs, batch_size and seed must be integers")
-        rates = (self.initial_lr, self.lr_drop_factor, self.weight_decay, self.momentum)
-        if not all(_is_number(v) for v in rates + pts):
-            raise DomainError("learning rates, decay, momentum and drop points must be numbers")
-        object.__setattr__(self, "lr_drop_points", tuple(float(p) for p in pts))
-        if self.seed < 0:
-            raise DomainError(f"seed {self.seed} is negative; seeds are integers >= 0")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise DomainError("epochs must be >= 0 and batch_size >= 1")
-        if self.initial_lr <= 0 or self.lr_drop_factor <= 0:
-            raise DomainError("learning rates and drop factor must be positive")
-        if self.weight_decay < 0 or self.momentum < 0:
-            raise DomainError("weight decay and momentum must be non-negative")
-        if any(not (0.0 < p < 1.0) for p in pts) or list(pts) != sorted(set(pts)):
-            raise DomainError("lr_drop_points must be strictly increasing within (0, 1)")
+        read_keys("train config", "takes no key", TRAIN_KEYS, vars(self), DomainError)
+        object.__setattr__(self, "lr_drop_points", tuple(float(p) for p in self.lr_drop_points))
 
     def to_dict(self):
         return record(self)
 
     @classmethod
     def from_dict(cls, d):
-        """The config `to_dict` gave `d`; a non-mapping or an unknown key raises DomainError."""
-        keys = [f.name for f in fields(cls)]
-        if not (isinstance(d, dict) and set(d) <= set(keys)):
-            raise DomainError(f"a train config must be a mapping with keys from {keys}, not {d!r}")
-        return cls(**d)
+        """The config `to_dict` gave `d`; a mapping `TRAIN_KEYS` refuses raises DomainError."""
+        return cls(**read_keys("train config", "takes no key", TRAIN_KEYS, d, DomainError))
+
+
+def _is_drop_points(v):
+    return (isinstance(v, (list, tuple)) and all(_is_number(p) and 0.0 < p < 1.0 for p in v)
+            and list(v) == sorted(set(v)))
+
+
+# Each train config field: the values it takes and a test for them.
+TRAIN_KEYS = field_keys(TrainConfig, {
+    "epochs": ("an integer >= 0", _at_least(0)),
+    "batch_size": ("an integer >= 1", _at_least(1)),
+    "initial_lr": ("a finite number > 0", lambda v: _is_number(v) and v > 0),
+    "lr_drop_factor": ("a finite number > 0", lambda v: _is_number(v) and v > 0),
+    "lr_drop_points": ("a strictly increasing list of finite numbers in (0, 1)", _is_drop_points),
+    "weight_decay": ("a finite number >= 0", _is_non_negative),
+    "momentum": ("a finite number >= 0", _is_non_negative),
+    "seed": ("an integer >= 0", _at_least(0)),
+})
 
 
 @dataclass(frozen=True)
@@ -648,14 +650,16 @@ def replay_ticket(provenance, specs, data) -> Ticket:
 
     `data` is as for `build_ticket`.  The recorded checks run again from the
     recorded check seed, so a checked ticket replays bit for bit.  A record
-    without a kind or a seed raises DomainError.
+    that is not a mapping, lacks a kind or a seed (`build_ticket` refuses
+    None for either), or holds a "pretrain" that `TrainConfig.from_dict`
+    refuses raises DomainError.
     """
-    if not {"kind", "seed"} <= set(provenance):
-        raise DomainError(f"provenance needs a kind and a seed, not keys {sorted(provenance)}")
-    kind = provenance["kind"]
+    if not isinstance(provenance, dict):
+        raise DomainError(f"provenance must be a mapping, not {provenance!r}")
+    kind = provenance.get("kind")
     cfg = TrainConfig.from_dict(provenance.get("pretrain", {}))
     return build_ticket(
-        kind, specs, data, provenance.get("sparsity", 0.0), provenance["seed"], cfg,
+        kind, specs, data, provenance.get("sparsity", 0.0), provenance.get("seed"), cfg,
         {k: provenance[k] for k in PIPELINE_OPTIONS.get(kind, ()) if k in provenance},
         provenance.get("checks", ()), check_seed=provenance.get("check_seed"),
     )
@@ -747,6 +751,11 @@ def _retrain(ticket, split, rcfg) -> CellResult:
 TICKET_MAGIC = b"PLTCKT01"
 CONTAINER_VERSION = 3
 _PREFIX = struct.Struct("<8sIQ")  # magic, version, header length
+# The header's keys, as `read_keys` takes them.
+HEADER_KEYS = {
+    "arch": (MISSING, "a list of layer specs", lambda v: isinstance(v, list)),
+    "provenance": (MISSING, "a JSON object", lambda v: isinstance(v, dict)),
+}
 
 
 def save_ticket(ticket, path):
@@ -775,10 +784,10 @@ def load_ticket(path) -> Ticket:
     if start > len(buf):
         raise DatasetError(f"{path}: truncated: {start} bytes needed, file has {len(buf)}")
     try:
-        header = json.loads(buf[_PREFIX.size : start].decode("utf-8"))
-        arch, prov = header["arch"], header["provenance"]
-        specs = tuple(LayerSpec(**a) for a in arch)
-    except (KeyError, TypeError, ValueError, PrunelabError) as exc:
+        header = read_keys("header", "takes no key", HEADER_KEYS,
+                           json.loads(buf[_PREFIX.size : start].decode("utf-8")), DomainError)
+        specs = tuple(LayerSpec.from_dict(a) for a in header["arch"])
+    except (ValueError, PrunelabError) as exc:
         raise DatasetError(f"{path}: bad header: {type(exc).__name__}: {exc}") from None
     # Each layer's weights, then its mask; the CRC follows them.
     counts = [s.weight_count for s in specs for _ in range(2)]
@@ -790,10 +799,9 @@ def load_ticket(path) -> Ticket:
         raise DatasetError(f"{path}: {extra} trailing bytes after byte {crc_at + 4}")
     if struct.unpack_from("<I", buf, crc_at)[0] != zlib.crc32(buf[:crc_at]):
         raise DatasetError(f"{path}: checksum mismatch over bytes 0-{crc_at - 1}")
-    if not isinstance(prov, dict):
-        raise DatasetError(f"{path}: provenance is not a JSON object")
+    prov = header["provenance"]
     for key in ("seed", "check_seed"):
-        if key in prov and not (_is_int(prov[key]) and prov[key] >= 0):
+        if key in prov and not _at_least(0)(prov[key]):
             raise DatasetError(f"{path}: provenance {key} {prov[key]!r} is not an integer >= 0")
     checks = prov.get("checks", [])
     if not (isinstance(checks, list) and all(c in CHECK_NAMES for c in checks)):

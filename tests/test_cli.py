@@ -15,7 +15,7 @@ import pytest
 
 from prunelab.cli import main
 from prunelab.errors import DatasetError
-from prunelab.harness import CSV_COLUMNS, ResultRow, emit_rows, parse_rows
+from prunelab.harness import CONFIG_KEYS, CSV_COLUMNS, ResultRow, emit_rows, parse_rows
 from prunelab.models import LayerSpec, build_network, layer_sizes, preset_specs
 from prunelab.pipelines import (
     TICKET_MAGIC,
@@ -101,6 +101,7 @@ def test_run_prints_one_progress_line_per_cell(tmp_path, capsys, monkeypatch):
     {"train": {**TINY["train"], "epochs": True}},
     {"train": {**TINY["train"], "batch_size": True}},
     {"train": {**TINY["train"], "seed": 1.5}},
+    {"train": {**TINY["train"], "lr_drop_points": 0.5}},
 ])
 def test_run_config_typo_exits_one_with_one_line(tmp_path, capsys, typo):
     cfg_path = tmp_path / "exp.json"
@@ -117,10 +118,17 @@ def test_run_config_typo_exits_one_with_one_line(tmp_path, capsys, typo):
     ("output_dir", None, "a string"),
     ("output_dir", ["out"], "a string"),
     # a bare string where a list belongs was read one character at a time
-    ("checks", "none", "a list"),
-    ("seeds", "01", "a list"),
-    ("sparsities", "0.5", "a list"),
-    ("pipelines", {"kind": "random"}, "a list"),
+    ("checks", "none", "a list of checks from"),
+    ("seeds", "01", "a non-empty list of integers"),
+    ("sparsities", "0.5", "a non-empty list of numbers"),
+    ("pipelines", {"kind": "random"}, "a non-empty list of mappings"),
+    # pairs once passed as a mapping, and a name labelled rows with what it held
+    ("dataset", [["kind", "synthetic-blobs"], ["n", 60]], "a mapping"),
+    ("dataset", "abc", "a mapping"),
+    ("dataset", 5, "a mapping"),
+    ("pipelines", [{"kind": "random", "name": 5}], "a non-empty list of mappings"),
+    ("pipelines", [{"kind": "random", "name": [1]}], "a non-empty list of mappings"),
+    ("pipelines", [{"kind": "random", "name": ""}], "a non-empty list of mappings"),
 ])
 def test_run_refuses_a_mistyped_config_field_with_one_line(
     tmp_path, capsys, monkeypatch, field, value, expected
@@ -131,8 +139,28 @@ def test_run_refuses_a_mistyped_config_field_with_one_line(
     cfg_path.write_text(json.dumps({**TINY, field: value}))
     assert main(["run", str(cfg_path), "--quiet"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: ConfigError: {field} must be {expected}, not {value!r}"]
+    accepted = CONFIG_KEYS[field][1]
+    assert accepted.startswith(expected)
+    assert err == [f"error: ConfigError: config {field} must be {accepted}, not {value!r}"]
     assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, text, value", [
+    ("initial_lr", "NaN", "nan"), ("momentum", "Infinity", "inf"), ("weight_decay", "1e400", "inf"),
+])
+def test_run_refuses_a_training_value_that_is_not_finite(tmp_path, capsys, key, text, value):
+    # JSON's NaN and Infinity literals, and a number beyond every float, load as
+    # floats; training on them would fail every cell, so the config is refused.
+    cfg_path = tmp_path / "exp.json"
+    raw = json.dumps({**TINY, "train": {**TINY["train"], key: "VALUE"}})
+    cfg_path.write_text(raw.replace('"VALUE"', text))
+    out = tmp_path / "results"
+    assert main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: ConfigError: train config {key} must be a finite number "
+                   f"{'>=' if key != 'initial_lr' else '>'} 0, not {value}"]
+    assert not out.exists()
 
 
 def test_run_and_report_write_utf8_under_an_ascii_locale(tmp_path):
@@ -390,7 +418,8 @@ def test_negative_seeds_exit_one_before_any_output(tmp_path, capsys):
         capsys.readouterr()
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: DomainError: seed -")
+        assert len(err) == 1 and err[0].startswith(
+            ("error: DomainError: seed -", "error: DomainError: train config seed must be"))
         assert not out.exists()
 
 
@@ -428,8 +457,10 @@ TINY_ARCH = [
     ({"arch": [{"fan_in": 2, "fan_out": 3}, TINY_ARCH[1]], "provenance": {}}, "bad header"),
     ({"arch": [{**TINY_ARCH[0], "fan_in": 10**12}, TINY_ARCH[1]], "provenance": {}},
      "truncated"),
+    ({"arch": [TINY_ARCH[0], {**TINY_ARCH[1], "is_output": "yes"}], "provenance": {}},
+     "bad header: DomainError: layer is_output must be true or false, not 'yes'"),
 ], ids=["header-not-object", "arch-not-list", "no-provenance", "layer-not-object",
-        "unknown-layer-key", "no-layer-kind", "huge-fan-in"])
+        "unknown-layer-key", "no-layer-kind", "huge-fan-in", "is-output-not-a-bool"])
 def test_a_crafted_ticket_file_with_a_valid_checksum_fails_typed(tmp_path, capsys, header, error):
     # A header the arrays do not fit fails before any array is allocated.
     path, out = tmp_path / "t.plab", tmp_path / "out.plab"

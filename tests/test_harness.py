@@ -55,11 +55,11 @@ def test_config_round_trips_through_dict():
 
 
 def test_config_rejects_bad_shapes():
-    with pytest.raises(ConfigError, match="unknown config keys"):
+    with pytest.raises(ConfigError, match=r"^config takes no key \['sparsity'\]; allowed: "):
         ExperimentConfig.from_dict({**TINY, "sparsity": [0.5]})
-    with pytest.raises(ConfigError, match="missing required key"):
+    with pytest.raises(ConfigError, match="^config needs 'arch', which must be one of"):
         ExperimentConfig.from_dict({k: v for k, v in TINY.items() if k != "arch"})
-    with pytest.raises(ConfigError, match="unknown arch"):
+    with pytest.raises(ConfigError, match="^config arch must be one of .*, not 'resnet'$"):
         tiny_config(arch="resnet")
     with pytest.raises(ConfigError, match="unknown pipeline kind None; choose from"):
         tiny_config(pipelines=[{"schedule": "smart"}])
@@ -80,18 +80,20 @@ def test_config_rejects_bad_shapes():
         kind, value = entry["kind"], re.escape(repr(entry[key]))
         with pytest.raises(ConfigError, match=f"'{kind}' {key} must be .*, not {value} in"):
             tiny_config(pipelines=[entry])
-    with pytest.raises(ConfigError, match="not a mapping"):
+    with pytest.raises(ConfigError, match=r"^config pipelines must be .*, not \['lt'\]$"):
         tiny_config(pipelines=["lt"])
-    with pytest.raises(ConfigError, match="unknown check"):
+    with pytest.raises(ConfigError, match=r"^config checks must be .*, not \['mirror'\]$"):
         tiny_config(checks=["mirror"])
-    with pytest.raises(ConfigError, match="outside"):
+    with pytest.raises(ConfigError, match=r"^config sparsities must be .*, not \[1.0\]$"):
         tiny_config(sparsities=[1.0])
-    with pytest.raises(ConfigError, match="outside"):
+    with pytest.raises(ConfigError, match=r"^config sparsities must be .*, not \['x'\]$"):
         tiny_config(sparsities=["x"])
-    with pytest.raises(ConfigError, match="not an integer"):
+    with pytest.raises(ConfigError, match=r"^config seeds must be .*, not \['x'\]$"):
         tiny_config(seeds=["x"])
-    with pytest.raises(ConfigError, match="integers"):
+    with pytest.raises(ConfigError, match="^train config epochs must be an integer >= 0, not 2.5$"):
         tiny_config(train={**TINY["train"], "epochs": 2.5})
+    with pytest.raises(ConfigError, match=r"^train config lr_drop_points must be .*, not 0.5$"):
+        tiny_config(train={**TINY["train"], "lr_drop_points": 0.5})
     with pytest.raises(ConfigError):
         tiny_config(seeds=[])
 
@@ -547,7 +549,8 @@ def test_an_interrupted_grid_resumes_to_the_rows_file_of_a_whole_run(tmp_path, m
 
 @pytest.mark.parametrize("raw", [[TINY], "mlp-4", None, 5])
 def test_config_from_a_non_mapping_fails_typed(raw):
-    with pytest.raises(ConfigError, match="^config must be a mapping$"):
+    refusal = f"^config must be a mapping, not {re.escape(repr(raw))}$"
+    with pytest.raises(ConfigError, match=refusal):
         ExperimentConfig.from_dict(raw)
 
 

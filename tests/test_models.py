@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from prunelab import engine
 from prunelab.data import Dataset
-from prunelab.engine import forward_loss
+from prunelab.engine import forward_logits, forward_loss
 from prunelab.errors import AlignmentError, DomainError
 from prunelab.harness import ExperimentConfig
 from prunelab.models import (
+    EVAL_CHUNK,
     ArchFamily,
     LayerSpec,
     LayeredParams,
@@ -125,22 +127,38 @@ def test_kaiming_scale_conv_uses_kernel_area():
     assert abs(std - target) / target < 0.05
 
 
-def test_accuracy_batching_is_invisible():
-    cases = (("mlp-4", (4,), 40), ("conv-5", (1, 8, 8), 80), ("conv-5", (1, 8, 8), 130))
-    for preset, shape, n in cases:
-        specs = preset_specs(preset, shape, 3)
+def test_accuracy_batching_is_invisible(monkeypatch):
+    # More rows than one chunk, and ten classes: on some BLAS builds one pass
+    # over all 1320 rows gives logits whose last bits differ from 512-row
+    # chunks', so accuracy reads the chunks' exact bytes whatever it reuses.
+    cases = (("mlp-4", (16,), 1320, 10), ("conv-5", (1, 8, 8), 600, 3))
+    seen = []
+
+    def logits(*args, **kwargs):
+        seen.append(forward_logits(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(engine, "forward_logits", logits)
+    for preset, shape, n, classes in cases:
+        specs = preset_specs(preset, shape, classes)
         params = build_network(specs, seed=2)
         mask = full_mask(layer_sizes(specs))
         rng = np.random.default_rng(3)
-        data = Dataset(rng.normal(size=(n, math.prod(shape))), rng.integers(0, 3, n), 3, shape)
-        want = accuracy(params, mask, data, batch_size=512)
-        assert accuracy(params, mask, data, batch_size=7) == want
+        data = Dataset(rng.normal(size=(n, math.prod(shape))), rng.integers(0, classes, n),
+                       classes, shape)
+        starts = range(0, n, EVAL_CHUNK)
+        chunks = [forward_logits(params, mask, data.samples[s : s + EVAL_CHUNK],
+                                 sample_shape=data.sample_shape) for s in starts]
+        want = sum(int((np.argmax(logits, axis=1) == data.labels[s : s + EVAL_CHUNK]).sum())
+                   for s, logits in zip(starts, chunks)) / n
         # evaluation refills the conv patch buffers of a spent SGD step's pass
         x, y, image = data.samples[:64], data.labels[:64], data.sample_shape
         _, first = forward_loss(params, mask, x, y, sample_shape=image)
         _, spent = forward_loss(params, mask, x, y, sample_shape=image, reuse=first)
-        for batch_size in (7, 512):
-            assert accuracy(params, mask, data, batch_size=batch_size, reuse=spent) == want
+        for reuse in (None, spent):
+            seen.clear()
+            assert accuracy(params, mask, data, reuse=reuse) == want
+            assert [a.tobytes() for a in seen] == [c.tobytes() for c in chunks]
 
 
 def test_mlp4_preset_shape():
@@ -187,7 +205,7 @@ def test_arch_family_names():
 ])
 def test_layer_spec_refuses_dimensions_that_are_not_integers(dims):
     kind = "conv" if "kernel" in dims else "dense"
-    with pytest.raises(DomainError, match="must be integers"):
+    with pytest.raises(DomainError, match=r"^layer \w+ must be .*integers? >= 1, not"):
         LayerSpec(kind, **dims)
 
 

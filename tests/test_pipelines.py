@@ -100,12 +100,13 @@ def test_negative_seeds_are_refused_by_name():
     for make in (
         lambda: seeding.stream(-1, seeding.INIT),
         lambda: seeding.combine(-1, seeding.RETRAIN),
-        lambda: TrainConfig(seed=-1),
         lambda: build_ticket("random", SPECS, None, 0.5, -1, FAST),
         lambda: build_ticket("random", SPECS, None, 0.5, 1, FAST, {}, ["rearrange"], check_seed=-1),
     ):
         with pytest.raises(DomainError, match="seed -1 is negative"):
             make()
+    with pytest.raises(DomainError, match="^train config seed must be an integer >= 0, not -1$"):
+        TrainConfig(seed=-1)
 
 
 @pytest.mark.parametrize("make", [
@@ -569,8 +570,12 @@ def test_replay_returns_the_provenance_a_ticket_was_built_with(kind):
 
 # Each edits an lt ticket's provenance the way a hand-made ticket file could.
 MALFORMED_PROVENANCE = {
+    "not-a-mapping": lambda p: list(p.items()),
     "pretrain-with-an-unknown-key": lambda p: {**p, "pretrain": {**p["pretrain"], "bogus": 1}},
     "pretrain-not-a-mapping": lambda p: {**p, "pretrain": list(p["pretrain"].values())},
+    # a pretraining run at this rate would diverge, not fail typed
+    "pretrain-with-a-nan-learning-rate": lambda p: {
+        **p, "pretrain": {**p["pretrain"], "initial_lr": float("nan")}},
     "no-kind": lambda p: {k: v for k, v in p.items() if k != "kind"},
     "no-seed": lambda p: {k: v for k, v in p.items() if k != "seed"},
     "sparsity-not-a-number": lambda p: {**p, "sparsity": "x"},
@@ -586,7 +591,8 @@ def test_replay_refuses_a_malformed_provenance_with_a_typed_error(case):
 
 def test_train_config_from_dict_refuses_a_non_mapping_or_an_unknown_key():
     for bad in ([3, 16], "epochs=3", None, {**FAST.to_dict(), "bogus": 1}):
-        with pytest.raises(DomainError, match="must be a mapping with keys from"):
+        refusal = r"^train config (must be a mapping, not|takes no key \['bogus'\])"
+        with pytest.raises(DomainError, match=refusal):
             TrainConfig.from_dict(bad)
 
 
@@ -1254,7 +1260,7 @@ def test_load_ticket_refuses_a_provenance_that_is_not_an_object(tmp_path, proven
     ticket = tiny_ticket()
     path = tmp_path / "t.plab"
     save_ticket(Ticket(ticket.mask, ticket.weights, provenance), str(path))
-    with pytest.raises(DatasetError, match="provenance is not a JSON object"):
+    with pytest.raises(DatasetError, match="header provenance must be a JSON object, not"):
         load_ticket(str(path))
 
 
