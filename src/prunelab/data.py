@@ -174,18 +174,31 @@ def _standardize(fit, *arrays):
     return [(a - mu) / sd for a in arrays]
 
 
+def _split(where, train, test, shape):
+    """The DataSplit of the (features, labels) pairs `train` and `test`.
+
+    Both loaders end here.  Each feature is standardised by the mean and std
+    of the train rows alone, so no test row shapes a train sample.  A side
+    without rows, or labels of fewer than two classes, raise DatasetError
+    naming `where`: such a split can neither train a ticket nor measure one.
+    """
+    for name, (features, _) in (("train", train), ("test", test)):
+        if len(features) == 0:
+            raise DatasetError(f"{where}: the {name} split is empty")
+    classes = int(max(train[1].max(), test[1].max())) + 1
+    if classes < 2:
+        raise DatasetError(f"{where}: needs at least two classes")
+    xtr, xte = _standardize(train[0], train[0], test[0])
+    return DataSplit(Dataset(xtr, train[1], classes, shape), Dataset(xte, test[1], classes, shape))
+
+
 def load_idx_split(train_images, train_labels, test_images, test_labels) -> DataSplit:
-    """Two IDX pairs, normalized per feature with train statistics."""
+    """Two IDX pairs: the first pair trains and the second tests."""
     xtr, ytr, shape = _idx_pair(train_images, train_labels)
     xte, yte, shape_te = _idx_pair(test_images, test_labels)
     if shape != shape_te:
         raise DatasetError(f"train shape {shape} differs from test shape {shape_te}")
-    _refuse_empty_split(f"{train_images}, {test_images}", len(xtr), len(xte))
-    classes = int(max(ytr.max(), yte.max())) + 1
-    xtr, xte = _standardize(xtr, xtr, xte)
-    return DataSplit(
-        Dataset(xtr, ytr, classes, shape), Dataset(xte, yte, classes, shape)
-    )
+    return _split(f"{train_images}, {test_images}", (xtr, ytr), (xte, yte), shape)
 
 
 CSV_TEST_FRACTION = 0.2  # of the shuffled rows, held out as the test set
@@ -216,27 +229,10 @@ def load_csv(path) -> DataSplit:
     labels = labels_f.astype(np.int64)
     if not np.array_equal(labels_f, labels) or labels.min() < 0:
         raise DatasetError(f"{path}: labels must be non-negative integers")
-    classes = int(labels.max()) + 1
-    if classes < 2:
-        raise DatasetError(f"{path}: needs at least two classes")
-    (features,) = _standardize(features, features)
-
     order = np.random.default_rng(2_000_003).permutation(len(rows))
-    split = int(round((1.0 - CSV_TEST_FRACTION) * len(rows)))
-    tr, te = order[:split], order[split:]
-    _refuse_empty_split(path, len(tr), len(te))
-    shape = (features.shape[1],)
-    return DataSplit(
-        Dataset(features[tr], labels[tr], classes, shape),
-        Dataset(features[te], labels[te], classes, shape),
-    )
-
-
-def _refuse_empty_split(where, n_train, n_test):
-    """A split without samples can neither train a ticket nor measure one."""
-    for name, n in (("train", n_train), ("test", n_test)):
-        if n == 0:
-            raise DatasetError(f"{where}: the {name} split is empty")
+    tr, te = np.split(order, [int(round((1.0 - CSV_TEST_FRACTION) * len(rows)))])
+    return _split(path, (features[tr], labels[tr]), (features[te], labels[te]),
+                  (features.shape[1],))
 
 
 def _looks_like_header(row):
@@ -254,8 +250,9 @@ def read_keys(what, noun, table, given, error):
     This is the one gate for every mapping read from outside: dataset
     sources (`load_dataset`), pipeline options (`pipelines.pipeline_options`),
     train configs (`pipelines.TrainConfig`), experiment configs
-    (`harness.ExperimentConfig`), and a ticket file's header and its layer
-    specs (`pipelines.load_ticket`, `models.LayerSpec`).
+    (`harness.ExperimentConfig`), a ticket file's header and its layer
+    specs (`pipelines.load_ticket`, `models.LayerSpec`), and a ticket's
+    provenance (`pipelines.read_provenance`).
 
     `table` maps each key to (default, accepted values, test); a default of
     MISSING marks a required key.  A `given` that is not a mapping raises

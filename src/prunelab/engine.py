@@ -46,7 +46,11 @@ from .errors import AlignmentError, DomainError, NumericsError
 # im2col + GEMM, whose summation order differs from the per-tap einsums.
 # Version 3: GraSP's H g is the exact Hessian-vector product, where it was
 # a central difference at step 1e-5, which a ReLU crossing could throw off.
-NUMERICS_VERSION = 3
+# Version 4: a cell reads the accuracy of its last retraining epoch, not of
+# its best; a CSV dataset is standardised by its train rows alone; and the
+# config hash leaves out train.seed, which every training run replaces with
+# a seed derived from its cell.
+NUMERICS_VERSION = 4
 
 SOFTMAX_XENT = "softmax-xent"
 SQUARED_ERROR = "squared-error"

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import CHECK_NAMES
 from .data import _at_least, _finite, _is_number, field_keys, load_dataset, read_keys
 from .engine import NUMERICS_VERSION
 from .errors import ConfigError, DomainError, PrunelabError
 from .models import PRESET_NAMES, preset_specs, record
 from .pipelines import (
+    CHECK_LIST,
     TrainConfig,
     pipeline_options,
     pruning_data_name,
@@ -100,8 +100,7 @@ CONFIG_KEYS = field_keys(ExperimentConfig, {
     "sparsities": ("a non-empty list of numbers in [0, 1)",
                    _list_of(lambda s: _is_number(s) and 0.0 <= s < 1.0)),
     "seeds": ("a non-empty list of integers >= 0", _list_of(_at_least(0))),
-    "checks": (f"a list of checks from {CHECK_NAMES}",
-               lambda v: isinstance(v, (list, tuple)) and all(c in CHECK_NAMES for c in v)),
+    "checks": CHECK_LIST,
     "train": ("a train config", lambda v: isinstance(v, TrainConfig)),
     "output_dir": ("a string", lambda v: isinstance(v, str)),
 })
@@ -128,12 +127,15 @@ def load_config(path) -> ExperimentConfig:
 def config_hash(cfg) -> str:
     """Stable hash of what determines the rows.
 
-    Key order never matters, and neither does where the rows are written.
-    The engine's NUMERICS_VERSION is part of the hash, so rows computed under
-    different numerics never share a rows file.
+    Key order never matters, and neither does where the rows are written
+    or `train.seed`.  The engine's NUMERICS_VERSION is part of the hash, so
+    rows computed under different numerics never share a rows file.
     """
     content = cfg.to_dict()
     del content["output_dir"]
+    # Every training run swaps train.seed for a seed derived from its cell
+    # (run_cell, _pretrain, _imp_ticket), so it moves no row.
+    del content["train"]["seed"]
     content["numerics_version"] = NUMERICS_VERSION
     canon = json.dumps(content, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -156,7 +158,7 @@ class ResultRow:
     check: str
     sparsity: float
     seed: int
-    accuracy: float | None  # percent, best epoch; None for failed cells
+    accuracy: float | None  # percent, after the last retraining epoch; None for failed cells
     keep: tuple[float, ...]
     seconds: float
     flags: str = ""

@@ -645,24 +645,52 @@ def build_ticket(
     return ticket
 
 
+# The values a list of check names takes, and a test for them: a config's
+# "checks" and a provenance's.
+CHECK_LIST = (f"a list of checks from {CHECK_NAMES}",
+              lambda v: isinstance(v, (list, tuple)) and all(c in CHECK_NAMES for c in v))
+# The provenance keys `read_provenance` reads besides the kind's options and
+# "pretrain", as `read_keys` takes them.  Its other keys only describe the ticket.
+PROVENANCE_KEYS = {
+    "kind": (MISSING, f"one of {TICKET_KINDS}", lambda v: v in TICKET_KINDS),
+    "sparsity": (0.0, "a number in [0, 1)", lambda v: _is_number(v) and 0.0 <= v < 1.0),
+    "seed": (MISSING, "an integer >= 0", _at_least(0)),
+    "checks": ((), *CHECK_LIST),
+    "check_seed": (None, "an integer >= 0", _at_least(0)),
+}
+
+
+def read_provenance(provenance):
+    """The `build_ticket` arguments that a provenance record names, by keyword.
+
+    This is the one reading of a provenance, for `replay_ticket` and
+    `load_ticket`.  A record that is not a mapping, a key `PROVENANCE_KEYS`
+    refuses, an option the kind does not take (see `pipeline_options`), or
+    a "pretrain" that `TrainConfig.from_dict` refuses raises DomainError,
+    whose message starts "provenance".
+    """
+    if not isinstance(provenance, dict):
+        raise DomainError(f"provenance must be a mapping, not {provenance!r}")
+    read = read_keys("provenance", "takes no key", PROVENANCE_KEYS,
+                     {k: provenance[k] for k in PROVENANCE_KEYS if k in provenance}, DomainError)
+    params = {k: provenance[k] for k in PIPELINE_OPTIONS[read["kind"]] if k in provenance}
+    try:
+        pipeline_options(read["kind"], params)
+        cfg = TrainConfig.from_dict(provenance.get("pretrain", {}))
+    except DomainError as exc:
+        raise DomainError(f"provenance: {exc}") from None
+    return dict(kind=read["kind"], target_sparsity=read["sparsity"], seed=read["seed"], cfg=cfg,
+                params=params, checks=read["checks"], check_seed=read["check_seed"])
+
+
 def replay_ticket(provenance, specs, data) -> Ticket:
     """Rebuild a ticket from its provenance record and the `data` it was built on.
 
     `data` is as for `build_ticket`.  The recorded checks run again from the
     recorded check seed, so a checked ticket replays bit for bit.  A record
-    that is not a mapping, lacks a kind or a seed (`build_ticket` refuses
-    None for either), or holds a "pretrain" that `TrainConfig.from_dict`
-    refuses raises DomainError.
+    that `read_provenance` refuses raises DomainError.
     """
-    if not isinstance(provenance, dict):
-        raise DomainError(f"provenance must be a mapping, not {provenance!r}")
-    kind = provenance.get("kind")
-    cfg = TrainConfig.from_dict(provenance.get("pretrain", {}))
-    return build_ticket(
-        kind, specs, data, provenance.get("sparsity", 0.0), provenance.get("seed"), cfg,
-        {k: provenance[k] for k in PIPELINE_OPTIONS.get(kind, ()) if k in provenance},
-        provenance.get("checks", ()), check_seed=provenance.get("check_seed"),
-    )
+    return build_ticket(specs=specs, data=data, **read_provenance(provenance))
 
 
 def apply_structural_check(ticket, check, check_seed=None) -> Ticket:
@@ -701,7 +729,7 @@ def check_stream(seed, check):
 class CellResult:
     """One retrained ticket: the unit of every report row."""
 
-    accuracy: float  # percent, best epoch
+    accuracy: float  # percent, after the last retraining epoch
     keep: tuple[float, ...]
     collapsed: bool
     ticket: Ticket
@@ -737,11 +765,12 @@ def _retrain(ticket, split, rcfg) -> CellResult:
         ticket.weights, ticket.mask, split.train, rcfg,
         eval_data=split.test, schedule_offset=offset,
     )
-    # The best epoch, or the ticket as built when no epoch ran.
-    best = max([h.accuracy for h in result.history]
-               or [accuracy(ticket.weights, ticket.mask, split.test)])
+    # The epoch retraining ended on, or the ticket as built when no epoch ran:
+    # the row never picks an epoch by its test accuracy.
+    final = (result.history[-1].accuracy if result.history
+             else accuracy(ticket.weights, ticket.mask, split.test))
     ratios = keep_ratios(ticket.mask)
-    return CellResult(100.0 * best, tuple(ratios), any(r == 0.0 for r in ratios), ticket)
+    return CellResult(100.0 * final, tuple(ratios), any(r == 0.0 for r in ratios), ticket)
 
 
 # Layout: magic, little-endian u32 version, u64 header length, the JSON header
@@ -771,6 +800,8 @@ def save_ticket(ticket, path):
 
 
 def load_ticket(path) -> Ticket:
+    """The ticket `save_ticket` wrote to `path`; a file that is not one, or
+    whose provenance `read_provenance` refuses, raises DatasetError."""
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:8] != TICKET_MAGIC:
@@ -799,16 +830,11 @@ def load_ticket(path) -> Ticket:
         raise DatasetError(f"{path}: {extra} trailing bytes after byte {crc_at + 4}")
     if struct.unpack_from("<I", buf, crc_at)[0] != zlib.crc32(buf[:crc_at]):
         raise DatasetError(f"{path}: checksum mismatch over bytes 0-{crc_at - 1}")
-    prov = header["provenance"]
-    for key in ("seed", "check_seed"):
-        if key in prov and not _at_least(0)(prov[key]):
-            raise DatasetError(f"{path}: provenance {key} {prov[key]!r} is not an integer >= 0")
-    checks = prov.get("checks", [])
-    if not (isinstance(checks, list) and all(c in CHECK_NAMES for c in checks)):
-        raise DatasetError(f"{path}: provenance checks {checks!r} is not a list of check names")
     values = np.frombuffer(buf, dtype="<f8", count=sum(counts), offset=start)
     arrays = np.split(values.astype(np.float64), np.cumsum(counts[:-1]))
+    prov = header["provenance"]
     try:
+        read_provenance(prov)  # a ticket whose provenance could not replay does not load
         return Ticket(Mask(tuple(arrays[1::2])), LayeredParams(specs, tuple(arrays[0::2])), prov)
     except PrunelabError as exc:
         raise DatasetError(f"{path}: {exc}") from None

@@ -432,6 +432,8 @@ def tiny_ticket(**provenance):
 @pytest.mark.parametrize("bad", [
     {"checks": 5}, {"checks": "ab"}, {"checks": ["mirror"]}, {"check_seed": -1},
     {"check_seed": True}, {"check_seed": 2.0}, {"seed": "4"}, {"seed": -1},
+    # none of these could replay, so none loads
+    {"kind": "bogus"}, {"sparsity": "x"}, {"pretrain": {"initial_lr": float("nan")}},
 ])
 def test_check_refuses_a_bad_provenance_record_with_one_line(tmp_path, capsys, bad):
     path, out = tmp_path / "t.plab", tmp_path / "out.plab"

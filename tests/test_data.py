@@ -255,6 +255,29 @@ def test_csv_split_is_fixed():
     assert one.train.n == 16 and one.test.n == 4
 
 
+def test_csv_is_standardised_by_its_train_rows_alone(tmp_path):
+    def write(table):
+        path = tmp_path / "d.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in table))
+        return load_csv(str(path))
+
+    rng = np.random.default_rng(4)
+    n = 40
+    # Column 0 holds each row's index.  One affine map standardises it on both
+    # sides, so the rank of a standardised value among all n names its row.
+    table = np.column_stack([np.arange(n), rng.normal(3.0, 2.0, (n, 3)), np.arange(n) % 2])
+    split = write(table)
+    assert np.abs(split.train.samples.mean(axis=0)).max() < 1e-9
+    assert np.allclose(split.train.samples.std(axis=0), 1.0)
+    ranked = np.sort(np.concatenate([split.train.samples[:, 0], split.test.samples[:, 0]]))
+    test_rows = np.searchsorted(ranked, split.test.samples[:, 0])
+    assert len(test_rows) == split.test.n == 8
+    table[test_rows, :-1] += 5.0
+    shifted = write(table)
+    assert shifted.train.samples.tobytes() == split.train.samples.tobytes()
+    assert not np.array_equal(shifted.test.samples, split.test.samples)
+
+
 def test_csv_errors_carry_line_numbers(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0,0\n1.0,oops,1\n")

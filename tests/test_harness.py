@@ -172,8 +172,9 @@ def test_config_hash_ignores_key_order_but_not_content():
 
 def test_config_hash_is_pinned():
     # A change to the config's dict form must not orphan existing rows files;
-    # a NUMERICS_VERSION bump changes this digest on purpose.
-    digest = "1442c03de17677b2d00b2415815ab5d074bf5bf1b257cc82ef9e243be1ed2122"
+    # a NUMERICS_VERSION bump changes this digest on purpose (version 4 also
+    # left train.seed out of the hash).
+    digest = "5c28e6fa866d7486323b32f4722d78d3bc555099dfa7d2e3d3899c59a4671afa"
     assert config_hash(tiny_config()) == digest
 
 
@@ -182,6 +183,20 @@ def test_config_hash_ignores_output_dir_but_not_the_numerics_version(monkeypatch
     assert config_hash(tiny_config(output_dir="elsewhere/out")) == digest
     monkeypatch.setattr(harness, "NUMERICS_VERSION", harness.NUMERICS_VERSION + 1)
     assert config_hash(tiny_config(output_dir="results")) != digest
+
+
+def test_train_seed_moves_no_row_and_leaves_the_config_hash(tmp_path, monkeypatch):
+    # run_cell, pretraining and every IMP round each swap train.seed for a
+    # seed derived from the cell, so two seeds give one set of rows.
+    monkeypatch.delenv("PRUNELAB_OUTPUT_DIR", raising=False)
+    pipes = [{"kind": "random"}, {"kind": "lt"}, {"kind": "imp", "round_fraction": 0.5}]
+    cfg, rows = run_tiny(tmp_path, "zero", pipelines=pipes)
+    other, again = run_tiny(tmp_path, "five", pipelines=pipes, train={**TINY["train"], "seed": 5})
+    assert other.train.seed == 5
+    assert config_hash(other) == config_hash(cfg)
+    untimed = [[dataclasses.replace(r, seconds=0.0) for r in rs] for rs in (rows, again)]
+    assert untimed[0] == untimed[1]
+    assert config_hash(tiny_config(train={**TINY["train"], "epochs": 3})) != config_hash(cfg)
 
 
 def test_pipeline_labels_and_grid_order():
